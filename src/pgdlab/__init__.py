@@ -39,6 +39,7 @@ from .constraints import (
 )
 from .empirics import (
     RateEstimate,
+    default_etas,
     estimate_rate,
     make_iht_instance,
     make_instance,
@@ -52,6 +53,7 @@ from .errors import (
     ConstraintDomainError,
     DivergenceError,
     GenerationError,
+    InfeasibleStartWarning,
     NoCertificateError,
     NonUniqueProjectionWarning,
     ProblemFileError,

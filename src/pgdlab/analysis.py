@@ -27,21 +27,37 @@ IMAG_TOL = 1e-10
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def _ata_eigenvalues(A):
-    """Eigenvalues of A^T A (squared singular values, padded with zeros)."""
+def ata_extremes(A):
+    """Largest and smallest eigenvalues of A^T A from the singular values of A.
+
+    The smallest is zero when A has more columns than rows.
+    """
     A = np.asarray(A, dtype=float)
     sig = np.linalg.svd(A, compute_uv=False)
-    lams = np.zeros(A.shape[1])
-    lams[: sig.size] = sig**2
-    return lams
+    hi = float(sig[0] ** 2)
+    lo = float(sig[-1] ** 2) if A.shape[0] >= A.shape[1] else 0.0
+    return hi, lo
+
+
+def gram_extremes(M):
+    """Largest and smallest eigenvalues of M^T M."""
+    lams = np.linalg.eigvalsh(M.T @ M)
+    return float(lams[-1]), float(lams[0])
+
+
+def contraction_factor(lam_max, lam_min, eta):
+    """max |1 - eta*lam| over a spectrum in [lam_min, lam_max].
+
+    |1 - eta*lam| is convex in lam, so the extremes decide.
+    """
+    return float(max(abs(1.0 - eta * lam_max), abs(1.0 - eta * lam_min)))
 
 
 def gradient_contraction(A, eta):
     """Spectral norm of I - eta A^T A, the plain gradient-descent contraction factor."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    lams = _ata_eigenvalues(A)
-    return float(np.max(np.abs(1.0 - eta * lams)))
+    return contraction_factor(*ata_extremes(A), eta)
 
 
 def _linearized_update(problem, x_star, eta):
@@ -218,6 +234,25 @@ def transient_offset(rate, error_fraction):
     return float(bracket / (rate * log_inv_rate) + 1.0)
 
 
+def error_fraction(rate, quad, initial_error):
+    """Initial error over the quadratic-term radius (1 - rate) / quad; zero when quad is."""
+    if quad == 0.0:
+        return 0.0
+    return float(quad * initial_error / (1.0 - rate))
+
+
+def certified_offset(rate, quad, initial_error):
+    """Transient offset for a run started at the given distance from the fixed point."""
+    tau = error_fraction(rate, quad, initial_error)
+    if tau == 0.0:
+        return 1.0
+    if tau >= 1.0:
+        raise NoCertificateError(
+            f"initial error is outside the certified region (fraction {tau:.3e})"
+        )
+    return transient_offset(rate, tau)
+
+
 def iterations_to_accuracy(accuracy, rate, eigvec_condition=1.0, offset=1.0):
     """Iterations guaranteeing the error shrank by the given relative accuracy."""
     accuracy = float(accuracy)
@@ -245,11 +280,8 @@ def compressed_rate(A, basis, eta):
     gram_defect = np.linalg.norm(basis.T @ basis - np.eye(d))
     if gram_defect > 1e-10:
         raise ValueError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
-    AB = np.asarray(A, dtype=float) @ basis
-    lams = np.linalg.eigvalsh(AB.T @ AB)
-    lam_max, lam_min = float(lams[-1]), float(lams[0])
-    rate = max(abs(1.0 - eta * lam_max), abs(1.0 - eta * lam_min))
-    return float(rate), lam_max, lam_min
+    lam_max, lam_min = gram_extremes(np.asarray(A, dtype=float) @ basis)
+    return contraction_factor(lam_max, lam_min, eta), lam_max, lam_min
 
 
 def optimal_step(lam_max, lam_min):
@@ -287,23 +319,6 @@ class ConvergenceReport:
     error_fraction: float | None = None
     offset: float | None = None
 
-    def fraction_of(self, initial_error):
-        """Initial error normalized by the quadratic-term radius (zero when exact)."""
-        if self.quad_coeff == 0.0:
-            return 0.0
-        return float(self.quad_coeff * initial_error / (1.0 - self.rate))
-
-    def offset_of(self, initial_error):
-        """Transient offset for a run started at the given distance from the fixed point."""
-        tau = self.fraction_of(initial_error)
-        if tau == 0.0:
-            return 1.0
-        if tau >= 1.0:
-            raise NoCertificateError(
-                f"initial error is outside the certified region (fraction {tau:.3e})"
-            )
-        return transient_offset(self.rate, tau)
-
     def bound(self, accuracy, initial_error=None):
         """Iteration bound for the given relative accuracy."""
         if not self.certified:
@@ -313,7 +328,7 @@ class ConvergenceReport:
                 raise ValueError("no initial error supplied")
             offset = self.offset
         else:
-            offset = self.offset_of(initial_error)
+            offset = certified_offset(self.rate, self.quad_coeff, initial_error)
         return iterations_to_accuracy(accuracy, self.rate, self.eigvec_condition, offset)
 
     def to_json(self, accuracies=()):
@@ -393,7 +408,7 @@ def analyze_fixed_point(problem, x_star, eta, initial_error=None):
     )
     if initial_error is not None and certified:
         report.initial_error = float(initial_error)
-        report.error_fraction = report.fraction_of(initial_error)
+        report.error_fraction = error_fraction(report.rate, quad, initial_error)
         if report.error_fraction < 1.0:
-            report.offset = report.offset_of(initial_error)
+            report.offset = certified_offset(report.rate, quad, initial_error)
     return report

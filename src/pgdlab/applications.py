@@ -14,23 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import optimal_step
-from .constraints import RANK_RTOL, SQRT2, AffineConstraint, LowRankConstraint
+from .analysis import ata_extremes, contraction_factor, gram_extremes, optimal_step
+from .constraints import RANK_CURVATURE, RANK_RTOL, SQRT2, AffineConstraint, LowRankConstraint
 from .engine import Problem
 from .errors import NoCertificateError, StationarityError
 
-RANK_CURVATURE = 4.0 * (1.0 + SQRT2)
 FULL_RANK_RTOL = 1e-10
 STATIONARITY_TOL = 1e-10
-
-
-def _ata_extremes(A):
-    """Largest and smallest eigenvalues of A^T A."""
-    A = np.asarray(A, dtype=float)
-    sig = np.linalg.svd(A, compute_uv=False)
-    hi = float(sig[0] ** 2)
-    lo = float(sig[-1] ** 2) if A.shape[0] >= A.shape[1] else 0.0
-    return hi, lo
 
 
 class ApplicationReport:
@@ -79,15 +69,14 @@ class ApplicationReport:
 
     def contraction(self, eta):
         """Unconstrained gradient-descent contraction factor at step ``eta``."""
-        hi, lo = self.ata_extremes
-        return max(abs(1.0 - eta * hi), abs(1.0 - eta * lo))
+        return contraction_factor(*self.ata_extremes, eta)
 
     def rate(self, eta):
         """Asymptotic linear rate at step ``eta``."""
         eta = float(eta)
         if eta <= 0:
             raise ValueError("eta must be positive")
-        base = max(abs(1.0 - eta * self.lam_max), abs(1.0 - eta * self.lam_min))
+        base = contraction_factor(self.lam_max, self.lam_min, eta)
         if self.kind != "sphere":
             return float(base)
         scale = 1.0 - eta * self.gamma
@@ -133,7 +122,8 @@ class ApplicationReport:
         """Evaluate rate and region on a grid, marking inadmissible steps."""
         rows = []
         for eta in etas:
-            row = {"eta": float(eta), "admissible": self.admissible(eta)}
+            eta = float(eta)
+            row = {"eta": eta, "admissible": self.admissible(eta)}
             try:
                 row["rate"] = self.rate(eta)
             except (NoCertificateError, ValueError):
@@ -166,12 +156,6 @@ def _encode(v):
     return "inf" if np.isinf(v) else v
 
 
-def _compressed_eigs(A, basis):
-    AB = A @ basis
-    lams = np.linalg.eigvalsh(AB.T @ AB)
-    return float(lams[-1]), float(lams[0])
-
-
 def analyze_lcls(A, b, C, d):
     """Equality-constrained least squares: min 0.5||Ax-b||^2 s.t. Cx = d.
 
@@ -184,11 +168,10 @@ def analyze_lcls(A, b, C, d):
     b = np.asarray(b, dtype=float).reshape(-1)
     basis = constraint.null_basis
     AB = A @ basis
-    K = AB.T @ AB
-    lams = np.linalg.eigvalsh(K)
-    lam_max, lam_min = float(lams[-1]), float(lams[0])
+    lam_max, lam_min = gram_extremes(AB)
     full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
+    K = AB.T @ AB
     rhs = AB.T @ (b - A @ constraint.offset)
     if full_rank:
         y = np.linalg.solve(K, rhs)
@@ -204,7 +187,7 @@ def analyze_lcls(A, b, C, d):
     eta_max = 2.0 / lam_max if lam_max > 0 else np.inf
     return ApplicationReport(
         "lcls", basis, lam_max, lam_min, eta_max, flags, x_star,
-        ata_extremes=_ata_extremes(A), details={"constraint": constraint},
+        ata_extremes=ata_extremes(A), details={"constraint": constraint},
     )
 
 
@@ -227,7 +210,7 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
 
     basis = np.zeros((x_star.size, s))
     basis[support, np.arange(s)] = 1.0
-    lam_max, lam_min = _compressed_eigs(A, basis)
+    lam_max, lam_min = gram_extremes(A @ basis)
     full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
     smallest = float(np.min(np.abs(x_star[support])))
@@ -244,7 +227,7 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
     }
     return ApplicationReport(
         "iht", basis, lam_max, lam_min, eta_max, flags, x_star,
-        ata_extremes=_ata_extremes(A), fixed_point_eta_max=fixed_point_cap,
+        ata_extremes=ata_extremes(A), fixed_point_eta_max=fixed_point_cap,
         details={
             "s": s,
             "support": support,
@@ -279,7 +262,7 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
     # Deterministic orthonormal completion of x_star.
     q, _ = np.linalg.qr(x_star.reshape(-1, 1), mode="complete")
     basis = q[:, 1:]
-    lam_max, lam_min = _compressed_eigs(A, basis)
+    lam_max, lam_min = gram_extremes(A @ basis)
 
     local_min = gamma < lam_min
     eta_max = np.inf if gamma <= -lam_max else 2.0 / (gamma + lam_max)
@@ -290,7 +273,7 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
     }
     return ApplicationReport(
         "sphere", basis, lam_max, lam_min, eta_max, flags, x_star, gamma=gamma,
-        ata_extremes=_ata_extremes(A),
+        ata_extremes=ata_extremes(A),
     )
 
 
@@ -359,10 +342,7 @@ def analyze_mcp(observed, omega, X_star, r=None, tol=STATIONARITY_TOL):
         )
 
     basis = rank_tangent_basis(U[:, :r], Vt[:r].T)
-    B = basis[omega, :]
-    K = B.T @ B
-    lams = np.linalg.eigvalsh(K)
-    lam_max, lam_min = float(lams[-1]), float(lams[0])
+    lam_max, lam_min = gram_extremes(basis[omega, :])
     full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
     flags = {

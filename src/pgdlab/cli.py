@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .applications import analyze_problem
-from .empirics import run_experiment
+from .empirics import default_etas, run_experiment
 from .engine import run_pgd
 from .errors import (
     ConstraintDomainError,
@@ -51,10 +51,20 @@ def _default_seed():
         raise SystemExit(f"PGDLAB_SEED must be an integer, got {raw!r}")
 
 
+def _require_positive(flag, *values):
+    """Reject a flag value that is not finite and positive as an input error.
+
+    argparse ``type=`` errors would exit 2, which is reserved for divergence.
+    """
+    for value in values:
+        if not 0 < value < np.inf:  # also false for NaN
+            raise ProblemFileError(flag, f"must be finite and positive, got {value!r}")
+
+
 def cmd_solve(args):
+    _require_positive("--eta", args.eta)
+    _require_positive("--max-iters", args.max_iters)
     problem, x_star, x0 = load_problem(args.problem)
-    if args.eta <= 0:
-        raise ProblemFileError("--eta", "step size must be positive")
     if x0 is None:
         rng = np.random.default_rng(args.seed)
         x0 = problem.constraint.random_member(rng)
@@ -82,6 +92,7 @@ def cmd_solve(args):
 
 
 def cmd_analyze(args):
+    _require_positive("--eta", *(args.eta or ()))
     problem, x_star, _ = load_problem(args.problem)
     report = analyze_problem(problem, x_star)
     if x_star is None:
@@ -101,28 +112,14 @@ def cmd_analyze(args):
             conv = analysis.analyze_fixed_point(problem, x_star, eta)
             entry["convergence"] = conv.to_json(args.eps)
             if conv.certified and args.eps:
-                # Bounds need an initial error; report them per unit of the
-                # certified radius when available.
-                if conv.region_radius is not None and np.isfinite(conv.region_radius):
-                    initial = 0.5 * conv.region_radius
-                    entry["iteration_bounds"] = [
-                        {
-                            "accuracy": float(eps),
-                            "initial_error": initial,
-                            "bound": conv.bound(eps, initial_error=initial),
-                        }
-                        for eps in args.eps
-                    ]
-                else:
-                    entry["iteration_bounds"] = [
-                        {
-                            "accuracy": float(eps),
-                            "bound": analysis.iterations_to_accuracy(
-                                eps, conv.rate, conv.eigvec_condition, 1.0
-                            ),
-                        }
-                        for eps in args.eps
-                    ]
+                # Bounds need an initial error: half the certified radius. An
+                # unbounded region has no quadratic term, so the start is moot.
+                initial = 0.5 * conv.region_radius
+                shown = {"initial_error": initial} if np.isfinite(initial) else {}
+                entry["iteration_bounds"] = [
+                    {"accuracy": float(eps), "bound": conv.bound(eps, initial), **shown}
+                    for eps in args.eps
+                ]
         except (NoCertificateError, ConstraintDomainError) as exc:
             entry["convergence"] = None
             entry["no_certificate"] = str(exc)
@@ -158,12 +155,13 @@ def cmd_experiment(args):
     missing = [key for key in required if key not in params]
     if missing:
         raise ProblemFileError("flags", f"{args.kind} needs --" + ", --".join(missing))
+    _require_positive("--etas", *(args.etas or ()))
+    _require_positive("--max-iters", args.max_iters)
 
-    etas = args.etas if args.etas else _auto_etas(args)
     bundle = run_experiment(
         args.kind,
         params,
-        etas,
+        args.etas or default_etas,
         args.seed,
         outdir=args.outdir,
         max_iters=args.max_iters,
@@ -185,26 +183,6 @@ def cmd_experiment(args):
     if args.outdir:
         print(f"bundle written to {args.outdir}")
     return EXIT_OK
-
-
-def _auto_etas(args):
-    """Default step grid: 0.5, 1.0, and the optimal step of the instance."""
-    from .applications import analyze_problem as _ap
-    from .empirics import make_instance
-
-    params = {
-        key: getattr(args, key)
-        for key in ("m", "n", "p", "r", "s")
-        if getattr(args, key) is not None
-    }
-    if args.gamma is not None:
-        params["gamma"] = args.gamma
-    problem, x_star = make_instance(args.kind, params, args.seed)
-    report = _ap(problem, x_star)
-    etas = [0.5, 1.0]
-    if report.eta_opt is not None:
-        etas.append(report.eta_opt)
-    return etas
 
 
 def cmd_verify(args):

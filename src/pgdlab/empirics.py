@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import iterations_to_accuracy, transient_offset
+from .analysis import certified_offset, gram_extremes, iterations_to_accuracy
 from .applications import analyze_problem, mcp_problem
 from .constraints import AffineConstraint, SparsityConstraint, SphereConstraint
 from .engine import ERROR_FLOOR_SCALE, Problem, certify_stationary, run_pgd
@@ -92,6 +92,10 @@ def make_iht_instance(m, n, s, seed, residual=False):
     of the compressed sensing matrix, so the gradient at the solution is
     nonzero off the support.
     """
+    if not 1 <= s <= n:
+        raise ValueError(f"iht: need 1 <= s <= n (s={s}, n={n})")
+    if residual and s > m:
+        raise ValueError(f"iht: residual needs s <= m (s={s}, m={m})")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     support = np.sort(rng.choice(n, size=s, replace=False))
@@ -116,6 +120,8 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
     Retries until the multiplier sits below the smallest tangent eigenvalue,
     which is what certifies the solution as a strict local minimum.
     """
+    if m < n:
+        raise ValueError(f"sphere: need m >= n so that A^T A is invertible (m={m}, n={n})")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         A = rng.standard_normal((m, n))
@@ -124,8 +130,7 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
         gram = A.T @ A
         b = A @ x_star - gamma * (A @ np.linalg.solve(gram, x_star))
         q, _ = np.linalg.qr(x_star.reshape(-1, 1), mode="complete")
-        AB = A @ q[:, 1:]
-        lam_min = float(np.linalg.eigvalsh(AB.T @ AB)[0])
+        _, lam_min = gram_extremes(A @ q[:, 1:])
         if gamma < lam_min:
             problem = Problem(A, b, SphereConstraint(n))
             _check_generated(problem, x_star)
@@ -213,37 +218,44 @@ def _start_point(problem, x_star, region, rng, offset=None):
     raise GenerationError("could not place a feasible start inside the region")
 
 
+def default_etas(report):
+    """Default step grid: 0.5, 1.0, and the optimal step of the instance."""
+    etas = [0.5, 1.0]
+    if report.eta_opt is not None:
+        etas.append(report.eta_opt)
+    return etas
+
+
 def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000,
                    init_offset=None):
     """Run PGD over a step grid and compare measured rates with theory.
 
+    ``etas`` is a list of step sizes, or a function of the instance's
+    :class:`ApplicationReport` returning one (for example :func:`default_etas`).
     Returns the bundle dictionary; when ``outdir`` is given also writes
     ``manifest.json`` plus one ``trace_eta_<value>.csv`` per step size.
     """
     problem, x_star = make_instance(kind, params, seed)
     report = analyze_problem(problem, x_star)
+    if callable(etas):
+        etas = etas(report)
     rng = np.random.default_rng(seed + 1)
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
 
     runs = []
-    for eta in etas:
-        eta = float(eta)
-        row = {"eta": eta, "admissible": report.admissible(eta)}
-        try:
-            row["theoretical_rate"] = report.rate(eta)
-        except (NoCertificateError, ValueError):
-            row["theoretical_rate"] = None
-        region = None
-        if row["admissible"]:
-            region = report.region(eta)
-            row["region_radius"] = "inf" if np.isinf(region) else region
-        else:
-            row["region_radius"] = None
-
+    for sample in report.sample(etas):
+        eta, region = sample["eta"], sample["region"]
+        row = {
+            "eta": eta,
+            "admissible": sample["admissible"],
+            "theoretical_rate": sample["rate"],
+            "region_radius": region,
+        }
         if region is not None:
-            x0, initial_error = _start_point(problem, x_star, region, rng, init_offset)
+            # float() decodes the "inf" of a global certificate.
+            x0, initial_error = _start_point(problem, x_star, float(region), rng, init_offset)
         else:
             scale = 1e-3 * (1.0 + np.linalg.norm(x_star))
             x0, initial_error = _start_point(problem, x_star, np.inf, rng, scale)
@@ -311,11 +323,10 @@ def _bound_checks(report, eta, trace, initial_error):
     rate = report.rate(eta)
     if not 0.0 < rate < 1.0:
         return None
-    quad = report.quad_coefficient(eta)
-    fraction = quad * initial_error / (1.0 - rate)
-    if fraction >= 1.0:
+    try:
+        offset = certified_offset(rate, report.quad_coefficient(eta), initial_error)
+    except NoCertificateError:
         return None
-    offset = 1.0 if fraction == 0.0 else transient_offset(rate, fraction)
     errors = trace.errors
     checks = []
     for accuracy in BOUND_ACCURACIES:

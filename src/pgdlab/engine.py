@@ -147,12 +147,14 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     # checks rather than surfacing as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters):
+            # Both raises report ||x_{k-1}||; hypot keeps it finite where
+            # x @ x would overflow.
             descent = x - eta * (A.T @ residual)
             if not np.all(np.isfinite(descent)):
-                raise DivergenceError(k + 1, float(np.max(np.abs(x))))
+                raise DivergenceError(k + 1, np.hypot.reduce(x))
             x_next = spec.project(descent)
             if not np.all(np.isfinite(x_next)):
-                raise DivergenceError(k + 1, np.linalg.norm(x))
+                raise DivergenceError(k + 1, np.hypot.reduce(x))
             step = np.linalg.norm(x_next - x)
             x = x_next
             residual = A @ x - b

@@ -49,6 +49,8 @@ def _vector_from_json(obj, path):
         vec = np.asarray(obj, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(path, f"not a numeric array: {exc}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ProblemFileError(path, "entries must be finite")
     return vec
 
 

@@ -25,7 +25,6 @@ from .constraints import (
 )
 from .empirics import (
     make_iht_instance,
-    make_instance,
     make_lcls_instance,
     make_mcp_instance,
     make_sphere_instance,
@@ -52,11 +51,6 @@ def _test_constraints(rng):
         "sphere": SphereConstraint(8),
         "lowrank": LowRankConstraint(2, (5, 4)),
     }
-
-
-def _smooth_point(spec, rng):
-    """A point of the constraint set where the projection derivative exists."""
-    return spec.random_member(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +112,7 @@ def check_derivative_projector(seed=0, trials=50, tol=1e-10):
     for kind, spec in _test_constraints(rng).items():
         worst = 0.0
         for _ in range(trials):
-            x = _smooth_point(spec, rng)
+            x = spec.random_member(rng)
             mat = spec.linearize(x).matrix
             asym = np.linalg.norm(mat - mat.T)
             eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -156,7 +150,7 @@ def check_finite_difference(seed=0, trials=100):
     C = rng.standard_normal((4, 12))
     specs["affine"] = AffineConstraint(C, C @ (0.02 * rng.standard_normal(12)))
     for kind, spec in specs.items():
-        x = _smooth_point(spec, rng)
+        x = spec.random_member(rng)
         step, tol = settings[kind]
         if kind == "affine":
             x *= 0.1 / np.linalg.norm(x)
@@ -192,7 +186,7 @@ def check_quadratic_bounds(seed=0, trials=10_000):
     specs = _test_constraints(rng)
     for kind in ("affine", "sparse"):
         spec = specs[kind]
-        x = _smooth_point(spec, rng)
+        x = spec.random_member(rng)
         lin = spec.linearize(x)
         radius = 1.0 if np.isinf(lin.radius) else 0.9 * lin.radius
         worst = 0.0
@@ -544,7 +538,7 @@ def check_bound_dominance(seed=0):
     ]
     results = []
     for kind, params in configs:
-        bundle = _certified_bundle(kind, params, seed)
+        bundle = run_experiment(kind, params, _certified_etas, seed)
         ok = True
         detail = []
         for run in bundle["runs"]:
@@ -568,11 +562,8 @@ def check_bound_dominance(seed=0):
     return results
 
 
-def _certified_bundle(kind, params, seed):
-    problem, x_star = make_instance(kind, params, seed)
-    report = analyze_problem(problem, x_star)
-    etas = [0.5 * report.eta_opt, report.eta_opt] if report.eta_opt else [0.5]
-    return run_experiment(kind, params, etas, seed)
+def _certified_etas(report):
+    return [0.5 * report.eta_opt, report.eta_opt] if report.eta_opt else [0.5]
 
 
 def bounds_suite(seed=0):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pgdlab.analysis import iterations_to_accuracy
 from pgdlab.applications import analyze_problem
 from pgdlab.cli import main
 from pgdlab.empirics import make_iht_instance, make_lcls_instance, make_sphere_instance
@@ -16,6 +17,15 @@ def lcls_file(tmp_path):
     path = tmp_path / "lcls.json"
     save_problem(path, prob, x_star=x_star)
     return path, prob, x_star
+
+
+@pytest.fixture
+def nan_x_star_file(tmp_path):
+    prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
+    x_star[0] = np.nan
+    path = tmp_path / "nan.json"
+    save_problem(path, prob, x_star=x_star)
+    return path
 
 
 class TestProblemIo:
@@ -49,6 +59,21 @@ class TestProblemIo:
             load_problem(path)
         assert "constraint" in str(info.value)
 
+    @pytest.mark.parametrize("field", ["b", "x_star", "x0"])
+    def test_non_finite_vector_names_json_path(self, tmp_path, field):
+        doc = {
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "b": [2.0, 0.0],
+            "constraint": {"type": "sphere"},
+            "x_star": [1.0, 0.0],
+            "x0": [0.0, 1.0],
+        }
+        doc[field] = [float("nan"), 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError, match=rf"^{field}: .*finite"):
+            load_problem(path)
+
     def test_shape_mismatch_reported(self, tmp_path):
         doc = {
             "A": {"shape": [2, 2], "data": [1.0, 0.0, 0.0]},
@@ -76,6 +101,23 @@ class TestSolveCommand:
         code = main(["solve", str(path), "--eta", "-0.5"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--eta", "nan"], "--eta"), (["--eta", "inf"], "--eta"),
+         (["--eta", "0.02", "--max-iters", "-5"], "--max-iters")],
+        ids=["eta_nan", "eta_inf", "max_iters_negative"],
+    )
+    def test_bad_flag_exit_one(self, lcls_file, capsys, flags, name):
+        path, _, _ = lcls_file
+        code = main(["solve", str(path), *flags])
+        assert code == 1
+        assert f"error: {name}:" in capsys.readouterr().err
+
+    def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
+        code = main(["solve", str(nan_x_star_file), "--eta", "0.01"])
+        assert code == 1
+        assert "error: x_star:" in capsys.readouterr().err
 
     def test_infeasible_start_notice(self, tmp_path, capsys):
         prob, x_star = make_iht_instance(12, 24, 3, 2)
@@ -161,6 +203,39 @@ class TestAnalyzeCommand:
                       if r["eta"] == pytest.approx(app["eta_opt"]))
         assert at_opt["rate"] == pytest.approx(app["rho_opt"])
 
+    def test_lcls_bounds_have_no_initial_error(self, lcls_file, capsys):
+        path, _, _ = lcls_file
+        code = main(["analyze", str(path), "--eps", "1e-2", "1e-6"])
+        assert code == 0
+        for entry in json.loads(capsys.readouterr().out)["etas"]:
+            rate = entry["convergence"]["rate"]
+            assert entry["iteration_bounds"] == [
+                {"accuracy": eps, "bound": iterations_to_accuracy(eps, rate, 1.0, 1.0)}
+                for eps in (1e-2, 1e-6)
+            ]
+
+    def test_sphere_bounds_start_at_half_the_region(self, tmp_path, capsys):
+        prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
+        path = tmp_path / "sphere.json"
+        save_problem(path, prob, x_star=x_star)
+        code = main(["analyze", str(path), "--eps", "1e-4"])
+        assert code == 0
+        for entry in json.loads(capsys.readouterr().out)["etas"]:
+            [bound] = entry["iteration_bounds"]
+            assert bound["initial_error"] == 0.5 * entry["convergence"]["region_radius"]
+
+    def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
+        code = main(["analyze", str(nan_x_star_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: x_star:" in err and "did not converge" not in err
+
+    def test_non_finite_eta_exit_one(self, lcls_file, capsys):
+        path, _, _ = lcls_file
+        code = main(["analyze", str(path), "--eta", "0.01", "nan"])
+        assert code == 1
+        assert "error: --eta:" in capsys.readouterr().err
+
     def test_missing_x_star_exit_one(self, tmp_path, capsys):
         prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
         path = tmp_path / "sphere.json"
@@ -195,6 +270,21 @@ class TestExperimentCommand:
         assert "no certificate" in out
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert not manifest["runs"][0]["admissible"]
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--etas", "0.01", "nan"], "--etas"), (["--max-iters", "-5"], "--max-iters")],
+        ids=["etas_nan", "max_iters_negative"],
+    )
+    def test_bad_flag_exit_one(self, capsys, flags, name):
+        code = main(["experiment", "lcls", "--m", "12", "--n", "8", "--p", "3", *flags])
+        assert code == 1
+        assert f"error: {name}:" in capsys.readouterr().err
+
+    def test_bad_generator_size_exit_one(self, capsys):
+        code = main(["experiment", "iht", "--m", "10", "--n", "20", "--s", "25"])
+        assert code == 1
+        assert "s=25" in capsys.readouterr().err
 
     def test_missing_size_flags_exit_one(self, capsys):
         code = main(["experiment", "mcp", "--m", "10", "--n", "8"])

@@ -5,6 +5,7 @@ import pytest
 
 from pgdlab.applications import analyze_problem
 from pgdlab.empirics import (
+    default_etas,
     estimate_rate,
     make_iht_instance,
     make_lcls_instance,
@@ -92,6 +93,20 @@ class TestGenerators:
         assert np.linalg.norm(v[support]) <= 1e-10
         assert np.max(np.abs(v)) > 1e-6
 
+    @pytest.mark.parametrize(
+        "make, args, kwargs, name",
+        [
+            (make_iht_instance, (10, 20, 25, 0), {}, "s"),
+            (make_iht_instance, (10, 20, 0, 0), {}, "s"),
+            (make_iht_instance, (10, 20, 12, 0), {"residual": True}, "m"),
+            (make_sphere_instance, (3, 6, -0.5, 0), {}, "m"),
+        ],
+        ids=["iht_s_above_n", "iht_s_zero", "iht_residual_s_above_m", "sphere_m_below_n"],
+    )
+    def test_bad_sizes_rejected_before_drawing(self, make, args, kwargs, name):
+        with pytest.raises(ValueError, match=rf"\b{name}="):
+            make(*args, **kwargs)
+
     def test_sphere_zero_multiplier(self):
         prob, x_star = make_sphere_instance(10, 6, 0.0, 3)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
@@ -130,6 +145,15 @@ class TestRunExperiment:
             run_experiment("sphere", {"m": 10, "n": 6, "gamma": -0.5}, [eta], 5, outdir=d)
         for name in ("manifest.json", f"trace_eta_{eta:g}.csv"):
             assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
+
+    def test_grid_function_matches_precomputed_grid(self, tmp_path):
+        params = {"m": 12, "n": 8, "p": 3}
+        prob, x_star = make_lcls_instance(12, 8, 3, 4)
+        etas = [0.5, 1.0, analyze_problem(prob, x_star).eta_opt]
+        run_experiment("lcls", params, default_etas, 4, outdir=tmp_path / "fn")
+        run_experiment("lcls", params, etas, 4, outdir=tmp_path / "list")
+        manifest = (tmp_path / "fn" / "manifest.json").read_bytes()
+        assert manifest == (tmp_path / "list" / "manifest.json").read_bytes()
 
     def test_inadmissible_eta_flagged_not_fatal(self):
         prob, x_star = make_lcls_instance(12, 8, 3, 6)

@@ -33,6 +33,17 @@ def test_gradient_hand_expansion():
     np.testing.assert_allclose(prob.gradient([0.0, 0.0]), [-2.0, 0.0])
 
 
+def test_package_exports_every_error_type():
+    import pgdlab
+    from pgdlab import errors
+
+    public = [name for name, obj in vars(errors).items()
+              if isinstance(obj, type) and not name.startswith("_")]
+    assert "InfeasibleStartWarning" in public
+    for name in public:
+        assert getattr(pgdlab, name, None) is getattr(errors, name), name
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Problem(np.eye(3), np.zeros(3), SphereConstraint(2))
@@ -70,9 +81,15 @@ class TestRunPgd:
         C = rng.standard_normal((2, 6))
         prob = Problem(np.eye(6) * 2.0, rng.standard_normal(6),
                        AffineConstraint(C, C @ rng.standard_normal(6)))
+        x0 = prob.constraint.random_member(rng)
         with pytest.raises(DivergenceError) as info:
-            run_pgd(prob, 1e12, prob.constraint.random_member(rng), max_iters=5000)
+            run_pgd(prob, 1e12, x0, max_iters=5000)
         assert info.value.iteration >= 1
+        # The reported norm is ||x_{k-1}||, finite even where x @ x overflows.
+        previous = run_pgd(prob, 1e12, x0, max_iters=info.value.iteration - 1).final
+        scale = np.max(np.abs(previous))
+        assert info.value.norm == pytest.approx(scale * np.linalg.norm(previous / scale))
+        assert np.isfinite(info.value.norm) and info.value.norm > scale
 
     def test_every_iterate_feasible(self):
         for maker, args in [
