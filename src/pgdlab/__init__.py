@@ -24,7 +24,6 @@ from .applications import (
     analyze_problem,
     analyze_sphere,
     mcp_problem,
-    rank_tangent_basis,
 )
 from .constraints import (
     AffineConstraint,
@@ -36,6 +35,7 @@ from .constraints import (
     constraint_from_json,
     finite_difference_check,
     quadratic_bound_margin,
+    rank_tangent_basis,
 )
 from .empirics import (
     RateEstimate,

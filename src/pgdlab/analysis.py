@@ -76,8 +76,6 @@ def _linearized_update(problem, x_star, eta):
             )
     lin_x = spec.linearize(x_star)
     lin_z = spec.linearize(z)
-    if lin_x.matrix is None or lin_z.matrix is None:
-        raise ValueError("iteration matrix needs dense projection derivatives")
     middle = np.eye(spec.n) - eta * (problem.A.T @ problem.A)
     return lin_z.matrix @ middle @ lin_x.matrix, lin_x, lin_z
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .analysis import ata_extremes, contraction_factor, gram_extremes, optimal_step
 from .constraints import RANK_CURVATURE, RANK_RTOL, SQRT2, AffineConstraint, LowRankConstraint
+from .constraints import SphereConstraint, coordinate_basis, rank_tangent_basis
 from .engine import Problem
 from .errors import NoCertificateError, StationarityError
 
@@ -208,8 +209,7 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
             f"x_star is not stationary: gradient on the support has residual {residual:.3e}"
         )
 
-    basis = np.zeros((x_star.size, s))
-    basis[support, np.arange(s)] = 1.0
+    basis = coordinate_basis(support, x_star.size)
     lam_max, lam_min = gram_extremes(A @ basis)
     full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
@@ -259,9 +259,7 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
             f"x_star is not a stationary point: tangential gradient residual {residual:.3e}"
         )
 
-    # Deterministic orthonormal completion of x_star.
-    q, _ = np.linalg.qr(x_star.reshape(-1, 1), mode="complete")
-    basis = q[:, 1:]
+    basis = SphereConstraint(x_star.size).linearize(x_star).basis
     lam_max, lam_min = gram_extremes(A @ basis)
 
     local_min = gamma < lam_min
@@ -275,30 +273,6 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
         "sphere", basis, lam_max, lam_min, eta_max, flags, x_star, gamma=gamma,
         ata_extremes=ata_extremes(A),
     )
-
-
-def rank_tangent_basis(U, V):
-    """Orthonormal basis of the tangent space to the rank-r matrices at U S V^T.
-
-    Columns are Kronecker products pairing the row-space directions with all
-    column directions and the row-space complement with the column-space
-    directions; stacking them reproduces the tangent projector.
-    """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
-        raise ValueError("U and V must be matrices with the same number of columns")
-    r = U.shape[1]
-    for name, M in (("U", U), ("V", V)):
-        defect = np.linalg.norm(M.T @ M - np.eye(r))
-        if defect > 1e-10:
-            raise ValueError(f"{name} columns are not orthonormal (defect {defect:.3e})")
-    qu, _ = np.linalg.qr(U, mode="complete")
-    qv, _ = np.linalg.qr(V, mode="complete")
-    U_perp = qu[:, r:]
-    V_perp = qv[:, r:]
-    blocks = [np.kron(V, U), np.kron(V, U_perp), np.kron(V_perp, U)]
-    return np.hstack([blk for blk in blocks if blk.shape[1] > 0])
 
 
 def analyze_mcp(observed, omega, X_star, r=None, tol=STATIONARITY_TOL):

@@ -64,6 +64,8 @@ def _require_positive(flag, *values):
 def cmd_solve(args):
     _require_positive("--eta", args.eta)
     _require_positive("--max-iters", args.max_iters)
+    if args.tol is not None:
+        _require_positive("--tol", args.tol)
     problem, x_star, x0 = load_problem(args.problem)
     if x0 is None:
         rng = np.random.default_rng(args.seed)
@@ -93,6 +95,9 @@ def cmd_solve(args):
 
 def cmd_analyze(args):
     _require_positive("--eta", *(args.eta or ()))
+    for eps in args.eps:
+        if not 0 < eps < 1:  # also false for NaN
+            raise ProblemFileError("--eps", f"must lie in (0, 1), got {eps!r}")
     problem, x_star, _ = load_problem(args.problem)
     report = analyze_problem(problem, x_star)
     if x_star is None:

@@ -3,10 +3,10 @@
 Each constraint set C comes with three pieces of local geometry:
 
 * ``project(x)``        -- a closest point to x in C (deterministic tie-break),
-* ``linearize(x)``      -- the derivative of the projection at x together with
-  the pair (radius, curvature): inside a ball of ``radius`` around x the
-  projection deviates from its linearization by at most
-  ``curvature * ||step||^2``,
+* ``linearize(x)``      -- the derivative of the projection at x (a scaled
+  orthogonal projector onto a tangent basis) together with the pair
+  (radius, curvature): inside a ball of ``radius`` around x the projection
+  deviates from its linearization by at most ``curvature * ||step||^2``,
 * ``membership_residual(x)`` -- how far x is from satisfying the constraint.
 
 The four families are an affine subspace {Cx = d}, the s-sparse vectors, the
@@ -23,8 +23,6 @@ from .errors import ConstraintDomainError, NonUniqueProjectionWarning
 
 # Singular values below RANK_RTOL * sigma_1 count as zero.
 RANK_RTOL = 1e-10
-# Above this ambient dimension the low-rank derivative is kept matrix-free.
-DENSE_DERIVATIVE_LIMIT = 4096
 
 SQRT2 = float(np.sqrt(2.0))
 # Quadratic remainder coefficient of rank-r truncation at a rank-r point.
@@ -43,35 +41,70 @@ def _as_vector(x, n, what="x"):
 class Linearization:
     """Derivative of a projection at a point, with its quadratic error bound.
 
-    ``matrix`` is the dense derivative (ambient x ambient) or None when the
-    ambient dimension is too large to materialize; ``apply`` always works.
+    The derivative is ``scale * B B^T``, a scaled orthogonal projector onto the
+    span of ``basis`` B (ambient x tangent dimension, orthonormal columns).
     ``radius`` may be ``inf``; ``curvature`` is finite and nonnegative.
     """
 
-    def __init__(self, radius, curvature, matrix=None, matvec=None):
-        if matrix is None and matvec is None:
-            raise ValueError("need a dense matrix or a matvec")
+    def __init__(self, basis, radius, curvature, scale=1.0):
+        self.basis = np.asarray(basis, dtype=float)
         self.radius = float(radius)
         self.curvature = float(curvature)
-        self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
-        self._matvec = matvec
+        self.scale = float(scale)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         if self.curvature < 0:
             raise ValueError("curvature must be nonnegative")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be finite and positive")
+        self._scaled_basis = self.scale * self.basis
 
     def apply(self, vec):
         """Apply the derivative to a vector."""
         vec = np.asarray(vec, dtype=float).reshape(-1)
-        if self._matvec is not None:
-            return self._matvec(vec)
-        return self.matrix @ vec
+        return self._scaled_basis @ (self.basis.T @ vec)
+
+    @property
+    def matrix(self):
+        """The dense derivative (ambient x ambient), built on each access."""
+        return self.scale * (self.basis @ self.basis.T)
 
     def operator_norm(self):
         """Spectral norm of the derivative."""
-        if self.matrix is None:
-            raise ValueError("operator norm requires the dense derivative")
-        return float(np.linalg.norm(self.matrix, 2))
+        return self.scale if self.basis.shape[1] else 0.0
+
+
+def coordinate_basis(support, n):
+    """The unit vectors e_i, i in ``support``, as the columns of an n x |support| matrix."""
+    basis = np.zeros((n, len(support)))
+    basis[support, np.arange(len(support))] = 1.0
+    return basis
+
+
+def rank_tangent_basis(U, V):
+    """Orthonormal basis of the tangent space to the rank-r matrices at U S V^T.
+
+    Columns are Kronecker products pairing the row-space directions with all
+    column directions and the row-space complement with the column-space
+    directions; stacking them reproduces the tangent projector.
+    """
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
+        raise ValueError("U and V must be matrices with the same number of columns")
+    r = U.shape[1]
+    for name, M in (("U", U), ("V", V)):
+        defect = np.linalg.norm(M.T @ M - np.eye(r))
+        if defect > 1e-10:
+            raise ValueError(f"{name} columns are not orthonormal (defect {defect:.3e})")
+    qu, _ = np.linalg.qr(U, mode="complete")
+    qv, _ = np.linalg.qr(V, mode="complete")
+    # Each block is kron(right, left) as one broadcast product: the same products, bit for bit.
+    blocks = [
+        (right[:, None, :, None] * left[None, :, None, :]).reshape(len(right) * len(left), -1)
+        for right, left in ((V, U), (V, qu[:, r:]), (qv[:, r:], U))
+    ]
+    return np.hstack(blocks)
 
 
 class Constraint:
@@ -143,7 +176,7 @@ class AffineConstraint(Constraint):
 
     def linearize(self, x):
         _as_vector(x, self.n)
-        return Linearization(np.inf, 0.0, matrix=self.tangent_projector)
+        return Linearization(self.null_basis, np.inf, 0.0)
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)
@@ -197,12 +230,10 @@ class SparsityConstraint(Constraint):
                 "sparse: derivative needs a strict magnitude gap at rank s "
                 f"(|x|_[s]={smallest_kept:.3e}, |x|_[s+1]={largest_dropped:.3e})"
             )
-        mask = np.zeros(self.n)
-        mask[self.top_support(x)] = 1.0
         # Support is stable within (gap)/sqrt(2); at an exactly s-sparse point
         # the dropped boundary is zero and the radius reduces to |x_[s]|/sqrt(2).
         radius = (smallest_kept - largest_dropped) / SQRT2
-        return Linearization(radius, 0.0, matrix=np.diag(mask))
+        return Linearization(coordinate_basis(self.top_support(x), self.n), radius, 0.0)
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)
@@ -246,9 +277,9 @@ class SphereConstraint(Constraint):
         norm = np.linalg.norm(x)
         if norm == 0.0:
             raise ConstraintDomainError("sphere: derivative undefined at the origin")
-        outer = np.outer(x, x) / norm**2
-        matrix = (np.eye(self.n) - outer) / norm
-        return Linearization(np.inf, 2.0 / norm**2, matrix=matrix)
+        # A complete QR of x: the columns after the first span the tangent space x^perp.
+        q, _ = np.linalg.qr(x.reshape(-1, 1), mode="complete")
+        return Linearization(q[:, 1:], np.inf, 2.0 / norm**2, scale=1.0 / norm)
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)
@@ -323,18 +354,7 @@ class LowRankConstraint(Constraint):
 
     def linearize(self, x):
         U, V = self._rank_r_factors(x)
-        m_mat, n_mat = self.shape
-        left_null = np.eye(m_mat) - U @ U.T
-        right_null = np.eye(n_mat) - V @ V.T
-
-        def matvec(vec):
-            D = vec.reshape(self.shape, order="F")
-            return self.to_vector(D - left_null @ D @ right_null)
-
-        matrix = None
-        if self.n <= DENSE_DERIVATIVE_LIMIT:
-            matrix = np.eye(self.n) - np.kron(right_null, left_null)
-        return Linearization(np.inf, RANK_CURVATURE, matrix=matrix, matvec=matvec)
+        return Linearization(rank_tangent_basis(U, V), np.inf, RANK_CURVATURE)
 
     def membership_residual(self, x):
         X = self.to_matrix(x)

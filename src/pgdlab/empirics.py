@@ -73,8 +73,16 @@ def estimate_rate(trace, burn_in_fraction=0.5, floor=None):
     )
 
 
+def _require_sizes(kind, **sizes):
+    """Reject a size below one before any draw, naming the parameter."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{kind}: need {name} >= 1 ({name}={value})")
+
+
 def make_lcls_instance(m, n, p, seed):
     """Random equality-constrained least squares with its exact solution."""
+    _require_sizes("lcls", m=m, n=n)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     C = rng.standard_normal((p, n))
@@ -92,6 +100,7 @@ def make_iht_instance(m, n, s, seed, residual=False):
     of the compressed sensing matrix, so the gradient at the solution is
     nonzero off the support.
     """
+    _require_sizes("iht", m=m, n=n)
     if not 1 <= s <= n:
         raise ValueError(f"iht: need 1 <= s <= n (s={s}, n={n})")
     if residual and s > m:
@@ -120,8 +129,12 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
     Retries until the multiplier sits below the smallest tangent eigenvalue,
     which is what certifies the solution as a strict local minimum.
     """
+    _require_sizes("sphere", m=m, n=n)
+    if not np.isfinite(gamma):
+        raise ValueError(f"sphere: gamma must be finite (gamma={gamma})")
     if m < n:
         raise ValueError(f"sphere: need m >= n so that A^T A is invertible (m={m}, n={n})")
+    spec = SphereConstraint(n)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         A = rng.standard_normal((m, n))
@@ -129,10 +142,9 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
         x_star /= np.linalg.norm(x_star)
         gram = A.T @ A
         b = A @ x_star - gamma * (A @ np.linalg.solve(gram, x_star))
-        q, _ = np.linalg.qr(x_star.reshape(-1, 1), mode="complete")
-        _, lam_min = gram_extremes(A @ q[:, 1:])
+        _, lam_min = gram_extremes(A @ spec.linearize(x_star).basis)
         if gamma < lam_min:
-            problem = Problem(A, b, SphereConstraint(n))
+            problem = Problem(A, b, spec)
             _check_generated(problem, x_star)
             return problem, x_star
     raise GenerationError(
@@ -143,6 +155,7 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
 
 def make_mcp_instance(m_mat, n_mat, r, s, seed):
     """Random matrix completion: rank-r product factors, uniform sampling."""
+    _require_sizes("mcp", m=m_mat, n=n_mat, r=r)
     if not 0 < s < m_mat * n_mat:
         raise ValueError("need 0 < s < m*n observations")
     if r > min(m_mat, n_mat):

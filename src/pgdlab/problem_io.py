@@ -34,13 +34,16 @@ def _matrix_from_json(obj, path):
             raise ProblemFileError(
                 path, f"data length {data.size} does not match shape {shape}"
             )
-        return data.reshape(shape)  # row-major
-    try:
-        mat = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(path, f"not a numeric matrix: {exc}") from exc
-    if mat.ndim != 2:
-        raise ProblemFileError(path, f"expected a matrix, got {mat.ndim} dimensions")
+        mat = data.reshape(shape)  # row-major
+    else:
+        try:
+            mat = np.asarray(obj, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFileError(path, f"not a numeric matrix: {exc}") from exc
+        if mat.ndim != 2:
+            raise ProblemFileError(path, f"expected a matrix, got {mat.ndim} dimensions")
+    if not np.all(np.isfinite(mat)):
+        raise ProblemFileError(path, "entries must be finite")
     return mat
 
 

@@ -10,6 +10,7 @@ from pgdlab.applications import (
     analyze_sphere,
     rank_tangent_basis,
 )
+from pgdlab.constraints import SphereConstraint
 from pgdlab.empirics import (
     make_iht_instance,
     make_lcls_instance,
@@ -129,6 +130,11 @@ class TestSphere:
         assert report.rate(eta) == pytest.approx(rate, abs=1e-12)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
 
+    def test_tangent_basis_is_the_linearization_basis(self):
+        prob, x_star = make_sphere_instance(12, 6, -0.4, 5)
+        report = analyze_sphere(prob.A, prob.b, x_star)
+        assert np.array_equal(report.tangent_basis, SphereConstraint(6).linearize(x_star).basis)
+
     def test_rejects_off_sphere_and_non_collinear(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((8, 5))
@@ -200,6 +206,17 @@ class TestRankTangentBasis:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             rank_tangent_basis(np.ones((4, 2)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("m, n, r", [(6, 5, 2), (4, 4, 1), (3, 5, 3), (5, 2, 2)])
+    def test_bit_equal_to_kron_construction(self, m, n, r):
+        rng = np.random.default_rng(m * 100 + n * 10 + r)
+        U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+        qu, _ = np.linalg.qr(U, mode="complete")
+        qv, _ = np.linalg.qr(V, mode="complete")
+        blocks = [np.kron(V, U), np.kron(V, qu[:, r:]), np.kron(qv[:, r:], U)]
+        expected = np.hstack([blk for blk in blocks if blk.shape[1] > 0])
+        assert np.array_equal(rank_tangent_basis(U, V), expected)
 
 
 class TestMcp:

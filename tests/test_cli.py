@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ class TestProblemIo:
         with pytest.raises(ProblemFileError, match=rf"^{field}: .*finite"):
             load_problem(path)
 
+    @pytest.mark.parametrize("field", ["A", "constraint.C"])
+    def test_non_finite_matrix_names_json_path(self, tmp_path, field):
+        doc = {
+            "A": {"shape": [2, 3], "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]},
+            "b": [2.0, 0.0],
+            "constraint": {"type": "affine", "C": {"shape": [1, 3], "data": [1.0, 1.0, 1.0]},
+                           "d": [1.0]},
+        }
+        matrix = doc["A"] if field == "A" else doc["constraint"]["C"]
+        matrix["data"][0] = float("nan")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError, match=rf"^{field}: .*finite"):
+            load_problem(path)
+
     def test_shape_mismatch_reported(self, tmp_path):
         doc = {
             "A": {"shape": [2, 2], "data": [1.0, 0.0, 0.0]},
@@ -105,8 +121,10 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "flags, name",
         [(["--eta", "nan"], "--eta"), (["--eta", "inf"], "--eta"),
-         (["--eta", "0.02", "--max-iters", "-5"], "--max-iters")],
-        ids=["eta_nan", "eta_inf", "max_iters_negative"],
+         (["--eta", "0.02", "--max-iters", "-5"], "--max-iters"),
+         *((["--eta", "0.02", "--tol", tol], "--tol") for tol in ("nan", "-1", "0", "inf"))],
+        ids=["eta_nan", "eta_inf", "max_iters_negative",
+             "tol_nan", "tol_negative", "tol_zero", "tol_inf"],
     )
     def test_bad_flag_exit_one(self, lcls_file, capsys, flags, name):
         path, _, _ = lcls_file
@@ -236,6 +254,13 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "error: --eta:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["2", "0", "nan"])
+    def test_bad_eps_exit_one(self, lcls_file, capsys, eps):
+        path, _, _ = lcls_file
+        code = main(["analyze", str(path), "--eps", "1e-4", eps])
+        assert code == 1
+        assert "error: --eps:" in capsys.readouterr().err
+
     def test_missing_x_star_exit_one(self, tmp_path, capsys):
         prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
         path = tmp_path / "sphere.json"
@@ -285,6 +310,23 @@ class TestExperimentCommand:
         code = main(["experiment", "iht", "--m", "10", "--n", "20", "--s", "25"])
         assert code == 1
         assert "s=25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["lcls", "--m", "0", "--n", "5", "--p", "2"], "m=0"),
+         (["iht", "--m", "0", "--n", "5", "--s", "2"], "m=0"),
+         (["mcp", "--m", "5", "--n", "4", "--r", "0", "--s", "10"], "r=0"),
+         (["sphere", "--m", "5", "--n", "4", "--gamma", "nan"], "gamma=nan")],
+        ids=["lcls_m_zero", "iht_m_zero", "mcp_r_zero", "sphere_gamma_nan"],
+    )
+    def test_bad_generator_input_exit_one_quietly(self, capsys, argv, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy warning fails the test
+            code = main(["experiment", *argv])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert name in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_missing_size_flags_exit_one(self, capsys):
         code = main(["experiment", "mcp", "--m", "10", "--n", "8"])

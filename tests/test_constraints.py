@@ -116,11 +116,11 @@ class TestLinearize:
             spec.linearize(spec.to_vector(np.diag([3.0, 2.0, 1.0])))
 
     def test_lowrank_matrix_free_above_dense_limit(self):
-        spec = LowRankConstraint(1, (70, 70))  # 4900 > dense cutoff
+        spec = LowRankConstraint(1, (70, 70))
         rng = np.random.default_rng(1)
         x = spec.random_member(rng)
         lin = spec.linearize(x)
-        assert lin.matrix is None
+        assert lin.basis.shape == (4900, 139)  # r (m + n - r) tangent directions
         X = spec.to_matrix(x)
         U, _, Vt = np.linalg.svd(X, full_matrices=False)
         delta = rng.standard_normal(spec.n)
@@ -129,6 +129,45 @@ class TestLinearize:
         right = np.eye(70) - np.outer(Vt[0], Vt[0])
         expected = spec.to_vector(D - left @ D @ right)
         np.testing.assert_allclose(lin.apply(delta), expected, atol=1e-12)
+
+
+def _tangent_case(kind, rng):
+    """A constraint, a point off its singular set, and the tangent dimension there."""
+    if kind == "affine":
+        C = rng.standard_normal((3, 9))
+        spec = AffineConstraint(C, C @ rng.standard_normal(9))
+        return spec, spec.random_member(rng), 9 - 3
+    if kind == "sparse":
+        spec = SparsityConstraint(3, 10)
+        return spec, spec.random_member(rng), 3
+    if kind == "sphere":
+        spec = SphereConstraint(7)
+        return spec, 2.5 * spec.random_member(rng), 7 - 1  # off the sphere: scale 1/2.5
+    spec = LowRankConstraint(2, (5, 4))
+    return spec, spec.random_member(rng), 2 * (5 + 4 - 2)
+
+
+class TestTangentBasisContract:
+    @pytest.mark.parametrize("kind", ["affine", "sparse", "sphere", "lowrank"])
+    def test_derivative_is_scaled_projector_onto_basis(self, kind):
+        rng = np.random.default_rng(21)
+        spec, x, dim = _tangent_case(kind, rng)
+        lin = spec.linearize(x)
+        assert lin.basis.shape == (spec.n, dim)
+        np.testing.assert_allclose(lin.basis.T @ lin.basis, np.eye(dim), rtol=0, atol=1e-12)
+        expected_scale = 1.0 / np.linalg.norm(x) if kind == "sphere" else 1.0
+        assert lin.scale == pytest.approx(expected_scale, rel=1e-15)
+        assert lin.operator_norm() == lin.scale
+        assert lin.operator_norm() == pytest.approx(np.linalg.norm(lin.matrix, 2), rel=1e-12)
+        for _ in range(5):
+            v = rng.standard_normal(spec.n)
+            np.testing.assert_allclose(lin.apply(v), lin.matrix @ v, rtol=0, atol=1e-12)
+
+    def test_empty_basis_has_zero_norm(self):
+        lin = SphereConstraint(1).linearize([-3.0])
+        assert lin.basis.shape == (1, 0)
+        assert lin.operator_norm() == 0.0
+        np.testing.assert_array_equal(lin.apply([2.0]), [0.0])
 
 
 class TestFiniteDifference:
