@@ -27,43 +27,52 @@ STATIONARITY_TOL = 1e-10
 class ApplicationReport:
     """Per-family convergence summary around a certified solution.
 
-    ``rate(eta)`` and ``region(eta)`` evaluate the closed forms; ``region``
-    raises NoCertificateError outside the admissible step range.
+    Every family reduces to the same numbers: the extreme eigenvalues of the
+    objective compressed onto the tangent basis, the constraint multiplier
+    ``gamma`` (read as 0 when ``None``), the ``curvature`` of the projection and
+    the fixed-point step cap. ``rate(eta)`` and ``region(eta)`` evaluate the
+    closed forms from them; ``region`` raises NoCertificateError outside the
+    admissible step range.
     """
 
-    def __init__(self, kind, tangent_basis, lam_max, lam_min, eta_max, flags,
-                 x_star, ata_extremes, gamma=None, fixed_point_eta_max=np.inf,
-                 details=None):
+    def __init__(self, kind, tangent_basis, lam_max, lam_min, x_star, ata_extremes, *,
+                 full_rank, fixed_point_ok=True, curvature=0.0, gamma=None,
+                 fixed_point_eta_max=np.inf, details=None):
         self.kind = kind
         self.tangent_basis = tangent_basis
         self.lam_max = float(lam_max)
         self.lam_min = float(lam_min)
         self.gamma = None if gamma is None else float(gamma)
-        self.eta_max = float(eta_max)
+        self.curvature = float(curvature)
         self.fixed_point_eta_max = float(fixed_point_eta_max)
-        self.flags = dict(flags)
+        shift = self.gamma or 0.0
+        step_cap = np.inf if shift <= -self.lam_max else 2.0 / (shift + self.lam_max)
+        self.eta_max = float(min(step_cap, self.fixed_point_eta_max))
+        self.flags = {
+            "K_full_rank": bool(full_rank),
+            "stationarity_ok": True,
+            "fixed_point_ok": bool(fixed_point_ok),
+        }
         self.x_star = x_star
         self.ata_extremes = (float(ata_extremes[0]), float(ata_extremes[1]))
         self.details = dict(details or {})
 
         self.eta_opt = None
         self.rho_opt = None
-        if self.flags.get("K_full_rank", False):
-            if self.kind == "sphere":
+        if full_rank:
+            if self.gamma is None:
+                self.eta_opt, self.rho_opt = optimal_step(self.lam_max, self.lam_min)
+            else:
+                # Same step as optimal_step; the rate keeps its own rounding.
                 self.eta_opt = 2.0 / (self.lam_max + self.lam_min)
                 self.rho_opt = (self.lam_max - self.lam_min) / (
                     self.lam_max + self.lam_min - 2.0 * self.gamma
                 )
-            else:
-                self.eta_opt, self.rho_opt = optimal_step(self.lam_max, self.lam_min)
             self.flags["eta_opt_admissible"] = bool(self.eta_opt < self.eta_max)
 
     @property
     def certified(self):
-        return all(
-            self.flags.get(key, False)
-            for key in ("K_full_rank", "stationarity_ok", "fixed_point_ok")
-        )
+        return all(self.flags[key] for key in ("K_full_rank", "stationarity_ok", "fixed_point_ok"))
 
     def admissible(self, eta):
         return self.certified and 0.0 < eta < self.eta_max
@@ -72,52 +81,55 @@ class ApplicationReport:
         """Unconstrained gradient-descent contraction factor at step ``eta``."""
         return contraction_factor(*self.ata_extremes, eta)
 
+    def _fixed_point_scale(self, eta):
+        """1 - eta*gamma: the factor by which a projected step rescales the fixed point."""
+        return 1.0 - eta * (self.gamma or 0.0)
+
     def rate(self, eta):
         """Asymptotic linear rate at step ``eta``."""
         eta = float(eta)
         if eta <= 0:
             raise ValueError("eta must be positive")
-        base = contraction_factor(self.lam_max, self.lam_min, eta)
-        if self.kind != "sphere":
-            return float(base)
-        scale = 1.0 - eta * self.gamma
+        scale = self._fixed_point_scale(eta)
         if scale <= 0:
             raise NoCertificateError(
-                f"sphere: not a fixed point at eta={eta:g} (1 - eta*gamma <= 0)"
+                f"{self.kind}: not a fixed point at eta={eta:g} (1 - eta*gamma <= 0)"
             )
-        return float(base / scale)
+        return float(contraction_factor(self.lam_max, self.lam_min, eta) / scale)
 
     def quad_coefficient(self, eta):
         """Coefficient of the squared error in the one-step error recursion."""
         eta = float(eta)
-        if self.kind in ("lcls", "iht"):
-            return 0.0
+        t = self.contraction(eta) / self._fixed_point_scale(eta)
+        return float(self.curvature * (t**2 + t))
+
+    def _linearization_radius(self, eta):
+        """Ball in which the projection keeps its linearization at x* and at the
+        gradient step: the support's stability radius when the details carry
+        one (sparse), otherwise unbounded."""
+        smallest = self.details.get("smallest_magnitude")
+        if smallest is None:
+            return np.inf
         u = self.contraction(eta)
-        if self.kind == "sphere":
-            t = u / (1.0 - eta * self.gamma)
-            return float(2.0 * (t**2 + t))
-        return float(RANK_CURVATURE * (u**2 + u))
+        if u == 0.0:  # the gradient-step ball is unbounded; an admissible step keeps its numerator positive
+            return float(smallest / SQRT2)
+        grad_inf = self.details["gradient_sup_norm"]
+        return float(min(smallest / SQRT2, (smallest - eta * grad_inf) / (SQRT2 * u)))
 
     def region(self, eta):
         """Radius of the certified ball of linear convergence at step ``eta``.
 
-        The minimum of the two linearization radii (scaled by the contraction
-        factor) and the quadratic-term radius (1 - rate) / quad_coefficient.
+        The minimum of the linearization radius and the quadratic-term radius
+        (1 - rate) / quad_coefficient; without a quadratic term only the first.
         """
         eta = float(eta)
         if not self.admissible(eta):
             raise NoCertificateError(f"eta={eta:g} is outside the admissible interval")
-        if self.kind == "lcls":
-            return np.inf
-        if self.kind == "iht":
-            smallest = self.details["smallest_magnitude"]
-            grad_inf = self.details["gradient_sup_norm"]
-            u = self.contraction(eta)
-            return float(
-                min(smallest / SQRT2, (smallest - eta * grad_inf) / (SQRT2 * u))
-            )
-        rho = self.rate(eta)
-        return float((1.0 - rho) / self.quad_coefficient(eta))
+        radius = self._linearization_radius(eta)
+        quad = self.quad_coefficient(eta)
+        if quad == 0.0:
+            return radius
+        return float(min(radius, (1.0 - self.rate(eta)) / quad))
 
     def sample(self, etas):
         """Evaluate rate and region on a grid, marking inadmissible steps."""
@@ -157,6 +169,11 @@ def _encode(v):
     return "inf" if np.isinf(v) else v
 
 
+def _full_rank(lam_max, lam_min):
+    """Whether the compressed curvature is numerically positive definite."""
+    return lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
+
+
 def analyze_lcls(A, b, C, d):
     """Equality-constrained least squares: min 0.5||Ax-b||^2 s.t. Cx = d.
 
@@ -170,7 +187,7 @@ def analyze_lcls(A, b, C, d):
     basis = constraint.null_basis
     AB = A @ basis
     lam_max, lam_min = gram_extremes(AB)
-    full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
+    full_rank = _full_rank(lam_max, lam_min)
 
     K = AB.T @ AB
     rhs = AB.T @ (b - A @ constraint.offset)
@@ -179,16 +196,9 @@ def analyze_lcls(A, b, C, d):
     else:
         y = np.linalg.lstsq(K, rhs, rcond=None)[0]
     x_star = basis @ y + constraint.offset
-
-    flags = {
-        "K_full_rank": bool(full_rank),
-        "stationarity_ok": True,
-        "fixed_point_ok": True,
-    }
-    eta_max = 2.0 / lam_max if lam_max > 0 else np.inf
     return ApplicationReport(
-        "lcls", basis, lam_max, lam_min, eta_max, flags, x_star,
-        ata_extremes=ata_extremes(A), details={"constraint": constraint},
+        "lcls", basis, lam_max, lam_min, x_star, ata_extremes(A),
+        full_rank=full_rank, details={"constraint": constraint},
     )
 
 
@@ -211,23 +221,16 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
 
     basis = coordinate_basis(support, x_star.size)
     lam_max, lam_min = gram_extremes(A @ basis)
-    full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
     smallest = float(np.min(np.abs(x_star[support])))
     off = np.ones(x_star.size, dtype=bool)
     off[support] = False
     grad_inf = float(np.max(np.abs(v[off]))) if off.any() else 0.0
     fixed_point_cap = smallest / grad_inf if grad_inf > 0 else np.inf
-    eta_max = min(2.0 / lam_max if lam_max > 0 else np.inf, fixed_point_cap)
-
-    flags = {
-        "K_full_rank": bool(full_rank),
-        "stationarity_ok": True,
-        "fixed_point_ok": bool(eta_max > 0),
-    }
     return ApplicationReport(
-        "iht", basis, lam_max, lam_min, eta_max, flags, x_star,
-        ata_extremes=ata_extremes(A), fixed_point_eta_max=fixed_point_cap,
+        "iht", basis, lam_max, lam_min, x_star, ata_extremes(A),
+        full_rank=_full_rank(lam_max, lam_min), fixed_point_ok=fixed_point_cap > 0,
+        fixed_point_eta_max=fixed_point_cap,
         details={
             "s": s,
             "support": support,
@@ -263,15 +266,10 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
     lam_max, lam_min = gram_extremes(A @ basis)
 
     local_min = gamma < lam_min
-    eta_max = np.inf if gamma <= -lam_max else 2.0 / (gamma + lam_max)
-    flags = {
-        "K_full_rank": bool(local_min),
-        "stationarity_ok": True,
-        "fixed_point_ok": bool(local_min),
-    }
+    # Curvature 2, not linearize's 2/||x||^2: x* is a unit vector.
     return ApplicationReport(
-        "sphere", basis, lam_max, lam_min, eta_max, flags, x_star, gamma=gamma,
-        ata_extremes=ata_extremes(A),
+        "sphere", basis, lam_max, lam_min, x_star, ata_extremes(A),
+        full_rank=local_min, fixed_point_ok=local_min, curvature=2.0, gamma=gamma,
     )
 
 
@@ -317,20 +315,12 @@ def analyze_mcp(observed, omega, X_star, r=None, tol=STATIONARITY_TOL):
 
     basis = rank_tangent_basis(U[:, :r], Vt[:r].T)
     lam_max, lam_min = gram_extremes(basis[omega, :])
-    full_rank = lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
-
-    flags = {
-        "K_full_rank": bool(full_rank),
-        "stationarity_ok": True,
-        "fixed_point_ok": True,
-    }
-    eta_max = 2.0 / lam_max if lam_max > 0 else np.inf
     # The sampling operator is a 0/1 diagonal in the vectorized coordinates.
     fully_observed = omega.size == m_mat * n_mat
     extremes = (1.0, 1.0 if fully_observed else 0.0)
     return ApplicationReport(
-        "mcp", basis, lam_max, lam_min, eta_max, flags, x_star,
-        ata_extremes=extremes,
+        "mcp", basis, lam_max, lam_min, x_star, extremes,
+        full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,
         details={"shape": (m_mat, n_mat), "r": r, "omega": omega, "observed": observed},
     )
 
