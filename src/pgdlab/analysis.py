@@ -248,17 +248,27 @@ def certified_offset(rate, quad, initial_error):
         raise NoCertificateError(
             f"initial error is outside the certified region (fraction {tau:.3e})"
         )
+    if rate == 0.0:
+        raise NoCertificateError(
+            "no transient offset at rate 0 with a quadratic term (the error "
+            "recursion is purely quadratic)"
+        )
     return transient_offset(rate, tau)
 
 
 def iterations_to_accuracy(accuracy, rate, eigvec_condition=1.0, offset=1.0):
-    """Iterations guaranteeing the error shrank by the given relative accuracy."""
+    """Iterations guaranteeing the error shrank by the given relative accuracy.
+
+    At rate 0 the linear part vanishes in one step, so only the offset is left.
+    """
     accuracy = float(accuracy)
     rate = float(rate)
     if not 0.0 < accuracy < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    if not 0.0 < rate < 1.0:
-        raise ValueError("rate must lie in (0, 1)")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("rate must lie in [0, 1)")
+    if rate == 0.0:
+        return float(offset)
     return float(
         (np.log(1.0 / accuracy) + np.log(eigvec_condition)) / np.log(1.0 / rate) + offset
     )

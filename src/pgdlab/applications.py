@@ -82,7 +82,8 @@ class ApplicationReport:
         return contraction_factor(*self.ata_extremes, eta)
 
     def _fixed_point_scale(self, eta):
-        """1 - eta*gamma: the factor by which a projected step rescales the fixed point."""
+        """1 - eta*gamma: the gradient step at x* is this multiple of x* plus a
+        tangent part (1 without a multiplier)."""
         return 1.0 - eta * (self.gamma or 0.0)
 
     def rate(self, eta):
@@ -111,7 +112,9 @@ class ApplicationReport:
         if smallest is None:
             return np.inf
         u = self.contraction(eta)
-        if u == 0.0:  # the gradient-step ball is unbounded; an admissible step keeps its numerator positive
+        if u == 0.0:
+            # The gradient-step term is unbounded: an admissible step keeps its
+            # numerator positive.
             return float(smallest / SQRT2)
         grad_inf = self.details["gradient_sup_norm"]
         return float(min(smallest / SQRT2, (smallest - eta * grad_inf) / (SQRT2 * u)))
@@ -266,7 +269,7 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
     lam_max, lam_min = gram_extremes(A @ basis)
 
     local_min = gamma < lam_min
-    # Curvature 2, not linearize's 2/||x||^2: x* is a unit vector.
+    # Curvature 2.0, not linearize's 2/||x*||^2, which rounds differently.
     return ApplicationReport(
         "sphere", basis, lam_max, lam_min, x_star, ata_extremes(A),
         full_rank=local_min, fixed_point_ok=local_min, curvature=2.0, gamma=gamma,

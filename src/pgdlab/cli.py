@@ -121,10 +121,13 @@ def cmd_analyze(args):
                 # unbounded region has no quadratic term, so the start is moot.
                 initial = 0.5 * conv.region_radius
                 shown = {"initial_error": initial} if np.isfinite(initial) else {}
-                entry["iteration_bounds"] = [
-                    {"accuracy": float(eps), "bound": conv.bound(eps, initial), **shown}
-                    for eps in args.eps
-                ]
+                try:
+                    entry["iteration_bounds"] = [
+                        {"accuracy": float(eps), "bound": conv.bound(eps, initial), **shown}
+                        for eps in args.eps
+                    ]
+                except NoCertificateError as exc:  # the convergence report still holds
+                    entry["no_bound"] = str(exc)
         except (NoCertificateError, ConstraintDomainError) as exc:
             entry["convergence"] = None
             entry["no_certificate"] = str(exc)

@@ -29,6 +29,15 @@ SQRT2 = float(np.sqrt(2.0))
 RANK_CURVATURE = 4.0 * (1.0 + SQRT2)
 
 
+def _sphere_norm(x):
+    """||x|| of a finite x; rescaled by max|x| only when the sum of squares overflows."""
+    norm = np.linalg.norm(x)
+    if norm == np.inf:
+        top = np.max(np.abs(x))
+        norm = top * np.linalg.norm(x / top)
+    return norm
+
+
 def _as_vector(x, n, what="x"):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != n:
@@ -265,7 +274,7 @@ class SphereConstraint(Constraint):
 
     def project(self, x):
         x = _as_vector(x, self.n)
-        norm = np.linalg.norm(x)
+        norm = _sphere_norm(x)
         if norm == 0.0:
             out = np.zeros(self.n)
             out[0] = 1.0
@@ -274,7 +283,7 @@ class SphereConstraint(Constraint):
 
     def linearize(self, x):
         x = _as_vector(x, self.n)
-        norm = np.linalg.norm(x)
+        norm = _sphere_norm(x)
         if norm == 0.0:
             raise ConstraintDomainError("sphere: derivative undefined at the origin")
         # A complete QR of x: the columns after the first span the tangent space x^perp.
@@ -283,7 +292,7 @@ class SphereConstraint(Constraint):
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)
-        return float(abs(np.linalg.norm(x) - 1.0))
+        return float(abs(_sphere_norm(x) - 1.0))
 
     def random_member(self, rng):
         v = rng.standard_normal(self.n)

@@ -27,6 +27,11 @@ from .errors import (
 )
 
 BOUND_ACCURACIES = (1e-2, 1e-4, 1e-6, 1e-8)
+# Leading share of the iterations before the last error above the floor that
+# estimate_rate skips as transient.
+BURN_IN_FRACTION = 0.5
+# Draws make_sphere_instance tries before giving up on a multiplier.
+SPHERE_MAX_TRIES = 100
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class RateEstimate:
     floor_hit: bool
 
 
-def estimate_rate(trace, burn_in_fraction=0.5, floor=None):
+def estimate_rate(trace, floor=None):
     """Estimate the asymptotic contraction rate from recorded errors.
 
     Uses the geometric mean of consecutive error ratios over the tail window,
@@ -54,7 +59,7 @@ def estimate_rate(trace, burn_in_fraction=0.5, floor=None):
     if above.size == 0:
         raise RateEstimationError("no errors above the floor")
     k_end = int(above[-1])
-    k_start = int(np.floor(burn_in_fraction * k_end))
+    k_start = int(np.floor(BURN_IN_FRACTION * k_end))
     usable = k_end - k_start
     if usable < 20:
         raise RateEstimationError(
@@ -123,7 +128,7 @@ def make_iht_instance(m, n, s, seed, residual=False):
     return problem, x_star
 
 
-def make_sphere_instance(m, n, gamma, seed, max_tries=100):
+def make_sphere_instance(m, n, gamma, seed):
     """Unit-norm least squares whose solution has the requested multiplier.
 
     Retries until the multiplier sits below the smallest tangent eigenvalue,
@@ -136,7 +141,7 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
         raise ValueError(f"sphere: need m >= n so that A^T A is invertible (m={m}, n={n})")
     spec = SphereConstraint(n)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(SPHERE_MAX_TRIES):
         A = rng.standard_normal((m, n))
         x_star = rng.standard_normal(n)
         x_star /= np.linalg.norm(x_star)
@@ -149,7 +154,7 @@ def make_sphere_instance(m, n, gamma, seed, max_tries=100):
             return problem, x_star
     raise GenerationError(
         f"could not draw a sphere instance with multiplier {gamma} below the "
-        f"smallest tangent eigenvalue in {max_tries} tries"
+        f"smallest tangent eigenvalue in {SPHERE_MAX_TRIES} tries"
     )
 
 
@@ -239,8 +244,7 @@ def default_etas(report):
     return etas
 
 
-def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000,
-                   init_offset=None):
+def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     """Run PGD over a step grid and compare measured rates with theory.
 
     ``etas`` is a list of step sizes, or a function of the instance's
@@ -268,7 +272,7 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000,
         }
         if region is not None:
             # float() decodes the "inf" of a global certificate.
-            x0, initial_error = _start_point(problem, x_star, float(region), rng, init_offset)
+            x0, initial_error = _start_point(problem, x_star, float(region), rng)
         else:
             scale = 1e-3 * (1.0 + np.linalg.norm(x_star))
             x0, initial_error = _start_point(problem, x_star, np.inf, rng, scale)

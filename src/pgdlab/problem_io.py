@@ -3,13 +3,16 @@
 A problem file is a JSON object with fields
 
 * ``A``: matrix, either nested lists (rows) or ``{"shape": [m, n], "data":
-  [...]}`` with the data flattened row-major,
+  [...]}`` with the data flattened row-major and m, n positive whole numbers,
 * ``b``: array,
 * ``constraint``: ``{"type": "affine"|"sparse"|"sphere"|"lowrank", ...}`` with
-  the variant fields ``C``/``d``, ``s``, ``r``/``shape``,
+  the variant fields ``C``/``d``, ``s``, ``r``/``shape`` (``s``, ``r`` and
+  ``shape`` whole numbers),
 * optional ``x_star`` and ``x0`` arrays.
 
-Validation errors carry the JSON path of the offending field.
+A whole number is a JSON integer or a number with no fractional part;
+``true`` and ``false`` are not numbers. Validation errors carry the JSON path
+of the offending field.
 """
 
 from __future__ import annotations
@@ -23,10 +26,42 @@ from .engine import Problem
 from .errors import ProblemFileError
 
 
+def _whole(value):
+    """``value`` as an int if it is a whole number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if isinstance(value, float) and not value.is_integer():  # also refuses nan, inf
+        return None
+    return int(value)
+
+
+def _shape_from_json(obj, path):
+    dims = [_whole(v) for v in obj] if isinstance(obj, list) else []
+    if len(dims) != 2 or None in dims or min(dims) < 1:
+        raise ProblemFileError(
+            path, f"shape must be two positive whole numbers, got {json.dumps(obj)}"
+        )
+    return tuple(dims)
+
+
+def _check_constraint_sizes(doc):
+    """Check the whole-number fields of a constraint object, which its
+    constructors would otherwise truncate."""
+    if not isinstance(doc, dict):
+        return
+    for key in ("s", "r"):
+        if key in doc and _whole(doc[key]) is None:
+            raise ProblemFileError(
+                "constraint", f"{key} must be a whole number, got {json.dumps(doc[key])}"
+            )
+    if "shape" in doc:
+        _shape_from_json(doc["shape"], "constraint")
+
+
 def _matrix_from_json(obj, path):
     if isinstance(obj, dict):
+        shape = _shape_from_json(obj.get("shape"), path)
         try:
-            shape = tuple(int(v) for v in obj["shape"])
             data = np.asarray(obj["data"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFileError(path, f"bad matrix object: {exc}") from exc
@@ -81,6 +116,7 @@ def load_problem(path_or_file):
     A = _matrix_from_json(doc["A"], "A")
     b = _vector_from_json(doc["b"], "b")
     constraint_doc = doc["constraint"]
+    _check_constraint_sizes(constraint_doc)
     if isinstance(constraint_doc, dict) and isinstance(constraint_doc.get("C"), dict):
         constraint_doc = dict(constraint_doc)
         constraint_doc["C"] = _matrix_from_json(constraint_doc["C"], "constraint.C").tolist()

@@ -10,7 +10,7 @@ from pgdlab.applications import (
     analyze_sphere,
     rank_tangent_basis,
 )
-from pgdlab.constraints import SphereConstraint
+from pgdlab.constraints import RANK_CURVATURE, SphereConstraint
 from pgdlab.empirics import (
     make_iht_instance,
     make_lcls_instance,
@@ -292,3 +292,114 @@ class TestDualPath:
         report = analyze_problem(prob, x_star)
         assert report.kind == "mcp"
         assert report.tangent_basis.shape[1] == 2 * (5 + 4 - 2)
+
+
+# The per-family closed forms as they were written before ApplicationReport
+# evaluated one recipe; the recipe must reproduce them bit for bit.
+def _old_eta_max(report):
+    lam_max, gamma = report.lam_max, report.gamma
+    if report.kind == "sphere":
+        return np.inf if gamma <= -lam_max else 2.0 / (gamma + lam_max)
+    cap = 2.0 / lam_max if lam_max > 0 else np.inf
+    if report.kind == "iht":
+        return min(cap, report.fixed_point_eta_max)
+    return cap
+
+
+def _old_flags_and_optimum(report):
+    lam_max, lam_min, gamma = report.lam_max, report.lam_min, report.gamma
+    eta_max = _old_eta_max(report)
+    if report.kind == "sphere":
+        full_rank = fixed_point_ok = gamma < lam_min
+    else:
+        full_rank = lam_min > 1e-10 * max(lam_max, 1e-300)
+        fixed_point_ok = eta_max > 0 if report.kind == "iht" else True
+    flags = {"K_full_rank": bool(full_rank), "stationarity_ok": True,
+             "fixed_point_ok": bool(fixed_point_ok)}
+    eta_opt = rho_opt = None
+    if full_rank:
+        if report.kind == "sphere":
+            eta_opt = 2.0 / (lam_max + lam_min)
+            rho_opt = (lam_max - lam_min) / (lam_max + lam_min - 2.0 * gamma)
+        else:
+            eta_opt, rho_opt = analysis.optimal_step(lam_max, lam_min)
+        flags["eta_opt_admissible"] = bool(eta_opt < eta_max)
+    return flags, eta_opt, rho_opt
+
+
+def _old_rate(report, eta):
+    base = analysis.contraction_factor(report.lam_max, report.lam_min, eta)
+    if report.kind != "sphere":
+        return float(base)
+    scale = 1.0 - eta * report.gamma
+    if scale <= 0:
+        raise NoCertificateError("sphere: not a fixed point")
+    return float(base / scale)
+
+
+def _old_quad(report, eta):
+    if report.kind in ("lcls", "iht"):
+        return 0.0
+    u = report.contraction(eta)
+    if report.kind == "sphere":
+        t = u / (1.0 - eta * report.gamma)
+        return float(2.0 * (t**2 + t))
+    return float(RANK_CURVATURE * (u**2 + u))
+
+
+def _old_region(report, eta):
+    if not report.admissible(eta):
+        raise NoCertificateError("outside the admissible interval")
+    if report.kind == "lcls":
+        return np.inf
+    if report.kind == "iht":
+        smallest = report.details["smallest_magnitude"]
+        grad_inf = report.details["gradient_sup_norm"]
+        u = report.contraction(eta)
+        return float(min(smallest / SQRT2, (smallest - eta * grad_inf) / (SQRT2 * u)))
+    return float((1.0 - _old_rate(report, eta)) / _old_quad(report, eta))
+
+
+def _outcome(fn, eta):
+    """The value, or the exception type, so that raising cases compare too."""
+    try:
+        return fn(eta)
+    except (NoCertificateError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _mcp_vector_instance(seed):
+    prob, X_star = make_mcp_instance(6, 5, 2, 24, seed)
+    return prob, X_star.reshape(-1, order="F")
+
+
+RECIPE_INSTANCES = {
+    "lcls": lambda seed: make_lcls_instance(12, 8, 3, seed),
+    "iht": lambda seed: make_iht_instance(16, 32, 4, seed),
+    "iht_residual": lambda seed: make_iht_instance(16, 32, 4, seed, residual=True),
+    "sphere": lambda seed: make_sphere_instance(12, 6, -0.4, seed),
+    "sphere_positive_gamma": lambda seed: make_sphere_instance(12, 6, 0.3, seed),
+    "mcp": _mcp_vector_instance,
+}
+
+
+class TestRecipe:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("family", sorted(RECIPE_INSTANCES))
+    def test_matches_per_family_formulas(self, family, seed):
+        prob, x_star = RECIPE_INSTANCES[family](seed)
+        report = analyze_problem(prob, x_star)
+        assert report.eta_max == _old_eta_max(report)
+        flags, eta_opt, rho_opt = _old_flags_and_optimum(report)
+        assert report.flags == flags
+        assert (report.eta_opt, report.rho_opt) == (eta_opt, rho_opt)
+
+        cap = report.eta_max if np.isfinite(report.eta_max) else 4.0
+        etas = [f * cap for f in (0.01, 0.3, 0.7, 0.99, 1.0, 1.2, 2.5)]
+        if report.gamma is not None and report.gamma > 0:
+            etas += [f / report.gamma for f in (0.9, 1.0, 1.1, 3.0)]  # 1 - eta*gamma <= 0
+        for eta in etas:
+            assert _outcome(report.rate, eta) == _outcome(lambda e: _old_rate(report, e), eta)
+            assert (_outcome(report.quad_coefficient, eta)
+                    == _outcome(lambda e: _old_quad(report, e), eta))
+            assert _outcome(report.region, eta) == _outcome(lambda e: _old_region(report, e), eta)

@@ -90,6 +90,67 @@ class TestProblemIo:
         with pytest.raises(ProblemFileError, match=rf"^{field}: .*finite"):
             load_problem(path)
 
+    @pytest.mark.parametrize("field", ["A", "constraint.C"])
+    @pytest.mark.parametrize(
+        "shape",
+        [[6], [-2, -3], [2, 3, 1], [2.5, 3], [True, 3], "2x3", [2.0, 3.5]],
+        ids=["one_dim", "negative", "three_dim", "fractional", "bool", "string",
+             "fractional_float"],
+    )
+    def test_bad_matrix_shape_exit_one(self, tmp_path, capsys, field, shape):
+        doc = {
+            "A": {"shape": [2, 3], "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]},
+            "b": [2.0, 0.0],
+            "constraint": {"type": "affine", "d": [1.0],
+                           "C": {"shape": [1, 3], "data": [1.0, 1.0, 1.0]}},
+        }
+        matrix = doc["A"] if field == "A" else doc["constraint"]["C"]
+        matrix["shape"] = shape
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path), "--eta", "0.1", "--max-iters", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: shape must be two positive whole numbers")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            {"type": "sparse", "s": 1.7},
+            {"type": "sparse", "s": True},
+            {"type": "sparse", "s": "1"},
+            {"type": "lowrank", "r": 1.5, "shape": [2, 1]},
+            {"type": "lowrank", "r": 1, "shape": [2.5, 1]},
+            {"type": "lowrank", "r": 1, "shape": [2, True]},
+            {"type": "lowrank", "r": 1, "shape": [2]},
+        ],
+        ids=["s_fractional", "s_bool", "s_string", "r_fractional", "shape_fractional",
+             "shape_bool", "shape_one_dim"],
+    )
+    def test_bad_constraint_size_exit_one(self, tmp_path, capsys, constraint):
+        doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0], "constraint": constraint}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path), "--eta", "0.1", "--max-iters", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: constraint: ")
+        assert "whole number" in err
+        assert "Traceback" not in err
+
+    def test_whole_number_floats_accepted(self, tmp_path):
+        doc = {
+            "A": {"shape": [2.0, 2], "data": [1.0, 0.0, 0.0, 1.0]},
+            "b": [1.0, 0.0],
+            "constraint": {"type": "lowrank", "r": 1.0, "shape": [2, 1.0]},
+        }
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        problem, _, _ = load_problem(path)
+        assert problem.A.shape == (2, 2)
+        assert (problem.constraint.r, problem.constraint.shape) == (1, (2, 1))
+
     def test_shape_mismatch_reported(self, tmp_path):
         doc = {
             "A": {"shape": [2, 2], "data": [1.0, 0.0, 0.0]},
@@ -241,6 +302,50 @@ class TestAnalyzeCommand:
         for entry in json.loads(capsys.readouterr().out)["etas"]:
             [bound] = entry["iteration_bounds"]
             assert bound["initial_error"] == 0.5 * entry["convergence"]["region_radius"]
+
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            ({"A": np.eye(3).tolist(), "b": [0.5, 0.0, 0.0], "constraint": {"type": "sphere"},
+              "x_star": [1.0, 0.0, 0.0]}, []),
+            ({"A": np.eye(4).tolist(), "b": [1.0, 0.0, 0.0, 0.0],
+              "constraint": {"type": "lowrank", "r": 1, "shape": [2, 2]},
+              "x_star": [1.0, 0.0, 0.0, 0.0]}, []),
+            ({"A": np.diag([1.0, 1.0, 1.0, 0.0]).tolist(), "b": [1.0, 0.0, 0.0, 0.0],
+              "constraint": {"type": "lowrank", "r": 1, "shape": [2, 2]},
+              "x_star": [1.0, 0.0, 0.0, 0.0]}, ["--eta", "1.0"]),
+            ({"A": np.eye(3).tolist(), "b": [1.0, 0.0, 0.0],
+              "constraint": {"type": "sparse", "s": 1}, "x_star": [1.0, 0.0, 0.0]}, []),
+            ({"A": np.eye(3).tolist(), "b": [1.0, 2.0, 3.0],
+              "constraint": {"type": "affine", "C": [[0.0, 0.0, 1.0]], "d": [0.0]}}, []),
+        ],
+        ids=["sphere_identity", "mcp_fully_observed", "mcp_three_of_four", "iht_identity",
+             "lcls_identity"],
+    )
+    def test_zero_rate_exit_zero(self, tmp_path, capsys, doc, flags):
+        path = tmp_path / "zero_rate.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", str(path), *flags])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        report = json.loads(out)
+        rows = report["application"]["rate_table"]
+        assert any(row["rate"] == 0.0 for row in rows)
+        for row, entry in zip(rows, report["etas"]):
+            conv = entry["convergence"]
+            assert row["rate"] == pytest.approx(conv["rate"], abs=1e-12)
+            if row["region"] == "inf" or conv["region_radius"] == "inf":
+                assert row["region"] == conv["region_radius"] == "inf"
+            else:
+                assert row["region"] == pytest.approx(conv["region_radius"], rel=1e-10)
+            if conv["rate"] != 0.0:
+                assert "iteration_bounds" in entry
+            elif conv["quad_coeff"] == 0.0:
+                # No quadratic term and no linear tail: the bound is the offset alone.
+                assert [b["bound"] for b in entry["iteration_bounds"]] == [1.0] * 4
+            else:
+                assert "iteration_bounds" not in entry
+                assert "rate 0" in entry["no_bound"]
 
     def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
         code = main(["analyze", str(nan_x_star_file)])

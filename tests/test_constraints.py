@@ -10,13 +10,34 @@ from pgdlab.constraints import (
     finite_difference_check,
     quadratic_bound_margin,
 )
+from pgdlab.engine import Problem, run_pgd
 from pgdlab.errors import ConstraintDomainError, NonUniqueProjectionWarning
+
+SQRT2 = np.sqrt(2.0)
 
 
 class TestProject:
     def test_sphere_normalizes(self):
         spec = SphereConstraint(2)
         np.testing.assert_allclose(spec.project([3.0, 4.0]), [0.6, 0.8])
+
+    def test_sphere_huge_point_stays_on_the_sphere(self):
+        # ||x||^2 overflows to inf here; x / inf would be the origin.
+        spec = SphereConstraint(2)
+        x = np.array([1e200, -1e200])
+        with np.errstate(over="ignore"):
+            projected = spec.project(x)
+            lin = spec.linearize(x)
+            residual = spec.membership_residual(x)
+        np.testing.assert_allclose(projected, [SQRT2 / 2, -SQRT2 / 2], rtol=1e-15)
+        assert residual == pytest.approx(SQRT2 * 1e200, rel=1e-15)
+        assert lin.scale == pytest.approx(1.0 / (SQRT2 * 1e200), rel=1e-15)
+        np.testing.assert_allclose(np.abs(lin.basis.ravel()), [SQRT2 / 2, SQRT2 / 2], rtol=1e-15)
+
+    def test_sphere_huge_step_solve_stays_on_the_sphere(self):
+        problem = Problem(np.diag([1.0, 2.0, 0.0]), np.array([1.0, 0.5, 0.0]), SphereConstraint(3))
+        trace = run_pgd(problem, 1e300, np.array([0.0, 1.0, 0.0]), max_iters=5)
+        assert np.abs(np.linalg.norm(trace.iterates, axis=1) - 1.0).max() <= 1e-15
 
     def test_sphere_origin_maps_to_first_axis(self):
         spec = SphereConstraint(3)

@@ -1,0 +1,134 @@
+"""Write the byte-identity artifact set of a checkout into OUTDIR.
+
+Usage, from the root of a checkout::
+
+    python tools/artifacts.py OUTDIR
+
+Runs, in one process with BLAS pinned to one thread, against the ``src/``
+next to this script:
+
+* ``experiment`` lcls (30, 20, 5), iht (50, 100, 5), iht ``--residual``,
+  sphere with gamma = -0.5 and 0.3, and mcp (12, 10, 2, 80), each at seeds
+  0, 3 and 7 with the default step grid;
+* ``experiment mcp --m 50 --n 40 --r 3 --s 800 --seed 7``;
+* the lcls/iht/sphere acceptance bundles (steps at fixed fractions of the
+  optimal step) at seeds 0, 9, ..., 99;
+* ``verify --suite all`` at seeds 0 to 3;
+* ``analyze`` of one saved file per family (lcls with and without
+  ``x_star``), with no ``--eta`` and with ``--eta 0.01 0.05``.
+
+Every ``manifest.json``, trace CSV and saved problem file lands under OUTDIR,
+and each command adds ``<name>.stdout``, ``<name>.stderr`` and
+``<name>.exit`` with OUTDIR written as ``OUTDIR``. Two checkouts give the same
+results when ``diff -r`` of their OUTDIRs is empty. To compare against a
+commit that predates this script, copy the script into that checkout's
+``tools/`` first.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import traceback
+
+# (label, kind, flags)
+EXPERIMENTS = (
+    ("lcls", "lcls", ["--m", "30", "--n", "20", "--p", "5"]),
+    ("iht", "iht", ["--m", "50", "--n", "100", "--s", "5"]),
+    ("iht_residual", "iht", ["--m", "50", "--n", "100", "--s", "5", "--residual"]),
+    ("sphere_neg", "sphere", ["--m", "15", "--n", "10", "--gamma", "-0.5"]),
+    ("sphere_pos", "sphere", ["--m", "15", "--n", "10", "--gamma", "0.3"]),
+    ("mcp", "mcp", ["--m", "12", "--n", "10", "--r", "2", "--s", "80"]),
+)
+EXPERIMENT_SEEDS = (0, 3, 7)
+PAPER_MCP = ["--m", "50", "--n", "40", "--r", "3", "--s", "800", "--seed", "7"]
+
+# (kind, params, step fractions of eta_opt), as in the acceptance suite.
+BUNDLES = (
+    ("lcls", {"m": 30, "n": 20, "p": 5}, (0.5, 0.8, 1.0)),
+    ("iht", {"m": 50, "n": 100, "s": 5}, (0.3, 0.5, 0.7)),
+    ("sphere", {"m": 15, "n": 10, "gamma": -0.5}, (0.5, 0.8, 1.0)),
+)
+BUNDLE_SEEDS = range(0, 100, 9)
+VERIFY_SEEDS = range(4)
+
+# (file name, kind, generator params, seed, keep x_star)
+ANALYZE_FILES = (
+    ("lcls", "lcls", {"m": 30, "n": 20, "p": 5}, 0, True),
+    ("lcls_no_x_star", "lcls", {"m": 30, "n": 20, "p": 5}, 0, False),
+    ("iht", "iht", {"m": 50, "n": 100, "s": 5}, 0, True),
+    ("sphere", "sphere", {"m": 15, "n": 10, "gamma": -0.5}, 0, True),
+    ("mcp", "mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, True),
+)
+ANALYZE_ETAS = ((), ("--eta", "0.01", "0.05"))
+
+
+def _record(outdir, name, call):
+    """Run ``call`` with captured output; write its stdout, stderr and exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except Exception:  # a crash is a result to compare, not a reason to stop
+            traceback.print_exc()
+            code = "uncaught"
+    for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue()),
+                         ("exit", f"{code}\n")):
+        with open(os.path.join(outdir, f"{name}.{suffix}"), "w", encoding="utf-8") as fh:
+            fh.write(text.replace(outdir, "OUTDIR"))
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = os.path.abspath(argv[0])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # read once, when numpy loads BLAS below
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    from pgdlab import applications, cli, empirics, problem_io
+
+    os.makedirs(outdir, exist_ok=True)
+
+    def run_cli(name, args):
+        _record(outdir, name, lambda: cli.main(args))
+
+    for label, kind, flags in EXPERIMENTS:
+        for seed in EXPERIMENT_SEEDS:
+            name = f"experiment_{label}_seed{seed}"
+            run_cli(name, ["experiment", kind, *flags, "--seed", str(seed),
+                           "--outdir", os.path.join(outdir, name)])
+    name = "experiment_mcp_paper"
+    run_cli(name, ["experiment", "mcp", *PAPER_MCP, "--outdir", os.path.join(outdir, name)])
+
+    def bundle(kind, params, fractions, seed, target):
+        problem, x_star = empirics.make_instance(kind, params, seed)
+        report = applications.analyze_problem(problem, x_star)
+        etas = [f * report.eta_opt for f in fractions]
+        empirics.run_experiment(kind, params, etas, seed, outdir=target)
+        return 0
+
+    for kind, params, fractions in BUNDLES:
+        for seed in BUNDLE_SEEDS:
+            name = f"bundle_{kind}_seed{seed}"
+            target = os.path.join(outdir, name)
+            _record(outdir, name, lambda: bundle(kind, params, fractions, seed, target))
+
+    for seed in VERIFY_SEEDS:
+        run_cli(f"verify_seed{seed}", ["verify", "--suite", "all", "--seed", str(seed)])
+
+    for name, kind, params, seed, keep_x_star in ANALYZE_FILES:
+        path = os.path.join(outdir, f"problem_{name}.json")
+        problem, x_star = empirics.make_instance(kind, params, seed)
+        problem_io.save_problem(path, problem, x_star=x_star if keep_x_star else None)
+        for etas in ANALYZE_ETAS:
+            suffix = "_etas" if etas else ""
+            run_cli(f"analyze_{name}{suffix}", ["analyze", path, *etas])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
