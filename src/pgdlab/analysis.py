@@ -76,8 +76,13 @@ def _linearized_update(problem, x_star, eta):
             )
     lin_x = spec.linearize(x_star)
     lin_z = spec.linearize(z)
-    middle = np.eye(spec.n) - eta * (problem.A.T @ problem.A)
-    return lin_z.matrix @ middle @ lin_x.matrix, lin_x, lin_z
+    if problem.diagonal is None:
+        middle = np.eye(spec.n) - eta * (problem.A.T @ problem.A)
+        return lin_z.matrix @ middle @ lin_x.matrix, lin_x, lin_z
+    # Scaling the columns of dP(z) by the diagonal of I - eta A^T A gives the
+    # bits of the dense product dP(z) (I - eta A^T A).
+    middle = 1.0 - eta * problem.diagonal**2
+    return (lin_z.matrix * middle) @ lin_x.matrix, lin_x, lin_z
 
 
 def iteration_matrix(problem, x_star, eta):
@@ -371,9 +376,11 @@ def _json_float(v):
 
 def analyze_fixed_point(problem, x_star, eta, initial_error=None):
     """Full convergence report for PGD at a fixed point with step ``eta``."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
     H, lin_x, lin_z = _linearized_update(problem, x_star, eta)
     eig = eigendecompose(H)
-    contraction = gradient_contraction(problem.A, eta)
+    contraction = contraction_factor(*problem.ata_extremes(), eta)
     if eig.diagonalizable:
         quad = quadratic_coefficient(
             eig.eigvec_condition,

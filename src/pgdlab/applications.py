@@ -352,12 +352,8 @@ def analyze_problem(problem, x_star=None):
     if spec.kind == "sphere":
         return analyze_sphere(problem.A, problem.b, x_star)
     if spec.kind == "lowrank":
-        diag = np.diag(problem.A)
-        mask_ok = (
-            np.allclose(problem.A, np.diag(diag), atol=1e-12)
-            and np.all((np.abs(diag) < 1e-12) | (np.abs(diag - 1.0) < 1e-12))
-        )
-        if not mask_ok:
+        diag = problem.diagonal
+        if diag is None or not np.all((np.abs(diag) < 1e-12) | (np.abs(diag - 1.0) < 1e-12)):
             raise ValueError(
                 "low-rank analysis requires a completion-structured objective "
                 "(0/1 diagonal sampling operator)"

@@ -283,12 +283,16 @@ class SphereConstraint(Constraint):
 
     def linearize(self, x):
         x = _as_vector(x, self.n)
-        norm = _sphere_norm(x)
-        if norm == 0.0:
-            raise ConstraintDomainError("sphere: derivative undefined at the origin")
+        # ||x||^2 overflows past ~1e154: _sphere_norm then rescales, and
+        # 2 / inf = 0.0 is the correctly rounded curvature.
+        with np.errstate(over="ignore"):
+            norm = _sphere_norm(x)
+            if norm == 0.0:
+                raise ConstraintDomainError("sphere: derivative undefined at the origin")
+            curvature = 2.0 / norm**2
         # A complete QR of x: the columns after the first span the tangent space x^perp.
         q, _ = np.linalg.qr(x.reshape(-1, 1), mode="complete")
-        return Linearization(q[:, 1:], np.inf, 2.0 / norm**2, scale=1.0 / norm)
+        return Linearization(q[:, 1:], np.inf, curvature, scale=1.0 / norm)
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import analysis
 from .constraints import Constraint
-from .errors import DivergenceError, InfeasibleStartWarning
+from .errors import DivergenceError, InfeasibleStartWarning, ProblemFileError
 
 MEMBERSHIP_TOL = 1e-10
 ERROR_FLOOR_SCALE = 1e-12
@@ -19,38 +20,69 @@ DENSE_TRACE_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class Problem:
-    """Least-squares objective 0.5 * ||A x - b||^2 over a constraint set."""
+    """Least-squares objective 0.5 * ||A x - b||^2 over a constraint set.
+
+    A square A with no nonzero entry off its diagonal (a completion sampling
+    mask, for one) is applied entrywise through ``diagonal``; ``A`` itself
+    stays the dense matrix.
+    """
 
     A: np.ndarray
     b: np.ndarray
     constraint: Constraint
+    diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if A.ndim != 2:
             raise ValueError("A must be a matrix")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("A and b must be finite")
+        # A ValueError naming the field, which is also its path in a problem
+        # file: load_problem passes it on and does not scan A itself.
+        if not np.all(np.isfinite(A)):
+            raise ProblemFileError("A", "entries must be finite")
+        if not np.all(np.isfinite(b)):
+            raise ProblemFileError("b", "entries must be finite")
         if b.size != A.shape[0]:
             raise ValueError(f"b has length {b.size}, expected {A.shape[0]}")
         if self.constraint.n != A.shape[1]:
             raise ValueError(
                 f"constraint dimension {self.constraint.n} does not match A columns {A.shape[1]}"
             )
+        diagonal = None
+        if A.shape[0] == A.shape[1] and np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
+            diagonal = np.diagonal(A).copy()
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "diagonal", diagonal)
 
     @property
     def shape(self):
         return self.A.shape
 
+    # On a finite x the dense product with a diagonal A adds exact zeros to
+    # d_i * x_i, so the entrywise product gives the same bits.
+    def apply(self, x):
+        """A @ x."""
+        return self.A @ x if self.diagonal is None else self.diagonal * x
+
+    def apply_t(self, r):
+        """A^T @ r."""
+        return self.A.T @ r if self.diagonal is None else self.diagonal * r
+
+    def ata_extremes(self):
+        """Largest and smallest eigenvalues of A^T A (see analysis.ata_extremes)."""
+        if self.diagonal is None:
+            return analysis.ata_extremes(self.A)
+        squares = self.diagonal**2
+        return float(squares.max()), float(squares.min())
+
     def objective(self, x):
-        r = self.A @ x - self.b
+        r = self.apply(x) - self.b
         return 0.5 * float(r @ r)
 
     def gradient(self, x):
-        return self.A.T @ (self.A @ x - self.b)
+        return self.apply_t(self.apply(x) - self.b)
 
 
 @dataclass
@@ -133,8 +165,8 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
 
     stride = 1 if max_iters <= DENSE_TRACE_LIMIT else int(np.ceil(max_iters / DENSE_TRACE_LIMIT))
 
-    A, b = problem.A, problem.b
-    residual = A @ x - b
+    apply, apply_t, b = problem.apply, problem.apply_t, problem.b
+    residual = apply(x) - b
 
     indices = [0]
     iterates = [x.copy()]
@@ -149,7 +181,7 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         for k in range(max_iters):
             # Both raises report ||x_{k-1}||; hypot keeps it finite where
             # x @ x would overflow.
-            descent = x - eta * (A.T @ residual)
+            descent = x - eta * apply_t(residual)
             if not np.all(np.isfinite(descent)):
                 raise DivergenceError(k + 1, np.hypot.reduce(x))
             x_next = spec.project(descent)
@@ -157,7 +189,7 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
                 raise DivergenceError(k + 1, np.hypot.reduce(x))
             step = np.linalg.norm(x_next - x)
             x = x_next
-            residual = A @ x - b
+            residual = apply(x) - b
             objectives.append(0.5 * float(residual @ residual))
             if errors is not None:
                 errors.append(float(np.linalg.norm(x - x_ref)))

@@ -36,6 +36,8 @@ class ProblemFileError(ValueError):
     """Problem file failed to parse or validate.
 
     ``path`` is the JSON path of the offending element, e.g. ``constraint.s``.
+    ``Problem`` raises it for a non-finite ``A`` or ``b``, fields that are
+    also the paths of a problem file.
     """
 
     def __init__(self, path, message):

@@ -77,8 +77,6 @@ def _matrix_from_json(obj, path):
             raise ProblemFileError(path, f"not a numeric matrix: {exc}") from exc
         if mat.ndim != 2:
             raise ProblemFileError(path, f"expected a matrix, got {mat.ndim} dimensions")
-    if not np.all(np.isfinite(mat)):
-        raise ProblemFileError(path, "entries must be finite")
     return mat
 
 
@@ -119,13 +117,18 @@ def load_problem(path_or_file):
     _check_constraint_sizes(constraint_doc)
     if isinstance(constraint_doc, dict) and isinstance(constraint_doc.get("C"), dict):
         constraint_doc = dict(constraint_doc)
-        constraint_doc["C"] = _matrix_from_json(constraint_doc["C"], "constraint.C").tolist()
+        C = _matrix_from_json(constraint_doc["C"], "constraint.C")
+        if not np.all(np.isfinite(C)):
+            raise ProblemFileError("constraint.C", "entries must be finite")
+        constraint_doc["C"] = C.tolist()
     try:
         constraint = constraint_from_json(constraint_doc, ambient_dim=A.shape[1])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFileError("constraint", str(exc)) from exc
     try:
-        problem = Problem(A, b, constraint)
+        problem = Problem(A, b, constraint)  # checks that A is finite, naming path A
+    except ProblemFileError:
+        raise
     except ValueError as exc:
         raise ProblemFileError("$", str(exc)) from exc
 

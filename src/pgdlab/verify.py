@@ -358,9 +358,9 @@ def check_interlacing(seed=0, instances=10):
                 report = analyze_problem(problem, x_star)
                 if report.gamma is not None and report.gamma > 0:
                     continue
-            lam_top = np.linalg.norm(problem.A, 2) ** 2
-            eta = float(rng.uniform(0.1, 0.95)) * 2.0 / lam_top
-            contraction = analysis.gradient_contraction(problem.A, eta)
+            extremes = problem.ata_extremes()
+            eta = float(rng.uniform(0.1, 0.95)) * 2.0 / extremes[0]
+            contraction = analysis.contraction_factor(*extremes, eta)
             conv = analysis.analyze_fixed_point(problem, x_star, eta)
             worst_rate = max(worst_rate, conv.rate - contraction)
             worst_contraction = max(worst_contraction, contraction - 1.0)
@@ -407,7 +407,7 @@ def check_eigvec_order_invariance(seed=0):
     eig_a = analysis.eigendecompose(H)
     eig_b = analysis.eigendecompose(H_shuffled)
     rho_gap = abs(eig_a.spectral_radius - eig_b.spectral_radius)
-    contraction = analysis.gradient_contraction(problem.A, eta)
+    contraction = analysis.contraction_factor(*problem.ata_extremes(), eta)
     vals = []
     for eig in (eig_a, eig_b):
         radius = analysis.convergence_radius(

@@ -63,6 +63,39 @@ class TestIterationMatrix:
         with pytest.raises(ConstraintDomainError, match="fixed-point"):
             analysis.iteration_matrix(prob, [1.0, 0.0], 2.0)
 
+    @pytest.mark.parametrize("kind", ["affine", "sphere"])
+    def test_diagonal_a_matches_dense_product(self, kind):
+        rng = np.random.default_rng(5)
+        d = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+        d[3] = 0.0
+        A = np.diag(d)
+        if kind == "affine":
+            C = rng.standard_normal((2, 6))
+            prob = Problem(A, rng.standard_normal(6), AffineConstraint(C, C @ rng.standard_normal(6)))
+            x_star = analyze_problem(prob).x_star
+        else:
+            prob = Problem(A, rng.standard_normal(6), SphereConstraint(6))
+            x_star = prob.constraint.random_member(rng)
+        assert prob.diagonal is not None
+        eta = 0.1
+        lin_x = prob.constraint.linearize(x_star)
+        lin_z = prob.constraint.linearize(x_star - eta * prob.gradient(x_star))
+        expected = lin_z.matrix @ (np.eye(6) - eta * (A.T @ A)) @ lin_x.matrix
+        assert np.array_equal(analysis.iteration_matrix(prob, x_star, eta), expected)
+
+
+@pytest.mark.parametrize(
+    "A, diagonal",
+    [(np.diag([2.0, -0.5, 0.0, 1e-3]), True), (np.diag([1.0, 0.0, 1.0]), True),
+     (np.random.default_rng(6).standard_normal((5, 4)), False),
+     (np.random.default_rng(7).standard_normal((3, 4)), False)],
+    ids=["signed_diagonal", "mask", "dense_tall", "dense_wide"],
+)
+def test_problem_ata_extremes_match_svd(A, diagonal):
+    prob = Problem(A, np.zeros(A.shape[0]), SphereConstraint(A.shape[1]))
+    assert (prob.diagonal is not None) == diagonal
+    assert prob.ata_extremes() == analysis.ata_extremes(A)
+
 
 class TestEigendecompose:
     def test_diagonal(self):

@@ -17,6 +17,7 @@ from pgdlab.empirics import (
     make_mcp_instance,
     make_sphere_instance,
 )
+from pgdlab.engine import Problem
 from pgdlab.errors import NoCertificateError, StationarityError
 
 SQRT2 = np.sqrt(2.0)
@@ -248,6 +249,13 @@ class TestMcp:
         xl = low.reshape(-1, order="F")
         with pytest.raises(StationarityError, match="observations"):
             analyze_mcp(xl[omega] + 1.0, omega, low, r=2)
+
+    def test_tiny_off_diagonal_entry_refused(self):
+        prob, X_star = make_mcp_instance(6, 5, 2, 24, 16)
+        A = prob.A.copy()
+        A[0, 1] = 1e-13
+        with pytest.raises(ValueError, match="completion-structured"):
+            analyze_problem(Problem(A, prob.b, prob.constraint), X_star.reshape(-1, order="F"))
 
     def test_region_matches_generic_constant_below_two(self):
         prob, X_star = make_mcp_instance(6, 5, 2, 24, 16)

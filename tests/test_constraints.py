@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,13 @@ class TestProject:
         assert residual == pytest.approx(SQRT2 * 1e200, rel=1e-15)
         assert lin.scale == pytest.approx(1.0 / (SQRT2 * 1e200), rel=1e-15)
         np.testing.assert_allclose(np.abs(lin.basis.ravel()), [SQRT2 / 2, SQRT2 / 2], rtol=1e-15)
+
+    def test_sphere_huge_point_curvature_is_zero_without_warning(self):
+        # 2 / ||x||^2 rounds to 0.0 once ||x||^2 overflows; numpy must not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin = SphereConstraint(2).linearize(np.array([1e200, -1e200]))
+        assert lin.curvature == 0.0
 
     def test_sphere_huge_step_solve_stays_on_the_sphere(self):
         problem = Problem(np.diag([1.0, 2.0, 0.0]), np.array([1.0, 0.5, 0.0]), SphereConstraint(3))

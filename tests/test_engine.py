@@ -51,6 +51,49 @@ def test_dimension_mismatch_rejected():
         Problem(np.eye(3), np.zeros(2), SphereConstraint(3))
 
 
+@pytest.mark.parametrize("field", ["A", "b"])
+def test_non_finite_data_rejected_naming_field(field):
+    data = {"A": np.eye(2), "b": np.zeros(2)}
+    data[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=rf"^{field}: .*finite"):
+        Problem(data["A"], data["b"], SphereConstraint(2))
+
+
+class TestDiagonal:
+    @pytest.mark.parametrize(
+        "d", [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [2.5, -0.3, 0.0]],
+        ids=["mask", "all_zero", "signed"],
+    )
+    def test_square_diagonal_detected(self, d):
+        prob = Problem(np.diag(d), np.zeros(3), SphereConstraint(3))
+        np.testing.assert_array_equal(prob.diagonal, d)
+
+    def test_off_diagonal_entry_or_rectangle_is_dense(self):
+        A = np.diag([1.0, 2.0, 3.0])
+        A[0, 2] = 1e-300
+        assert Problem(A, np.zeros(3), SphereConstraint(3)).diagonal is None
+        assert Problem(np.eye(4, 3), np.zeros(4), SphereConstraint(3)).diagonal is None
+
+    def test_run_pgd_matches_dense_reference_loop(self):
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+        d[3] = 0.0
+        A, b = np.diag(d), rng.standard_normal(6)
+        prob = Problem(A, b, SphereConstraint(6))
+        assert prob.diagonal is not None
+        x = prob.constraint.random_member(rng)
+        eta, iters = 0.2, 50
+        trace = run_pgd(prob, eta, x, max_iters=iters)
+        iterates, objectives = [x], [0.5 * float((A @ x - b) @ (A @ x - b))]
+        for _ in range(iters):
+            x = prob.constraint.project(x - eta * (A.T @ (A @ x - b)))
+            iterates.append(x)
+            objectives.append(0.5 * float((A @ x - b) @ (A @ x - b)))
+        assert trace.n_iterations == iters
+        assert np.array_equal(trace.objectives, objectives)
+        assert np.array_equal(trace.iterates, iterates)
+
+
 class TestRunPgd:
     def test_sphere_converges_to_normalized_target(self):
         prob = Problem(np.eye(2), np.array([2.0, 0.0]), SphereConstraint(2))

@@ -15,7 +15,9 @@ next to this script:
   optimal step) at seeds 0, 9, ..., 99;
 * ``verify --suite all`` at seeds 0 to 3;
 * ``analyze`` of one saved file per family (lcls with and without
-  ``x_star``), with no ``--eta`` and with ``--eta 0.01 0.05``.
+  ``x_star``), with no ``--eta`` and with ``--eta 0.01 0.05``;
+* an lcls and a sphere file whose A is square and diagonal with entries other
+  than 0 and 1: ``analyze`` of the lcls file, and ``solve --out`` of both.
 
 Every ``manifest.json``, trace CSV and saved problem file lands under OUTDIR,
 and each command adds ``<name>.stdout``, ``<name>.stderr`` and
@@ -64,6 +66,12 @@ ANALYZE_FILES = (
 )
 ANALYZE_ETAS = ((), ("--eta", "0.01", "0.05"))
 
+# (file name, kind, generator params, seed, solve step) of the diagonal-A files
+DIAGONAL_FILES = (
+    ("lcls_diagonal", "lcls", {"m": 20, "n": 20, "p": 5}, 0, "0.1"),
+    ("sphere_diagonal", "sphere", {"m": 10, "n": 10, "gamma": -0.5}, 0, "0.1"),
+)
+
 
 def _record(outdir, name, call):
     """Run ``call`` with captured output; write its stdout, stderr and exit code."""
@@ -89,7 +97,10 @@ def main(argv=None):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # read once, when numpy loads BLAS below
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    import numpy as np
+
     from pgdlab import applications, cli, empirics, problem_io
+    from pgdlab.engine import Problem
 
     os.makedirs(outdir, exist_ok=True)
 
@@ -127,6 +138,19 @@ def main(argv=None):
         for etas in ANALYZE_ETAS:
             suffix = "_etas" if etas else ""
             run_cli(f"analyze_{name}{suffix}", ["analyze", path, *etas])
+
+    for name, kind, params, seed, eta in DIAGONAL_FILES:
+        path = os.path.join(outdir, f"problem_{name}.json")
+        constraint = empirics.make_instance(kind, params, seed)[0].constraint
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(0.5, 2.0, constraint.n) * rng.choice([-1.0, 1.0], constraint.n)
+        problem = Problem(np.diag(d), rng.standard_normal(constraint.n), constraint)
+        x_star = applications.analyze_problem(problem).x_star if kind == "lcls" else None
+        problem_io.save_problem(path, problem, x_star=x_star)
+        if kind == "lcls":
+            run_cli(f"analyze_{name}", ["analyze", path])
+        run_cli(f"solve_{name}", ["solve", path, "--eta", eta, "--max-iters", "2000",
+                                  "--out", os.path.join(outdir, f"solve_{name}.csv")])
     return 0
 
 
