@@ -9,6 +9,7 @@ from .analysis import (
     eigendecompose,
     exp_integral_e1,
     gradient_contraction,
+    iteration_bound,
     iteration_matrix,
     iterations_to_accuracy,
     optimal_step,

@@ -237,16 +237,13 @@ def transient_offset(rate, error_fraction):
     return float(bracket / (rate * log_inv_rate) + 1.0)
 
 
-def error_fraction(rate, quad, initial_error):
-    """Initial error over the quadratic-term radius (1 - rate) / quad; zero when quad is."""
-    if quad == 0.0:
-        return 0.0
-    return float(quad * initial_error / (1.0 - rate))
-
-
 def certified_offset(rate, quad, initial_error):
-    """Transient offset for a run started at the given distance from the fixed point."""
-    tau = error_fraction(rate, quad, initial_error)
+    """Transient offset for a run started at the given distance from the fixed point.
+
+    Its error fraction is the initial error over the quadratic-term radius
+    (1 - rate) / quad; without a quadratic term the offset is 1.
+    """
+    tau = 0.0 if quad == 0.0 else float(quad * initial_error / (1.0 - rate))
     if tau == 0.0:
         return 1.0
     if tau >= 1.0:
@@ -277,6 +274,13 @@ def iterations_to_accuracy(accuracy, rate, eigvec_condition=1.0, offset=1.0):
     return float(
         (np.log(1.0 / accuracy) + np.log(eigvec_condition)) / np.log(1.0 / rate) + offset
     )
+
+
+def iteration_bound(accuracy, rate, quad, initial_error, eigvec_condition=1.0):
+    """Iterations guaranteeing that a run started ``initial_error`` from the fixed
+    point shrinks its error by the given relative accuracy."""
+    offset = certified_offset(rate, quad, initial_error)
+    return iterations_to_accuracy(accuracy, rate, eigvec_condition, offset)
 
 
 def compressed_rate(A, basis, eta):
@@ -311,11 +315,8 @@ def optimal_step(lam_max, lam_min):
 
 @dataclass
 class ConvergenceReport:
-    """All certified quantities at a fixed point for one step size."""
+    """The certified quantities at a fixed point for one step size."""
 
-    H: np.ndarray
-    eigvec_basis: np.ndarray
-    eigenvalues: np.ndarray
     rate: float
     eigvec_condition: float
     contraction: float
@@ -324,57 +325,37 @@ class ConvergenceReport:
     certified: bool
     symmetric: bool
     diagonalizable: bool
-    radius_x: float
-    radius_z: float
-    curvature_x: float
-    curvature_z: float
-    initial_error: float | None = None
-    error_fraction: float | None = None
-    offset: float | None = None
 
-    def bound(self, accuracy, initial_error=None):
-        """Iteration bound for the given relative accuracy."""
+    def bound(self, accuracy, initial_error):
+        """Iteration bound for the given relative accuracy from ``initial_error``."""
         if not self.certified:
             raise NoCertificateError("no linear convergence certificate (rate >= 1)")
-        if initial_error is None:
-            if self.offset is None:
-                raise ValueError("no initial error supplied")
-            offset = self.offset
-        else:
-            offset = certified_offset(self.rate, self.quad_coeff, initial_error)
-        return iterations_to_accuracy(accuracy, self.rate, self.eigvec_condition, offset)
+        return iteration_bound(
+            accuracy, self.rate, self.quad_coeff, initial_error, self.eigvec_condition
+        )
 
-    def to_json(self, accuracies=()):
-        out = {
+    def to_json(self):
+        return {
             "rate": self.rate,
             "eigvec_condition": self.eigvec_condition,
             "contraction": self.contraction,
             "quad_coeff": self.quad_coeff,
-            "region_radius": _json_float(self.region_radius),
+            "region_radius": json_float(self.region_radius),
             "certified": self.certified,
             "symmetric": self.symmetric,
             "diagonalizable": self.diagonalizable,
-            "initial_error": self.initial_error,
-            "error_fraction": self.error_fraction,
-            "transient_offset": self.offset,
         }
-        if accuracies and self.certified and self.offset is not None:
-            out["iteration_bounds"] = [
-                {"accuracy": float(eps), "bound": self.bound(eps)} for eps in accuracies
-            ]
-        return out
 
 
-def _json_float(v):
+def json_float(v):
+    """A float for JSON: None stays None and an infinity becomes the string "inf"."""
     if v is None:
         return None
     v = float(v)
-    if np.isinf(v):
-        return "inf"
-    return v
+    return "inf" if np.isinf(v) else v
 
 
-def analyze_fixed_point(problem, x_star, eta, initial_error=None):
+def analyze_fixed_point(problem, x_star, eta):
     """Full convergence report for PGD at a fixed point with step ``eta``."""
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -403,11 +384,7 @@ def analyze_fixed_point(problem, x_star, eta, initial_error=None):
             eig.spectral_radius,
             quad,
         )
-
-    report = ConvergenceReport(
-        H=H,
-        eigvec_basis=eig.Q,
-        eigenvalues=eig.eigenvalues,
+    return ConvergenceReport(
         rate=eig.spectral_radius,
         eigvec_condition=eig.eigvec_condition,
         contraction=contraction,
@@ -416,14 +393,4 @@ def analyze_fixed_point(problem, x_star, eta, initial_error=None):
         certified=certified,
         symmetric=eig.symmetric,
         diagonalizable=eig.diagonalizable,
-        radius_x=lin_x.radius,
-        radius_z=lin_z.radius,
-        curvature_x=lin_x.curvature,
-        curvature_z=lin_z.curvature,
     )
-    if initial_error is not None and certified:
-        report.initial_error = float(initial_error)
-        report.error_fraction = error_fraction(report.rate, quad, initial_error)
-        if report.error_fraction < 1.0:
-            report.offset = certified_offset(report.rate, quad, initial_error)
-    return report

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import ata_extremes, contraction_factor, gram_extremes, optimal_step
+from .analysis import ata_extremes, contraction_factor, gram_extremes, json_float, optimal_step
 from .constraints import RANK_CURVATURE, RANK_RTOL, SQRT2, AffineConstraint, LowRankConstraint
 from .constraints import SphereConstraint, coordinate_basis, rank_tangent_basis
 from .engine import Problem
@@ -145,7 +145,7 @@ class ApplicationReport:
             except (NoCertificateError, ValueError):
                 row["rate"] = None
             try:
-                row["region"] = _encode(self.region(eta))
+                row["region"] = json_float(self.region(eta))
             except NoCertificateError:
                 row["region"] = None
             rows.append(row)
@@ -157,7 +157,7 @@ class ApplicationReport:
             "lam_max": self.lam_max,
             "lam_min": self.lam_min,
             "gamma": self.gamma,
-            "eta_max": _encode(self.eta_max),
+            "eta_max": json_float(self.eta_max),
             "eta_opt": self.eta_opt,
             "rho_opt": self.rho_opt,
             "certified": self.certified,
@@ -165,11 +165,6 @@ class ApplicationReport:
             "tangent_dimension": int(self.tangent_basis.shape[1]),
             "rate_table": self.sample(etas),
         }
-
-
-def _encode(v):
-    v = float(v)
-    return "inf" if np.isinf(v) else v
 
 
 def _full_rank(lam_max, lam_min):

@@ -115,7 +115,7 @@ def cmd_analyze(args):
         entry = {"eta": float(eta)}
         try:
             conv = analysis.analyze_fixed_point(problem, x_star, eta)
-            entry["convergence"] = conv.to_json(args.eps)
+            entry["convergence"] = conv.to_json()
             if conv.certified and args.eps:
                 # Bounds need an initial error: half the certified radius. An
                 # unbounded region has no quadratic term, so the start is moot.

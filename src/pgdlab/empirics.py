@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import certified_offset, gram_extremes, iterations_to_accuracy
+from .analysis import gram_extremes, iteration_bound
 from .applications import analyze_problem, mcp_problem
 from .constraints import AffineConstraint, SparsityConstraint, SphereConstraint
 from .engine import ERROR_FLOOR_SCALE, Problem, certify_stationary, run_pgd
@@ -340,17 +340,17 @@ def _bound_checks(report, eta, trace, initial_error):
     rate = report.rate(eta)
     if not 0.0 < rate < 1.0:
         return None
+    quad = report.quad_coefficient(eta)
     try:
-        offset = certified_offset(rate, report.quad_coefficient(eta), initial_error)
+        bounds = [iteration_bound(eps, rate, quad, initial_error) for eps in BOUND_ACCURACIES]
     except NoCertificateError:
         return None
     errors = trace.errors
     checks = []
-    for accuracy in BOUND_ACCURACIES:
+    for accuracy, bound in zip(BOUND_ACCURACIES, bounds):
         target = accuracy * errors[0]
         hit = np.flatnonzero(errors <= target)
         iterations = int(hit[0]) if hit.size else None
-        bound = iterations_to_accuracy(accuracy, rate, 1.0, offset)
         checks.append(
             {
                 "accuracy": accuracy,

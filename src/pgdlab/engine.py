@@ -15,7 +15,6 @@ MEMBERSHIP_TOL = 1e-10
 ERROR_FLOOR_SCALE = 1e-12
 STAGNATION_RTOL = 1e-15
 STAGNATION_RUN = 10
-DENSE_TRACE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,24 +86,14 @@ class Problem:
 
 @dataclass
 class Trace:
-    """Record of a PGD run.
+    """Record of a PGD run: the error and objective of every iterate, and the last iterate."""
 
-    ``errors`` and ``objectives`` are stored for every iteration; the iterate
-    vectors themselves are thinned once the run exceeds DENSE_TRACE_LIMIT
-    iterations.
-    """
-
-    iterate_indices: np.ndarray
-    iterates: np.ndarray
+    final: np.ndarray
     objectives: np.ndarray
     errors: np.ndarray | None
     stop_reason: str
     x0_projected: bool = False
     error_floor: float | None = None
-
-    @property
-    def final(self):
-        return self.iterates[-1]
 
     @property
     def n_iterations(self):
@@ -133,7 +122,7 @@ class StationaryCertificate:
 
 
 def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
-    """Iterate x <- P(x - eta * grad) and record the trajectory.
+    """Iterate x <- P(x - eta * grad), recording errors and objectives.
 
     Stops at ``max_iters``, when the distance to ``x_ref`` falls below
     ``error_floor``, or when the iterate stagnates at machine precision.
@@ -163,13 +152,9 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         if error_floor is None:
             error_floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_ref))
 
-    stride = 1 if max_iters <= DENSE_TRACE_LIMIT else int(np.ceil(max_iters / DENSE_TRACE_LIMIT))
-
     apply, apply_t, b = problem.apply, problem.apply_t, problem.b
     residual = apply(x) - b
 
-    indices = [0]
-    iterates = [x.copy()]
     objectives = [0.5 * float(residual @ residual)]
     errors = None if x_ref is None else [float(np.linalg.norm(x - x_ref))]
 
@@ -193,9 +178,6 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             objectives.append(0.5 * float(residual @ residual))
             if errors is not None:
                 errors.append(float(np.linalg.norm(x - x_ref)))
-            if (k + 1) % stride == 0 or (k + 1) == max_iters:
-                indices.append(k + 1)
-                iterates.append(x.copy())
 
             if errors is not None and errors[-1] < error_floor:
                 stop_reason = "error_floor"
@@ -209,13 +191,8 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             else:
                 stagnant = 0
 
-    if indices[-1] != len(objectives) - 1:
-        indices.append(len(objectives) - 1)
-        iterates.append(x.copy())
-
     return Trace(
-        iterate_indices=np.asarray(indices, dtype=int),
-        iterates=np.asarray(iterates),
+        final=x,
         objectives=np.asarray(objectives),
         errors=None if errors is None else np.asarray(errors),
         stop_reason=stop_reason,

@@ -121,7 +121,7 @@ def test_criterion_2_lcls_rates_and_global_start(bundles):
     )
 
 
-def test_criterion_3_iht_rates_and_support(bundles):
+def test_criterion_3_iht_rates_and_support(bundles, record_projections):
     bundle, elapsed, prob, x_star, rep = bundles["iht"]
     gaps = [run["relative_gap"] for run in bundle["runs"]]
     ok_gaps = all(g <= 0.05 for g in gaps)
@@ -135,10 +135,12 @@ def test_criterion_3_iht_rates_and_support(bundles):
         x_star + 0.9 * radius * direction / np.linalg.norm(direction)
     )
     assert np.linalg.norm(x0 - x_star) < radius
-    trace = run_pgd(prob, eta, x0, max_iters=5000, x_ref=x_star)
     spec = prob.constraint
+    iterates = record_projections(spec)
+    trace = run_pgd(prob, eta, x0, max_iters=5000, x_ref=x_star)
+    assert len(iterates) == trace.n_iterations
     supports_ok = all(
-        np.array_equal(spec.top_support(it), support) for it in trace.iterates
+        np.array_equal(spec.top_support(it), support) for it in [x0, *iterates]
     )
     recovered = np.array_equal(np.flatnonzero(np.abs(trace.final) > 0), support)
     ok = ok_gaps and supports_ok and recovered and elapsed <= 5.0

@@ -289,31 +289,41 @@ class TestFixedPointReport:
         prob, x_star = make_sphere_instance(9, 5, -0.5, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.9 * report.eta_opt
-        conv = analysis.analyze_fixed_point(
-            prob, x_star, eta, initial_error=0.5 * report.region(eta)
-        )
+        conv = analysis.analyze_fixed_point(prob, x_star, eta)
+        initial = 0.5 * report.region(eta)
         assert conv.certified
-        assert 0 < conv.error_fraction < 1
-        assert conv.offset > 1.0
-        assert conv.bound(1e-4) > conv.bound(1e-2)
+        assert 0 < conv.quad_coeff * initial / (1.0 - conv.rate) < 1  # the error fraction
+        offset = analysis.certified_offset(conv.rate, conv.quad_coeff, initial)
+        assert offset > 1.0
+        assert conv.bound(1e-4, initial) > conv.bound(1e-2, initial)
+        assert conv.bound(1e-4, initial) == analysis.iterations_to_accuracy(
+            1e-4, conv.rate, conv.eigvec_condition, offset
+        )
 
     def test_report_carries_eigendata(self):
         prob, x_star = make_sphere_instance(9, 5, -0.5, 6)
         report = analyze_problem(prob, x_star)
-        conv = analysis.analyze_fixed_point(prob, x_star, 0.8 * report.eta_opt)
+        eta = 0.8 * report.eta_opt
+        conv = analysis.analyze_fixed_point(prob, x_star, eta)
+        H = analysis.iteration_matrix(prob, x_star, eta)
+        eig = analysis.eigendecompose(H)
         n = prob.constraint.n
-        np.testing.assert_allclose(
-            conv.eigvec_basis.T @ conv.eigvec_basis, np.eye(n), atol=1e-10
+        np.testing.assert_allclose(eig.Q.T @ eig.Q, np.eye(n), atol=1e-10)
+        assert (conv.rate, conv.eigvec_condition, conv.symmetric, conv.diagonalizable) == (
+            eig.spectral_radius, eig.eigvec_condition, eig.symmetric, eig.diagonalizable
         )
-        assert np.max(np.abs(conv.eigenvalues)) == pytest.approx(conv.rate)
-        recon = conv.eigvec_basis @ np.diag(conv.eigenvalues) @ conv.eigvec_basis.T
-        np.testing.assert_allclose(recon, conv.H, atol=1e-10)
+        assert np.max(np.abs(eig.eigenvalues)) == pytest.approx(conv.rate)
+        recon = eig.Q @ np.diag(eig.eigenvalues) @ eig.Q.T
+        np.testing.assert_allclose(recon, H, atol=1e-10)
 
     def test_json_encodes_infinity(self):
         prob, x_star = make_lcls_instance(10, 7, 2, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(prob, x_star, 0.5 * report.eta_opt,
-                                            initial_error=1.0)
-        doc = conv.to_json([1e-2, 1e-4])
+        conv = analysis.analyze_fixed_point(prob, x_star, 0.5 * report.eta_opt)
+        doc = conv.to_json()
         assert doc["region_radius"] == "inf"
-        assert len(doc["iteration_bounds"]) == 2
+        assert None not in doc.values()
+        # A global certificate has no quadratic term: any start gets the offset 1.
+        assert [conv.bound(eps, initial_error=1.0) for eps in (1e-2, 1e-4)] == [
+            analysis.iterations_to_accuracy(eps, conv.rate) for eps in (1e-2, 1e-4)
+        ]

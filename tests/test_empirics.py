@@ -20,8 +20,7 @@ from pgdlab.errors import RateEstimationError
 def synthetic_trace(errors, floor=0.0):
     errors = np.asarray(errors, dtype=float)
     return Trace(
-        iterate_indices=np.arange(errors.size),
-        iterates=np.zeros((errors.size, 1)),
+        final=np.zeros(1),
         objectives=np.zeros(errors.size),
         errors=errors,
         stop_reason="max_iters",
