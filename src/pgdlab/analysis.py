@@ -61,11 +61,18 @@ def gradient_contraction(A, eta):
 
 
 def _linearized_update(problem, x_star, eta):
-    """H together with the linearizations at the fixed point and its gradient step."""
+    """H together with the linearizations at the fixed point and its gradient step.
+
+    A step at which the gradient step or the norm of H overflows has no
+    certificate.
+    """
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     eta = float(eta)
     grad = problem.gradient(x_star)
-    z = x_star - eta * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x_star - eta * grad
+    if not np.all(np.isfinite(z)):
+        raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
     spec = problem.constraint
     if spec.kind == "sphere":
         multiplier = float(x_star @ grad)
@@ -76,13 +83,19 @@ def _linearized_update(problem, x_star, eta):
             )
     lin_x = spec.linearize(x_star)
     lin_z = spec.linearize(z)
-    if problem.diagonal is None:
-        middle = np.eye(spec.n) - eta * (problem.A.T @ problem.A)
-        return lin_z.matrix @ middle @ lin_x.matrix, lin_x, lin_z
-    # Scaling the columns of dP(z) by the diagonal of I - eta A^T A gives the
-    # bits of the dense product dP(z) (I - eta A^T A).
-    middle = 1.0 - eta * problem.diagonal**2
-    return (lin_z.matrix * middle) @ lin_x.matrix, lin_x, lin_z
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.diagonal is None:
+            middle = np.eye(spec.n) - eta * (problem.A.T @ problem.A)
+            H = lin_z.matrix @ middle @ lin_x.matrix
+        else:
+            # Scaling the columns of dP(z) by the diagonal of I - eta A^T A gives
+            # the bits of the dense product dP(z) (I - eta A^T A).
+            middle = 1.0 - eta * problem.diagonal**2
+            H = (lin_z.matrix * middle) @ lin_x.matrix
+        finite = np.isfinite(np.linalg.norm(H))
+    if not finite:
+        raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
+    return H, lin_x, lin_z
 
 
 def iteration_matrix(problem, x_star, eta):
@@ -360,8 +373,10 @@ def analyze_fixed_point(problem, x_star, eta):
     if eta <= 0:
         raise ValueError("eta must be positive")
     H, lin_x, lin_z = _linearized_update(problem, x_star, eta)
-    eig = eigendecompose(H)
     contraction = contraction_factor(*problem.ata_extremes(), eta)
+    if not np.isfinite(contraction):
+        raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")
+    eig = eigendecompose(H)
     if eig.diagonalizable:
         quad = quadratic_coefficient(
             eig.eigvec_condition,

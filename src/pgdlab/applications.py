@@ -83,20 +83,24 @@ class ApplicationReport:
 
     def _fixed_point_scale(self, eta):
         """1 - eta*gamma: the gradient step at x* is this multiple of x* plus a
-        tangent part (1 without a multiplier)."""
-        return 1.0 - eta * (self.gamma or 0.0)
+        tangent part (1 without a multiplier). No certificate where it is not
+        positive, or where it overflows."""
+        scale = 1.0 - eta * (self.gamma or 0.0)
+        if scale <= 0:
+            raise NoCertificateError(
+                f"{self.kind}: not a fixed point at eta={eta:g} (1 - eta*gamma <= 0)"
+            )
+        if scale == np.inf:
+            raise NoCertificateError(f"{self.kind}: 1 - eta*gamma overflows at eta={eta:g}")
+        return scale
 
     def rate(self, eta):
         """Asymptotic linear rate at step ``eta``."""
         eta = float(eta)
         if eta <= 0:
             raise ValueError("eta must be positive")
-        scale = self._fixed_point_scale(eta)
-        if scale <= 0:
-            raise NoCertificateError(
-                f"{self.kind}: not a fixed point at eta={eta:g} (1 - eta*gamma <= 0)"
-            )
-        return float(contraction_factor(self.lam_max, self.lam_min, eta) / scale)
+        return float(contraction_factor(self.lam_max, self.lam_min, eta)
+                     / self._fixed_point_scale(eta))
 
     def quad_coefficient(self, eta):
         """Coefficient of the squared error in the one-step error recursion."""
@@ -141,7 +145,7 @@ class ApplicationReport:
             eta = float(eta)
             row = {"eta": eta, "admissible": self.admissible(eta)}
             try:
-                row["rate"] = self.rate(eta)
+                row["rate"] = json_float(self.rate(eta))
             except (NoCertificateError, ValueError):
                 row["rate"] = None
             try:

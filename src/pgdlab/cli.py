@@ -42,13 +42,16 @@ EXIT_VERIFY = 3
 
 
 def _default_seed():
-    raw = os.environ.get("PGDLAB_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"PGDLAB_SEED must be an integer, got {raw!r}")
+    raw = os.environ.get("PGDLAB_SEED", "0")
+    if not raw.strip().isdecimal():
+        raise SystemExit(f"PGDLAB_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def _require_seed(seed):
+    """numpy accepts only non-negative seeds; reject a negative one as an input error."""
+    if seed < 0:
+        raise ProblemFileError("--seed", f"must be a non-negative integer, got {seed}")
 
 
 def _require_positive(flag, *values):
@@ -66,7 +69,10 @@ def cmd_solve(args):
     _require_positive("--max-iters", args.max_iters)
     if args.tol is not None:
         _require_positive("--tol", args.tol)
+    _require_seed(args.seed)
     problem, x_star, x0 = load_problem(args.problem)
+    if args.tol is not None and x_star is None:
+        raise ProblemFileError("--tol", "the problem file has no x_star to measure the error to")
     if x0 is None:
         rng = np.random.default_rng(args.seed)
         x0 = problem.constraint.random_member(rng)
@@ -165,6 +171,7 @@ def cmd_experiment(args):
         raise ProblemFileError("flags", f"{args.kind} needs --" + ", --".join(missing))
     _require_positive("--etas", *(args.etas or ()))
     _require_positive("--max-iters", args.max_iters)
+    _require_seed(args.seed)
 
     bundle = run_experiment(
         args.kind,
@@ -181,7 +188,7 @@ def cmd_experiment(args):
         gap = run.get("relative_gap")
         flag = "" if run["admissible"] else "  [no certificate]"
         parts = [f"eta={eta:g}"]
-        parts.append(f"rate={rho:.6f}" if rho is not None else "rate=n/a")
+        parts.append(f"rate={float(rho):.6f}" if rho is not None else "rate=n/a")
         parts.append(f"measured={rho_hat:.6f}" if rho_hat is not None else "measured=n/a")
         if gap is not None:
             parts.append(f"gap={100 * gap:.2f}%")
@@ -194,6 +201,7 @@ def cmd_experiment(args):
 
 
 def cmd_verify(args):
+    _require_seed(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     failures = [r for r in results if not r.ok]

@@ -302,8 +302,9 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
             row["rho_hat"] = None
             row["estimate_error"] = str(exc)
 
+        # float() decodes the "inf" rate of an overflowing step, which has no gap.
         theory = row["theoretical_rate"]
-        if theory is not None and theory > 0 and row.get("rho_hat") is not None:
+        if theory is not None and 0 < float(theory) < np.inf and row.get("rho_hat") is not None:
             row["relative_gap"] = abs(row["rho_hat"] - theory) / theory
 
         if row["admissible"]:
@@ -337,11 +338,11 @@ def _bound_checks(report, eta, trace, initial_error):
     eigenvector condition number is one and the error fraction is the initial
     error over the quadratic-term radius).
     """
-    rate = report.rate(eta)
-    if not 0.0 < rate < 1.0:
-        return None
-    quad = report.quad_coefficient(eta)
     try:
+        rate = report.rate(eta)
+        if not 0.0 < rate < 1.0:
+            return None
+        quad = report.quad_coefficient(eta)
         bounds = [iteration_bound(eps, rate, quad, initial_error) for eps in BOUND_ACCURACIES]
     except NoCertificateError:
         return None

@@ -316,6 +316,19 @@ class TestFixedPointReport:
         recon = eig.Q @ np.diag(eig.eigenvalues) @ eig.Q.T
         np.testing.assert_allclose(recon, H, atol=1e-10)
 
+    def test_overflowing_contraction_refused(self):
+        # A^T A near rank one: eta * lam_max overflows while every entry of
+        # eta * A^T A, and so H, stays finite.
+        rng = np.random.default_rng(0)
+        A = 0.2 * np.ones((12, 10)) + 0.01 * rng.standard_normal((12, 10))
+        x_star = rng.standard_normal(10)
+        x_star /= np.linalg.norm(x_star)
+        b = A @ x_star + 0.5 * (A @ np.linalg.solve(A.T @ A, x_star))
+        prob = Problem(A, b, SphereConstraint(10))
+        assert np.isfinite(np.linalg.norm(analysis.iteration_matrix(prob, x_star, 1e308)))
+        with pytest.raises(NoCertificateError, match="contraction factor overflows"):
+            analysis.analyze_fixed_point(prob, x_star, 1e308)
+
     def test_json_encodes_infinity(self):
         prob, x_star = make_lcls_instance(10, 7, 2, 5)
         report = analyze_problem(prob)

@@ -162,6 +162,14 @@ class TestSphere:
         with pytest.raises(NoCertificateError):
             report.region(0.1)
 
+    def test_quad_coefficient_refused_past_the_fixed_point_step(self):
+        prob, x_star = make_sphere_instance(12, 6, 0.3, 0)
+        report = analyze_problem(prob, x_star)
+        for factor in (1.0, 3.0):  # 1 - eta*gamma is zero, then negative
+            with pytest.raises(NoCertificateError, match="not a fixed point"):
+                report.quad_coefficient(factor / report.gamma)
+        assert report.quad_coefficient(0.5 / report.gamma) > 0.0
+
     def test_conditions_imply_fixed_point_scaling(self):
         # Sampled check: certificate conditions force 1 - eta*gamma > 0.
         rng = np.random.default_rng(11)
@@ -350,7 +358,10 @@ def _old_quad(report, eta):
         return 0.0
     u = report.contraction(eta)
     if report.kind == "sphere":
-        t = u / (1.0 - eta * report.gamma)
+        scale = 1.0 - eta * report.gamma
+        if scale <= 0:
+            raise NoCertificateError("sphere: not a fixed point")
+        t = u / scale
         return float(2.0 * (t**2 + t))
     return float(RANK_CURVATURE * (u**2 + u))
 
@@ -372,7 +383,7 @@ def _outcome(fn, eta):
     """The value, or the exception type, so that raising cases compare too."""
     try:
         return fn(eta)
-    except (NoCertificateError, ZeroDivisionError) as exc:
+    except NoCertificateError as exc:
         return type(exc)
 
 

@@ -7,7 +7,12 @@ import pytest
 from pgdlab.analysis import iterations_to_accuracy
 from pgdlab.applications import analyze_problem
 from pgdlab.cli import main
-from pgdlab.empirics import make_iht_instance, make_lcls_instance, make_sphere_instance
+from pgdlab.empirics import (
+    make_iht_instance,
+    make_instance,
+    make_lcls_instance,
+    make_sphere_instance,
+)
 from pgdlab.errors import ProblemFileError
 from pgdlab.problem_io import load_problem, save_problem
 
@@ -193,6 +198,14 @@ class TestSolveCommand:
         assert code == 1
         assert f"error: {name}:" in capsys.readouterr().err
 
+    def test_tol_without_x_star_exit_one(self, tmp_path, capsys):
+        prob, _ = make_lcls_instance(10, 7, 2, 1)
+        path = tmp_path / "no_x_star.json"
+        save_problem(path, prob)
+        code = main(["solve", str(path), "--eta", "0.02", "--tol", "1e-8"])
+        assert code == 1
+        assert "error: --tol:" in capsys.readouterr().err
+
     def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
         code = main(["solve", str(nan_x_star_file), "--eta", "0.01"])
         assert code == 1
@@ -347,6 +360,32 @@ class TestAnalyzeCommand:
                 assert "iteration_bounds" not in entry
                 assert "rate 0" in entry["no_bound"]
 
+    @pytest.mark.parametrize(
+        "kind, params, eta",
+        [("lcls", {"m": 30, "n": 20, "p": 5}, "1e308"),
+         ("lcls", {"m": 30, "n": 20, "p": 5}, "1e305"),
+         ("iht", {"m": 50, "n": 100, "s": 5}, "1e308"),
+         ("sphere", {"m": 15, "n": 10, "gamma": -0.5}, "1e308"),
+         ("sphere", {"m": 15, "n": 10, "gamma": -3.0}, "1e308")],
+        ids=["lcls_1e308", "lcls_1e305", "iht_1e308", "sphere_1e308", "sphere_gamma_-3_1e308"],
+    )
+    def test_overflowing_step_gets_no_certificate(self, tmp_path, capsys, kind, params, eta):
+        prob, x_star = make_instance(kind, params, 0)
+        path = tmp_path / f"{kind}.json"
+        save_problem(path, prob, x_star=x_star)
+        assert main(["analyze", str(path), "--eta", "0.01"]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy warning fails the test
+            code = main(["analyze", str(path), "--eta", "0.01", eta])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        doc = json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+        kept, overflowing = doc["etas"]
+        assert kept == alone["etas"][0]
+        assert overflowing["convergence"] is None and "overflows" in overflowing["no_certificate"]
+        assert doc["application"]["rate_table"][0] == alone["application"]["rate_table"][0]
+
     def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
         code = main(["analyze", str(nan_x_star_file)])
         assert code == 1
@@ -411,6 +450,15 @@ class TestExperimentCommand:
         assert code == 1
         assert f"error: {name}:" in capsys.readouterr().err
 
+    def test_overflowing_rate_written_as_inf(self, tmp_path, capsys):
+        code = main(["experiment", "lcls", "--m", "30", "--n", "20", "--p", "5",
+                     "--etas", "1e308", "--outdir", str(tmp_path)])
+        assert code == 0
+        assert "rate=inf" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=pytest.fail)
+        assert manifest["runs"][0]["theoretical_rate"] == "inf"
+        assert manifest["application"]["rate_table"][0]["rate"] == "inf"
+
     def test_bad_generator_size_exit_one(self, capsys):
         code = main(["experiment", "iht", "--m", "10", "--n", "20", "--s", "25"])
         assert code == 1
@@ -472,6 +520,13 @@ class TestVerifyCommand:
         args = build_parser().parse_args(["verify", "--suite", "projections"])
         assert args.seed == 123
 
+    @pytest.mark.parametrize("raw", ["-1", "seven"])
+    def test_bad_env_seed_exit_one(self, monkeypatch, raw):
+        monkeypatch.setenv("PGDLAB_SEED", raw)
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "projections"])
+        assert "PGDLAB_SEED" in str(info.value.code) and "non-negative" in str(info.value.code)
+
     def test_outputs_are_machine_readable(self, tmp_path):
         # Round-trip: analyze JSON and solve CSV parse back cleanly.
         prob, x_star = make_lcls_instance(10, 7, 2, 11)
@@ -489,3 +544,18 @@ class TestVerifyCommand:
         for row in rows[1:]:
             k, err, obj = row.split(",")
             int(k), float(err), float(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{path}", "--eta", "0.02", "--seed", "-3"],
+     ["experiment", "lcls", "--m", "12", "--n", "8", "--p", "3", "--seed", "-1"],
+     ["verify", "--suite", "projections", "--seed", "-1"]],
+    ids=["solve", "experiment", "verify"],
+)
+def test_negative_seed_exit_one(lcls_file, capsys, argv):
+    path, _, _ = lcls_file
+    code = main([arg.format(path=path) for arg in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: --seed:" in err and "non-negative" in err
