@@ -5,7 +5,8 @@ the linearized update matrix is
 
     H = dP(z) (I - eta A^T A) dP(x*).
 
-Its spectral radius is the asymptotic linear rate; together with the
+Its spectral radius is the asymptotic linear rate, read off the k x k
+compression of H onto the tangent space of dimension k; together with the
 linearization constants of the projection at x* and z it yields the radius of
 the ball around x* inside which linear convergence is certified, and an
 explicit bound on the number of iterations needed to reach a relative
@@ -60,11 +61,11 @@ def gradient_contraction(A, eta):
     return contraction_factor(*ata_extremes(A), eta)
 
 
-def _linearized_update(problem, x_star, eta):
-    """H together with the linearizations at the fixed point and its gradient step.
+def _linearizations(problem, x_star, eta):
+    """The projection derivatives at the fixed point and at its gradient step.
 
-    A step at which the gradient step or the norm of H overflows has no
-    certificate.
+    A step at which the gradient step overflows has no certificate; on the
+    sphere a step with 1 - eta*gamma <= 0 leaves the fixed-point domain.
     """
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     eta = float(eta)
@@ -81,27 +82,51 @@ def _linearized_update(problem, x_star, eta):
                 "sphere: fixed-point condition violated "
                 f"(1 - eta*gamma = {1.0 - eta * multiplier:.3e} <= 0)"
             )
-    lin_x = spec.linearize(x_star)
-    lin_z = spec.linearize(z)
+    return spec.linearize(x_star), spec.linearize(z)
+
+
+def _refuse_overflow(M, eta):
+    """M itself, unless its norm overflows: such a step has no certificate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.linalg.norm(M))
+    if not finite:
+        raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
+    return M
+
+
+def _dense_update(problem, lin_x, lin_z, eta):
+    """H = dP(z) (I - eta A^T A) dP(x*), an n x n matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
         if problem.diagonal is None:
-            middle = np.eye(spec.n) - eta * (problem.A.T @ problem.A)
+            middle = np.eye(problem.constraint.n) - eta * (problem.A.T @ problem.A)
             H = lin_z.matrix @ middle @ lin_x.matrix
         else:
             # Scaling the columns of dP(z) by the diagonal of I - eta A^T A gives
             # the bits of the dense product dP(z) (I - eta A^T A).
             middle = 1.0 - eta * problem.diagonal**2
             H = (lin_z.matrix * middle) @ lin_x.matrix
-        finite = np.isfinite(np.linalg.norm(H))
-    if not finite:
-        raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
-    return H, lin_x, lin_z
+    return _refuse_overflow(H, eta)
+
+
+def _compressed_update(problem, lin_x, lin_z, eta):
+    """C = s_z s_x (B_x^T B_z)(B_z^T G B_x) with G = I - eta A^T A, a k x k matrix.
+
+    H = (s_z B_z)(B_z^T G B_x s_x B_x^T) and C is the same product taken in
+    the other order, so C has the nonzero eigenvalues of H (Horn & Johnson,
+    Matrix Analysis, Thm 1.3.22). G is applied to B_x through ``problem``, so
+    no n x n array is formed.
+    """
+    B_x, B_z = lin_x.basis, lin_z.basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        GB_x = B_x - eta * problem.apply_t(problem.apply(B_x))
+        C = (lin_z.scale * lin_x.scale) * ((B_x.T @ B_z) @ (B_z.T @ GB_x))
+    return _refuse_overflow(C, eta)
 
 
 def iteration_matrix(problem, x_star, eta):
     """Linearized PGD update matrix at a fixed point x* with step eta."""
-    H, _, _ = _linearized_update(problem, x_star, eta)
-    return H
+    lin_x, lin_z = _linearizations(problem, x_star, eta)
+    return _dense_update(problem, lin_x, lin_z, float(eta))
 
 
 @dataclass(frozen=True)
@@ -369,14 +394,23 @@ def json_float(v):
 
 
 def analyze_fixed_point(problem, x_star, eta):
-    """Full convergence report for PGD at a fixed point with step ``eta``."""
+    """Full convergence report for PGD at a fixed point with step ``eta``.
+
+    The spectrum comes from the k x k compressed update. Where that matrix is
+    symmetric (at a fixed point span B_z = span B_x) its eigenvectors are
+    orthonormal, as H's are; otherwise H's eigenvector condition number enters
+    the quadratic coefficient, so the dense H is eigensolved instead.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    H, lin_x, lin_z = _linearized_update(problem, x_star, eta)
+    eta = float(eta)
     contraction = contraction_factor(*problem.ata_extremes(), eta)
     if not np.isfinite(contraction):
         raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")
-    eig = eigendecompose(H)
+    lin_x, lin_z = _linearizations(problem, x_star, eta)
+    eig = eigendecompose(_compressed_update(problem, lin_x, lin_z, eta))
+    if not eig.symmetric:
+        eig = eigendecompose(_dense_update(problem, lin_x, lin_z, eta))
     if eig.diagonalizable:
         quad = quadratic_coefficient(
             eig.eigvec_condition,

@@ -262,14 +262,19 @@ class SparsityConstraint(Constraint):
 
 
 class SphereConstraint(Constraint):
-    """Unit sphere {x : ||x|| = 1}; the origin projects to the first basis vector."""
+    """Unit sphere {x : ||x|| = 1} in R^n, n >= 2.
+
+    The origin projects to the first basis vector.
+    """
 
     kind = "sphere"
 
     def __init__(self, n):
         n = int(n)
-        if n < 1:
-            raise ValueError("n must be positive")
+        if n < 2:
+            raise ValueError(
+                f"need n >= 2, got n={n}: the sphere in R^1 is two points with no tangent space"
+            )
         self.n = n
 
     def project(self, x):

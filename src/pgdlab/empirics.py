@@ -135,6 +135,8 @@ def make_sphere_instance(m, n, gamma, seed):
     which is what certifies the solution as a strict local minimum.
     """
     _require_sizes("sphere", m=m, n=n)
+    if n < 2:
+        raise ValueError(f"sphere: need n >= 2, the sphere in R^1 has no tangent space (n={n})")
     if not np.isfinite(gamma):
         raise ValueError(f"sphere: gamma must be finite (gamma={gamma})")
     if m < n:

@@ -60,14 +60,19 @@ class Problem:
         return self.A.shape
 
     # On a finite x the dense product with a diagonal A adds exact zeros to
-    # d_i * x_i, so the entrywise product gives the same bits.
+    # d_i * x_i, so the entrywise product gives the same bits. A block of
+    # columns has its rows scaled.
     def apply(self, x):
-        """A @ x."""
-        return self.A @ x if self.diagonal is None else self.diagonal * x
+        """A @ x for a vector or a block of columns."""
+        if self.diagonal is None:
+            return self.A @ x
+        return self.diagonal * x if np.ndim(x) < 2 else self.diagonal[:, None] * x
 
     def apply_t(self, r):
-        """A^T @ r."""
-        return self.A.T @ r if self.diagonal is None else self.diagonal * r
+        """A^T @ r for a vector or a block of columns."""
+        if self.diagonal is None:
+            return self.A.T @ r
+        return self.diagonal * r if np.ndim(r) < 2 else self.diagonal[:, None] * r
 
     def ata_extremes(self):
         """Largest and smallest eigenvalues of A^T A (see analysis.ata_extremes)."""

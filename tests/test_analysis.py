@@ -4,8 +4,8 @@ from scipy.integrate import quad
 
 from pgdlab import analysis
 from pgdlab.applications import analyze_problem
-from pgdlab.constraints import AffineConstraint, SphereConstraint
-from pgdlab.empirics import make_lcls_instance, make_sphere_instance
+from pgdlab.constraints import AffineConstraint, Linearization, SphereConstraint
+from pgdlab.empirics import make_instance, make_lcls_instance, make_sphere_instance
 from pgdlab.engine import Problem
 from pgdlab.errors import ConstraintDomainError, NoCertificateError
 
@@ -309,8 +309,11 @@ class TestFixedPointReport:
         eig = analysis.eigendecompose(H)
         n = prob.constraint.n
         np.testing.assert_allclose(eig.Q.T @ eig.Q, np.eye(n), atol=1e-10)
-        assert (conv.rate, conv.eigvec_condition, conv.symmetric, conv.diagonalizable) == (
-            eig.spectral_radius, eig.eigvec_condition, eig.symmetric, eig.diagonalizable
+        # The report's rate comes from the compressed k x k update: the same
+        # spectrum as H, computed in another order.
+        assert abs(conv.rate - eig.spectral_radius) <= 1e-12 * eig.spectral_radius
+        assert (conv.eigvec_condition, conv.symmetric, conv.diagonalizable) == (
+            eig.eigvec_condition, eig.symmetric, eig.diagonalizable
         )
         assert np.max(np.abs(eig.eigenvalues)) == pytest.approx(conv.rate)
         recon = eig.Q @ np.diag(eig.eigenvalues) @ eig.Q.T
@@ -340,3 +343,53 @@ class TestFixedPointReport:
         assert [conv.bound(eps, initial_error=1.0) for eps in (1e-2, 1e-4)] == [
             analysis.iterations_to_accuracy(eps, conv.rate) for eps in (1e-2, 1e-4)
         ]
+
+
+class TestCompressedCertificate:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("lcls", {"m": 12, "n": 8, "p": 3}), ("iht", {"m": 16, "n": 32, "s": 4}),
+         ("sphere", {"m": 12, "n": 6, "gamma": 0.3}),
+         ("sphere", {"m": 12, "n": 6, "gamma": -0.4}),
+         ("mcp", {"m": 6, "n": 5, "r": 2, "s": 24})],
+        ids=["lcls", "iht", "sphere_pos", "sphere_neg", "mcp"],
+    )
+    def test_fixed_point_never_forms_a_dense_projector(self, monkeypatch, kind, params):
+        prob, x_star = make_instance(kind, params, 3)
+        x_star = x_star.reshape(-1, order="F")
+        report = analyze_problem(prob, x_star)
+        etas = [f * report.eta_opt for f in (0.5, 1.0)]
+        dense = [analysis.eigendecompose(analysis.iteration_matrix(prob, x_star, eta))
+                 for eta in etas]
+
+        def refuse(self):
+            raise AssertionError("Linearization.matrix read on the compressed path")
+
+        monkeypatch.setattr(Linearization, "matrix", property(refuse))
+        for eta, eig in zip(etas, dense):
+            conv = analysis.analyze_fixed_point(prob, x_star, eta)
+            assert conv.symmetric and conv.eigvec_condition == 1.0
+            assert abs(conv.rate - eig.spectral_radius) <= 1e-12 * (1.0 + eig.spectral_radius)
+
+    def test_non_stationary_sphere_point_uses_the_dense_update(self):
+        # Off a fixed point span B_z != span B_x: the compressed update is not
+        # symmetric and its eigenvectors are not H's, so H is eigensolved.
+        prob, _ = make_sphere_instance(9, 5, -0.5, 6)
+        x = prob.constraint.random_member(np.random.default_rng(0))
+        eta = 0.1
+        conv = analysis.analyze_fixed_point(prob, x, eta)
+        eig = analysis.eigendecompose(analysis.iteration_matrix(prob, x, eta))
+        assert not eig.symmetric and eig.eigvec_condition > 1.0
+        assert (conv.rate, conv.eigvec_condition, conv.symmetric, conv.diagonalizable) == (
+            eig.spectral_radius, eig.eigvec_condition, eig.symmetric, eig.diagonalizable
+        )
+
+    def test_block_apply_scales_rows_of_a_diagonal_a(self):
+        rng = np.random.default_rng(8)
+        d = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+        prob = Problem(np.diag(d), np.zeros(5), SphereConstraint(5))
+        block = rng.standard_normal((5, 3))
+        for apply in (prob.apply, prob.apply_t):
+            assert np.array_equal(apply(block), np.diag(d) @ block)
+            for j in range(3):
+                assert np.array_equal(apply(block)[:, j], apply(block[:, j]))

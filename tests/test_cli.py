@@ -405,6 +405,17 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "error: --eps:" in capsys.readouterr().err
 
+    def test_one_dimensional_sphere_exit_one(self, tmp_path, capsys):
+        # The sphere in R^1 has no tangent space: refused at the file, not
+        # left to crash the closed-form analysis.
+        path = tmp_path / "sphere1.json"
+        path.write_text(json.dumps({"A": [[2.0]], "b": [1.0], "constraint": {"type": "sphere"},
+                                    "x_star": [1.0]}))
+        code = main(["analyze", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: constraint:" in err and "Traceback" not in err
+
     def test_missing_x_star_exit_one(self, tmp_path, capsys):
         prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
         path = tmp_path / "sphere.json"
@@ -469,8 +480,9 @@ class TestExperimentCommand:
         [(["lcls", "--m", "0", "--n", "5", "--p", "2"], "m=0"),
          (["iht", "--m", "0", "--n", "5", "--s", "2"], "m=0"),
          (["mcp", "--m", "5", "--n", "4", "--r", "0", "--s", "10"], "r=0"),
-         (["sphere", "--m", "5", "--n", "4", "--gamma", "nan"], "gamma=nan")],
-        ids=["lcls_m_zero", "iht_m_zero", "mcp_r_zero", "sphere_gamma_nan"],
+         (["sphere", "--m", "5", "--n", "4", "--gamma", "nan"], "gamma=nan"),
+         (["sphere", "--m", "3", "--n", "1"], "n=1")],
+        ids=["lcls_m_zero", "iht_m_zero", "mcp_r_zero", "sphere_gamma_nan", "sphere_n_one"],
     )
     def test_bad_generator_input_exit_one_quietly(self, capsys, argv, name):
         with warnings.catch_warnings():

@@ -5,6 +5,7 @@ import pytest
 
 from pgdlab.constraints import (
     AffineConstraint,
+    Linearization,
     LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
@@ -83,6 +84,11 @@ class TestProject:
         spec = SphereConstraint(2)
         with pytest.raises(ValueError):
             spec.project([np.nan, 1.0])
+
+    def test_sphere_needs_two_dimensions(self):
+        # The sphere in R^1 is two points: it has no tangent space.
+        with pytest.raises(ValueError, match="n >= 2"):
+            SphereConstraint(1)
 
     def test_affine_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
@@ -196,8 +202,9 @@ class TestTangentBasisContract:
             np.testing.assert_allclose(lin.apply(v), lin.matrix @ v, rtol=0, atol=1e-12)
 
     def test_empty_basis_has_zero_norm(self):
-        lin = SphereConstraint(1).linearize([-3.0])
-        assert lin.basis.shape == (1, 0)
+        # No family has an empty tangent space (the sphere needs n >= 2), so
+        # the empty derivative is built directly.
+        lin = Linearization(np.zeros((1, 0)), np.inf, 0.0)
         assert lin.operator_norm() == 0.0
         np.testing.assert_array_equal(lin.apply([2.0]), [0.0])
 

@@ -103,13 +103,14 @@ class TestGenerators:
             (make_lcls_instance, (5, 0, 2, 0), {}, "n"),
             (make_iht_instance, (0, 20, 2, 0), {}, "m"),
             (make_sphere_instance, (5, 0, -0.5, 0), {}, "n"),
+            (make_sphere_instance, (5, 1, -0.5, 0), {}, "n"),
             (make_sphere_instance, (5, 4, np.nan, 0), {}, "gamma"),
             (make_mcp_instance, (0, 4, 1, 2, 0), {}, "m"),
             (make_mcp_instance, (5, 4, 0, 10, 0), {}, "r"),
         ],
         ids=["iht_s_above_n", "iht_s_zero", "iht_residual_s_above_m", "sphere_m_below_n",
-             "lcls_m_zero", "lcls_n_zero", "iht_m_zero", "sphere_n_zero", "sphere_gamma_nan",
-             "mcp_m_zero", "mcp_r_zero"],
+             "lcls_m_zero", "lcls_n_zero", "iht_m_zero", "sphere_n_zero", "sphere_n_one",
+             "sphere_gamma_nan", "mcp_m_zero", "mcp_r_zero"],
     )
     def test_bad_sizes_rejected_before_drawing(self, make, args, kwargs, name):
         with pytest.raises(ValueError, match=rf"\b{name}="):

@@ -25,12 +25,23 @@ and each command adds ``<name>.stdout``, ``<name>.stderr`` and
 results when ``diff -r`` of their OUTDIRs is empty. To compare against a
 commit that predates this script, copy the script into that checkout's
 ``tools/`` first.
+
+Compare two such directories with::
+
+    python tools/artifacts.py --compare OLD NEW
+
+A ``.stdout`` file holding JSON must keep its keys and every value that is not
+a float; each other file must be byte-identical (a text file that is not
+shows its changed lines). The report ends with the largest relative change of
+a float under each key. It exits 0 when only floats moved, else 1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
+import json
 import os
 import sys
 import traceback
@@ -88,8 +99,97 @@ def _record(outdir, name, call):
             fh.write(text.replace(outdir, "OUTDIR"))
 
 
+def _files(root):
+    """Paths of every file under ``root``, relative to it."""
+    return {
+        os.path.relpath(os.path.join(folder, name), root)
+        for folder, _, names in os.walk(root)
+        for name in names
+    }
+
+
+def _json_stdout(path):
+    """The parsed document of a JSON ``.stdout`` file, else None."""
+    if not path.endswith(".stdout"):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError:
+            return None
+
+
+def _walk(old, new, key, drift, where):
+    """Compare two JSON values: record float changes per key in ``drift``,
+    return the first place where the keys or a non-float value differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return f"{where}: keys {sorted(old)} != {sorted(new)}"
+        pairs = [(old[k], new[k], k, f"{where}.{k}") for k in old]
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return f"{where}: {len(old)} items != {len(new)}"
+        pairs = [(a, b, key, f"{where}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    elif type(old) is float and type(new) is float:
+        change = 0.0 if old == new else abs(new - old) / max(abs(old), abs(new))
+        drift[key] = max(drift.get(key, 0.0), change)
+        return None
+    elif type(old) is not type(new) or old != new:
+        return f"{where}: {old!r} != {new!r}"
+    else:
+        return None
+    for a, b, k, place in pairs:
+        bad = _walk(a, b, k, drift, place)
+        if bad is not None:
+            return bad
+    return None
+
+
+def compare(old_dir, new_dir):
+    """Report how the artifact set in ``new_dir`` differs from ``old_dir``."""
+    old_files, new_files = _files(old_dir), _files(new_dir)
+    failed = False
+    for label, names in (("only in OLD", old_files - new_files),
+                         ("only in NEW", new_files - old_files)):
+        for name in sorted(names):
+            print(f"{label}: {name}")
+            failed = True
+    drift = {}
+    float_only = []
+    for name in sorted(old_files & new_files):
+        old_path, new_path = os.path.join(old_dir, name), os.path.join(new_dir, name)
+        with open(old_path, "rb") as fa, open(new_path, "rb") as fb:
+            old_bytes, new_bytes = fa.read(), fb.read()
+        if old_bytes == new_bytes:
+            continue
+        old_doc, new_doc = _json_stdout(old_path), _json_stdout(new_path)
+        if old_doc is not None and new_doc is not None:
+            bad = _walk(old_doc, new_doc, "$", drift, "$")
+            if bad is None:
+                float_only.append(name)
+                continue
+            print(f"differs: {name}: {bad}")
+        else:
+            print(f"differs: {name}")
+            try:
+                lines = difflib.unified_diff(
+                    old_bytes.decode("utf-8").splitlines(),
+                    new_bytes.decode("utf-8").splitlines(), lineterm="", n=0)
+                print("\n".join(f"    {line}" for line in list(lines)[2:]))
+            except UnicodeDecodeError:
+                pass
+        failed = True
+    print(f"{len(old_files & new_files)} files in both; floats moved in {len(float_only)} "
+          f"JSON stdout files: {', '.join(float_only) or 'none'}")
+    for key in sorted(drift):
+        print(f"largest relative change of {key}: {drift[key]:.2e}")
+    return 1 if failed else 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
