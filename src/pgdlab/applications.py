@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import ata_extremes, contraction_factor, gram_extremes, json_float, optimal_step
-from .constraints import RANK_CURVATURE, RANK_RTOL, SQRT2, AffineConstraint, LowRankConstraint
-from .constraints import SphereConstraint, coordinate_basis, rank_tangent_basis
+from .analysis import contraction_factor, gram_extremes, json_float, optimal_step
+from .constraints import RANK_CURVATURE, RANK_RTOL, SQRT2, LowRankConstraint, coordinate_basis
+from .constraints import rank_tangent_basis
 from .engine import Problem
 from .errors import NoCertificateError, StationarityError
 
@@ -176,45 +176,45 @@ def _full_rank(lam_max, lam_min):
     return lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
 
-def analyze_lcls(A, b, C, d):
+def analyze_lcls(problem):
     """Equality-constrained least squares: min 0.5||Ax-b||^2 s.t. Cx = d.
 
     Also computes the constrained solution by solving the normal equations in
     the coordinates of the constraint's null-space basis; the certificate is
     global, so the region is unbounded.
     """
-    constraint = AffineConstraint(C, d)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    constraint = problem.constraint
     basis = constraint.null_basis
-    AB = A @ basis
+    # A diagonal A scales the rows of the transposed null basis in F order;
+    # in C order AB.T @ rhs rounds as with the dense product.
+    AB = np.ascontiguousarray(problem.apply(basis))
     lam_max, lam_min = gram_extremes(AB)
     full_rank = _full_rank(lam_max, lam_min)
 
     K = AB.T @ AB
-    rhs = AB.T @ (b - A @ constraint.offset)
+    rhs = AB.T @ (problem.b - problem.apply(constraint.offset))
     if full_rank:
         y = np.linalg.solve(K, rhs)
     else:
         y = np.linalg.lstsq(K, rhs, rcond=None)[0]
     x_star = basis @ y + constraint.offset
     return ApplicationReport(
-        "lcls", basis, lam_max, lam_min, x_star, ata_extremes(A),
-        full_rank=full_rank, details={"constraint": constraint},
+        "lcls", basis, lam_max, lam_min, x_star, problem.ata_extremes(), full_rank=full_rank,
     )
 
 
-def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
+def analyze_iht(problem, x_star, tol=STATIONARITY_TOL):
     """Sparse recovery by hard thresholding around a stationary s-sparse point."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
     support = np.flatnonzero(x_star)
-    s = support.size
-    if s == 0:
+    if support.size == 0:
         raise StationarityError("x_star has no nonzero entries")
+    s = problem.constraint.s
+    if support.size > s:
+        raise StationarityError(
+            f"x_star has {support.size} nonzero entries, more than the sparsity level s={s}"
+        )
 
-    v = A.T @ (A @ x_star - b)
+    v = problem.gradient(x_star)
     residual = np.linalg.norm(v[support]) / (1.0 + np.linalg.norm(v))
     if residual > tol:
         raise StationarityError(
@@ -222,7 +222,7 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
         )
 
     basis = coordinate_basis(support, x_star.size)
-    lam_max, lam_min = gram_extremes(A @ basis)
+    lam_max, lam_min = gram_extremes(problem.apply(basis))
 
     smallest = float(np.min(np.abs(x_star[support])))
     off = np.ones(x_star.size, dtype=bool)
@@ -230,11 +230,10 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
     grad_inf = float(np.max(np.abs(v[off]))) if off.any() else 0.0
     fixed_point_cap = smallest / grad_inf if grad_inf > 0 else np.inf
     return ApplicationReport(
-        "iht", basis, lam_max, lam_min, x_star, ata_extremes(A),
+        "iht", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
         full_rank=_full_rank(lam_max, lam_min), fixed_point_ok=fixed_point_cap > 0,
         fixed_point_eta_max=fixed_point_cap,
         details={
-            "s": s,
             "support": support,
             "smallest_magnitude": smallest,
             "gradient_sup_norm": grad_inf,
@@ -242,7 +241,7 @@ def analyze_iht(A, b, x_star, tol=STATIONARITY_TOL):
     )
 
 
-def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
+def analyze_sphere(problem, x_star, tol=STATIONARITY_TOL):
     """Least squares on the unit sphere around a stationary unit vector.
 
     The gradient at a stationary point is collinear with the point; its signed
@@ -250,13 +249,10 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
     rate, and the region. A certificate needs the multiplier strictly below
     the smallest tangent eigenvalue.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
     if abs(np.linalg.norm(x_star) - 1.0) > tol:
         raise StationarityError("x_star is not on the unit sphere")
 
-    v = A.T @ (A @ x_star - b)
+    v = problem.gradient(x_star)
     gamma = float(x_star @ v)
     residual = np.linalg.norm(v - gamma * x_star) / (1.0 + np.linalg.norm(v))
     if residual > tol:
@@ -264,66 +260,60 @@ def analyze_sphere(A, b, x_star, tol=STATIONARITY_TOL):
             f"x_star is not a stationary point: tangential gradient residual {residual:.3e}"
         )
 
-    basis = SphereConstraint(x_star.size).linearize(x_star).basis
-    lam_max, lam_min = gram_extremes(A @ basis)
+    basis = problem.constraint.linearize(x_star).basis
+    lam_max, lam_min = gram_extremes(problem.apply(basis))
 
     local_min = gamma < lam_min
     # Curvature 2.0, not linearize's 2/||x*||^2, which rounds differently.
     return ApplicationReport(
-        "sphere", basis, lam_max, lam_min, x_star, ata_extremes(A),
+        "sphere", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
         full_rank=local_min, fixed_point_ok=local_min, curvature=2.0, gamma=gamma,
     )
 
 
-def analyze_mcp(observed, omega, X_star, r=None, tol=STATIONARITY_TOL):
+def analyze_mcp(problem, x_star, tol=STATIONARITY_TOL):
     """Low-rank matrix completion around an exactly consistent rank-r solution.
 
-    ``omega`` holds column-major flat indices into the vectorized matrix and
-    ``observed`` the corresponding values; X_star must have rank exactly r and
-    reproduce every observation.
+    A must be a 0/1 diagonal sampling mask with at least one sample and b must
+    vanish off the samples; x_star, the column-major vectorized matrix, must
+    have rank exactly r and reproduce every observation.
     """
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim != 2:
-        raise ValueError("X_star must be a matrix")
-    m_mat, n_mat = X_star.shape
-    omega = np.asarray(omega, dtype=int).reshape(-1)
-    observed = np.asarray(observed, dtype=float).reshape(-1)
-    if omega.size != observed.size:
-        raise ValueError("omega and observed must have matching lengths")
-    if omega.size == 0:
+    diag = problem.diagonal
+    if diag is None or not np.all((np.abs(diag) < 1e-12) | (np.abs(diag - 1.0) < 1e-12)):
+        raise ValueError(
+            "low-rank analysis requires a completion-structured objective "
+            "(0/1 diagonal sampling operator)"
+        )
+    sampled = diag > 0.5
+    if np.any(np.abs(problem.b[~sampled]) > 1e-12):
+        raise ValueError("observations must vanish outside the sampled set")
+    if not sampled.any():
         raise ValueError("need at least one observation")
-    if np.unique(omega).size != omega.size:
-        raise ValueError("omega contains repeated indices")
-    if omega.min() < 0 or omega.max() >= m_mat * n_mat:
-        raise ValueError("omega index out of range")
 
-    U, sig, Vt = np.linalg.svd(X_star, full_matrices=False)
+    spec = problem.constraint
+    U, sig, Vt = np.linalg.svd(x_star.reshape(spec.shape, order="F"), full_matrices=False)
     cutoff = RANK_RTOL * (sig[0] if sig[0] > 0 else 1.0)
     numerical_rank = int(np.count_nonzero(sig > cutoff))
-    if r is None:
-        r = numerical_rank
-    r = int(r)
-    if numerical_rank != r:
+    if numerical_rank != spec.r:
         raise StationarityError(
-            f"X_star has numerical rank {numerical_rank}, expected exactly {r}"
+            f"X_star has numerical rank {numerical_rank}, expected exactly {spec.r}"
         )
 
-    x_star = X_star.reshape(-1, order="F")
+    omega = np.flatnonzero(sampled)
+    observed = problem.b[omega]
     fit = np.linalg.norm(x_star[omega] - observed) / (1.0 + np.linalg.norm(observed))
     if fit > tol:
         raise StationarityError(
             f"X_star does not reproduce the observations (residual {fit:.3e})"
         )
 
-    basis = rank_tangent_basis(U[:, :r], Vt[:r].T)
+    basis = rank_tangent_basis(U[:, :spec.r], Vt[:spec.r].T)
+    # The Gram on the sampled rows: B^T D B for the 0/1 mask D, without the
+    # zero rows, whose sums round differently.
     lam_max, lam_min = gram_extremes(basis[omega, :])
-    # The sampling operator is a 0/1 diagonal in the vectorized coordinates.
-    fully_observed = omega.size == m_mat * n_mat
-    extremes = (1.0, 1.0 if fully_observed else 0.0)
     return ApplicationReport(
-        "mcp", basis, lam_max, lam_min, x_star, extremes,
+        "mcp", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
         full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,
-        details={"shape": (m_mat, n_mat), "r": r, "omega": omega, "observed": observed},
     )
 
 
@@ -340,28 +330,17 @@ def mcp_problem(observed, omega, shape, r):
 
 
 def analyze_problem(problem, x_star=None):
-    """Dispatch a problem to the matching family analysis."""
-    spec = problem.constraint
-    if spec.kind == "affine":
-        return analyze_lcls(problem.A, problem.b, spec.C, spec.d)
+    """Dispatch a problem to its family analysis; x_star is read as a column-major vector."""
+    kind = problem.constraint.kind
+    if kind == "affine":
+        return analyze_lcls(problem)
     if x_star is None:
-        raise ValueError(f"analysis of a {spec.kind} problem needs x_star")
-    if spec.kind == "sparse":
-        return analyze_iht(problem.A, problem.b, x_star)
-    if spec.kind == "sphere":
-        return analyze_sphere(problem.A, problem.b, x_star)
-    if spec.kind == "lowrank":
-        diag = problem.diagonal
-        if diag is None or not np.all((np.abs(diag) < 1e-12) | (np.abs(diag - 1.0) < 1e-12)):
-            raise ValueError(
-                "low-rank analysis requires a completion-structured objective "
-                "(0/1 diagonal sampling operator)"
-            )
-        omega = np.flatnonzero(diag > 0.5)
-        off = np.ones(diag.size, dtype=bool)
-        off[omega] = False
-        if np.any(np.abs(problem.b[off]) > 1e-12):
-            raise ValueError("observations must vanish outside the sampled set")
-        X_star = np.asarray(x_star, dtype=float).reshape(spec.shape, order="F")
-        return analyze_mcp(problem.b[omega], omega, X_star, spec.r)
-    raise ValueError(f"unknown constraint kind {spec.kind!r}")
+        raise ValueError(f"analysis of a {kind} problem needs x_star")
+    x_star = np.asarray(x_star, dtype=float).reshape(-1, order="F")
+    if kind == "sparse":
+        return analyze_iht(problem, x_star)
+    if kind == "sphere":
+        return analyze_sphere(problem, x_star)
+    if kind == "lowrank":
+        return analyze_mcp(problem, x_star)
+    raise ValueError(f"unknown constraint kind {kind!r}")

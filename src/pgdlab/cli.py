@@ -188,7 +188,11 @@ def cmd_experiment(args):
         gap = run.get("relative_gap")
         flag = "" if run["admissible"] else "  [no certificate]"
         parts = [f"eta={eta:g}"]
-        parts.append(f"rate={float(rho):.6f}" if rho is not None else "rate=n/a")
+        if rho is None:
+            parts.append("rate=n/a")
+        else:  # a huge rate in fixed notation would print hundreds of digits
+            rate = float(rho)
+            parts.append(f"rate={rate:.6f}" if rate < 1e6 else f"rate={rate:.6e}")
         parts.append(f"measured={rho_hat:.6f}" if rho_hat is not None else "measured=n/a")
         if gap is not None:
             parts.append(f"gap={100 * gap:.2f}%")

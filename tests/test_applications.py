@@ -8,9 +8,15 @@ from pgdlab.applications import (
     analyze_mcp,
     analyze_problem,
     analyze_sphere,
+    mcp_problem,
     rank_tangent_basis,
 )
-from pgdlab.constraints import RANK_CURVATURE, SphereConstraint
+from pgdlab.constraints import (
+    RANK_CURVATURE,
+    AffineConstraint,
+    SparsityConstraint,
+    SphereConstraint,
+)
 from pgdlab.empirics import (
     make_iht_instance,
     make_lcls_instance,
@@ -25,7 +31,8 @@ SQRT2 = np.sqrt(2.0)
 
 class TestLcls:
     def test_one_dimensional_reduction(self):
-        report = analyze_lcls(np.eye(2), np.zeros(2), [[1.0, 1.0]], [np.sqrt(2.0)])
+        prob = Problem(np.eye(2), np.zeros(2), AffineConstraint([[1.0, 1.0]], [np.sqrt(2.0)]))
+        report = analyze_lcls(prob)
         basis = report.tangent_basis.ravel()
         np.testing.assert_allclose(np.abs(basis), np.ones(2) / SQRT2, atol=1e-12)
         assert report.lam_max == pytest.approx(1.0)
@@ -75,7 +82,15 @@ class TestIht:
         x = np.zeros(20)
         x[:3] = 1.0
         with pytest.raises(StationarityError):
-            analyze_iht(A, rng.standard_normal(10), x)
+            analyze_iht(Problem(A, rng.standard_normal(10), SparsityConstraint(3, 20)), x)
+
+    def test_rejects_more_nonzeros_than_s(self):
+        # A fixed point of hard thresholding is s-sparse: a stationary point
+        # with four nonzeros is no certificate for s = 3.
+        prob, x_star = make_iht_instance(20, 40, 4, 0)
+        analyze_problem(prob, x_star)
+        with pytest.raises(StationarityError, match="s=3"):
+            analyze_problem(Problem(prob.A, prob.b, SparsityConstraint(3, 40)), x_star)
 
     def test_local_minimum_on_support(self):
         prob, x_star = make_iht_instance(20, 40, 4, 5)
@@ -98,7 +113,7 @@ class TestSphere:
         n = 4
         b = np.zeros(n)
         b[0] = 2.0
-        report = analyze_sphere(np.eye(n), b, np.eye(n)[0])
+        report = analyze_sphere(Problem(np.eye(n), b, SphereConstraint(n)), np.eye(n)[0])
         assert report.gamma == pytest.approx(-1.0)
         assert report.lam_max == report.lam_min == pytest.approx(1.0)
         assert report.rate(1.0) == pytest.approx(0.0)
@@ -133,18 +148,18 @@ class TestSphere:
 
     def test_tangent_basis_is_the_linearization_basis(self):
         prob, x_star = make_sphere_instance(12, 6, -0.4, 5)
-        report = analyze_sphere(prob.A, prob.b, x_star)
+        report = analyze_sphere(prob, x_star)
         assert np.array_equal(report.tangent_basis, SphereConstraint(6).linearize(x_star).basis)
 
     def test_rejects_off_sphere_and_non_collinear(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((8, 5))
         with pytest.raises(StationarityError, match="unit sphere"):
-            analyze_sphere(A, rng.standard_normal(8), np.ones(5))
+            analyze_sphere(Problem(A, rng.standard_normal(8), SphereConstraint(5)), np.ones(5))
         x = rng.standard_normal(5)
         x /= np.linalg.norm(x)
         with pytest.raises(StationarityError, match="stationary"):
-            analyze_sphere(A, rng.standard_normal(8), x)
+            analyze_sphere(Problem(A, rng.standard_normal(8), SphereConstraint(5)), x)
 
     def test_supercritical_multiplier_not_certified(self):
         # gamma above the smallest tangent eigenvalue: saddle, no certificate.
@@ -156,7 +171,7 @@ class TestSphere:
         lam = np.linalg.eigvalsh((A @ q[:, 1:]).T @ (A @ q[:, 1:]))
         gamma = lam[-1] + 1.0
         b = A @ x_star - gamma * (A @ np.linalg.solve(A.T @ A, x_star))
-        report = analyze_sphere(A, b, x_star)
+        report = analyze_sphere(Problem(A, b, SphereConstraint(5)), x_star)
         assert not report.certified
         assert report.eta_opt is None
         with pytest.raises(NoCertificateError):
@@ -234,7 +249,7 @@ class TestMcp:
         X = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
         x = X.reshape(-1, order="F")
         omega = np.arange(12)
-        report = analyze_mcp(x[omega], omega, X, r=2)
+        report = analyze_mcp(mcp_problem(x[omega], omega, X.shape, 2), x)
         assert report.lam_max == pytest.approx(1.0)
         assert report.lam_min == pytest.approx(1.0)
         assert report.rate(1.0) == pytest.approx(0.0, abs=1e-12)
@@ -252,11 +267,11 @@ class TestMcp:
         omega = np.arange(10)
         x = X.reshape(-1, order="F")
         with pytest.raises(StationarityError, match="rank"):
-            analyze_mcp(x[omega], omega, X, r=2)
+            analyze_mcp(mcp_problem(x[omega], omega, X.shape, 2), x)
         low = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
         xl = low.reshape(-1, order="F")
         with pytest.raises(StationarityError, match="observations"):
-            analyze_mcp(xl[omega] + 1.0, omega, low, r=2)
+            analyze_mcp(mcp_problem(xl[omega] + 1.0, omega, low.shape, 2), xl)
 
     def test_tiny_off_diagonal_entry_refused(self):
         prob, X_star = make_mcp_instance(6, 5, 2, 24, 16)
@@ -422,3 +437,55 @@ class TestRecipe:
             assert (_outcome(report.quad_coefficient, eta)
                     == _outcome(lambda e: _old_quad(report, e), eta))
             assert _outcome(report.region, eta) == _outcome(lambda e: _old_region(report, e), eta)
+
+
+def _signed_diagonal_lcls(seed):
+    """An lcls problem whose A is square, diagonal and of both signs."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    C = rng.standard_normal((4, n))
+    spec = AffineConstraint(C, C @ rng.standard_normal(n))
+    return Problem(np.diag(d), rng.standard_normal(n), spec), None
+
+
+READS_A_INSTANCES = {
+    **{key: RECIPE_INSTANCES[key] for key in ("lcls", "iht", "sphere", "mcp")},
+    "lcls_signed_diagonal": _signed_diagonal_lcls,
+}
+
+
+class TestReadsAThroughProblem:
+    """The closed forms read A only through ``Problem``, with the bits of the
+    raw-array formulas they replaced."""
+
+    @pytest.mark.parametrize(
+        "family, seed", [("mcp", seed) for seed in range(5)] + [("lcls_signed_diagonal", 0)]
+    )
+    def test_diagonal_problem_never_reads_dense_a(self, family, seed):
+        prob, x_star = READS_A_INSTANCES[family](seed)
+        assert prob.diagonal is not None
+        expected = analyze_problem(prob, x_star)
+        object.__setattr__(prob, "A", None)
+        report = analyze_problem(prob, x_star)
+        for key in ("lam_max", "lam_min", "eta_max", "eta_opt", "rho_opt", "flags"):
+            assert getattr(report, key) == getattr(expected, key), key
+        assert np.array_equal(report.x_star, expected.x_star)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("family", sorted(READS_A_INSTANCES))
+    def test_bits_of_the_raw_array_formulas(self, family, seed):
+        prob, x_star = READS_A_INSTANCES[family](seed)
+        report = analyze_problem(prob, x_star)
+        A, basis = prob.A, report.tangent_basis
+        if report.kind == "mcp":
+            # The Gram of the sampled rows only: with the zero rows its sums round differently.
+            expected = analysis.gram_extremes(basis[np.flatnonzero(np.diagonal(A))])
+        else:
+            expected = analysis.gram_extremes(A @ basis)
+        assert (report.lam_max, report.lam_min) == expected
+        if report.kind == "lcls":
+            spec = prob.constraint
+            AB = A @ basis
+            y = np.linalg.solve(AB.T @ AB, AB.T @ (prob.b - A @ spec.offset))
+            assert np.array_equal(report.x_star, basis @ y + spec.offset)

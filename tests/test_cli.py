@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from pgdlab.empirics import (
     make_lcls_instance,
     make_sphere_instance,
 )
+from pgdlab.constraints import SparsityConstraint
+from pgdlab.engine import Problem
 from pgdlab.errors import ProblemFileError
 from pgdlab.problem_io import load_problem, save_problem
 
@@ -416,6 +419,17 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "error: constraint:" in err and "Traceback" not in err
 
+    def test_x_star_denser_than_s_exit_one(self, tmp_path, capsys):
+        # Four nonzeros under s = 3: not a fixed point of hard thresholding.
+        prob, x_star = make_iht_instance(20, 40, 4, 0)
+        path = tmp_path / "iht.json"
+        save_problem(path, Problem(prob.A, prob.b, SparsityConstraint(3, 40)), x_star=x_star)
+        code = main(["analyze", str(path), "--eta", "0.01"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "s=3" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_missing_x_star_exit_one(self, tmp_path, capsys):
         prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
         path = tmp_path / "sphere.json"
@@ -469,6 +483,13 @@ class TestExperimentCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=pytest.fail)
         assert manifest["runs"][0]["theoretical_rate"] == "inf"
         assert manifest["application"]["rate_table"][0]["rate"] == "inf"
+
+    def test_huge_rate_printed_in_exponent_form(self, capsys):
+        code = main(["experiment", "lcls", "--m", "30", "--n", "20", "--p", "5",
+                     "--etas", "1e305"])
+        assert code == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert re.match(r"eta=1e\+305  rate=\d\.\d{6}e\+306  ", line), line
 
     def test_bad_generator_size_exit_one(self, capsys):
         code = main(["experiment", "iht", "--m", "10", "--n", "20", "--s", "25"])

@@ -5,16 +5,18 @@ import pytest
 
 from pgdlab.applications import analyze_problem
 from pgdlab.empirics import (
+    _check_generated,
     default_etas,
     estimate_rate,
     make_iht_instance,
+    make_instance,
     make_lcls_instance,
     make_mcp_instance,
     make_sphere_instance,
     run_experiment,
 )
 from pgdlab.engine import Trace, certify_stationary
-from pgdlab.errors import RateEstimationError
+from pgdlab.errors import GenerationError, RateEstimationError
 
 
 def synthetic_trace(errors, floor=0.0):
@@ -132,6 +134,31 @@ class TestGenerators:
             x_ref = np.asarray(x_star, dtype=float).reshape(-1)
             cert = certify_stationary(prob, x_ref, eta=1e-3)
             assert cert.stationarity_residual <= 1e-10 * (1 + np.linalg.norm(x_ref))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("lcls", {"m": 12, "n": 8, "p": 3}),
+        ("iht", {"m": 16, "n": 32, "s": 4}),
+        ("sphere", {"m": 10, "n": 6, "gamma": -0.5}),
+        ("mcp", {"m": 6, "n": 5, "r": 2, "s": 22}),
+    ])
+    def test_generated_point_check_matches_the_certificate(self, kind, params):
+        # The check refuses exactly the feasible points whose certify_stationary
+        # residual exceeds its tolerance, at the eta it used to pass.
+        prob, x_star = make_instance(kind, params, 5)
+        spec = prob.constraint
+        rng = np.random.default_rng(6)
+        eta = 1.0 / (1.0 + np.linalg.norm(prob.A) ** 2)
+        refused = []
+        for scale in (0.0, 1e-14, 1e-12, 1e-9, 1e-3):
+            x = spec.project(x_star + scale * rng.standard_normal(spec.n))
+            cert = certify_stationary(prob, x, eta=eta)
+            refused.append(bool(cert.stationarity_residual > 1e-10 * (1.0 + np.linalg.norm(x))))
+            if refused[-1]:
+                with pytest.raises(GenerationError, match="not stationary"):
+                    _check_generated(prob, x)
+            else:
+                _check_generated(prob, x)
+        assert not refused[0] and refused[-1]
 
 
 class TestRunExperiment:
