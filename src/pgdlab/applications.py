@@ -322,11 +322,11 @@ def mcp_problem(observed, omega, shape, r):
     m_mat, n_mat = shape
     n = m_mat * n_mat
     omega = np.asarray(omega, dtype=int).reshape(-1)
-    A = np.zeros((n, n))
-    A[omega, omega] = 1.0
+    sampling = np.zeros(n)
+    sampling[omega] = 1.0
     b = np.zeros(n)
     b[omega] = np.asarray(observed, dtype=float).reshape(-1)
-    return Problem(A, b, LowRankConstraint(r, shape))
+    return Problem.from_diagonal(sampling, b, LowRankConstraint(r, shape))
 
 
 def analyze_problem(problem, x_star=None):

@@ -17,47 +17,70 @@ STAGNATION_RTOL = 1e-15
 STAGNATION_RUN = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Problem:
     """Least-squares objective 0.5 * ||A x - b||^2 over a constraint set.
 
     A square A with no nonzero entry off its diagonal (a completion sampling
-    mask, for one) is applied entrywise through ``diagonal``; ``A`` itself
-    stays the dense matrix.
+    mask, for one) is kept as its diagonal only and applied entrywise;
+    ``from_diagonal`` builds such a problem without forming A. ``A`` then
+    builds the dense matrix on each read.
     """
 
-    A: np.ndarray
     b: np.ndarray
     constraint: Constraint
-    diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
+    diagonal: np.ndarray | None = field(repr=False)
+    _matrix: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+    def __init__(self, A, b, constraint):
+        A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be a matrix")
         # A ValueError naming the field, which is also its path in a problem
         # file: load_problem passes it on and does not scan A itself.
         if not np.all(np.isfinite(A)):
             raise ProblemFileError("A", "entries must be finite")
+        if A.shape[0] == A.shape[1] and np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
+            self._set(None, np.diagonal(A).copy(), b, constraint)
+        else:
+            self._set(A, None, b, constraint)
+
+    @classmethod
+    def from_diagonal(cls, diagonal, b, constraint):
+        """The problem whose A is the square matrix diag(``diagonal``)."""
+        diagonal = np.array(diagonal, dtype=float)
+        if diagonal.ndim != 1:
+            raise ValueError("the diagonal of A must be a vector")
+        if not np.all(np.isfinite(diagonal)):
+            raise ProblemFileError("A", "entries must be finite")
+        problem = cls.__new__(cls)
+        problem._set(None, diagonal, b, constraint)
+        return problem
+
+    def _set(self, matrix, diagonal, b, constraint):
+        """Keep A as exactly one of ``matrix`` and ``diagonal``; check b and the
+        constraint against its shape."""
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "diagonal", diagonal)
+        m, n = self.shape
+        b = np.asarray(b, dtype=float).reshape(-1)
         if not np.all(np.isfinite(b)):
             raise ProblemFileError("b", "entries must be finite")
-        if b.size != A.shape[0]:
-            raise ValueError(f"b has length {b.size}, expected {A.shape[0]}")
-        if self.constraint.n != A.shape[1]:
-            raise ValueError(
-                f"constraint dimension {self.constraint.n} does not match A columns {A.shape[1]}"
-            )
-        diagonal = None
-        if A.shape[0] == A.shape[1] and np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
-            diagonal = np.diagonal(A).copy()
-        object.__setattr__(self, "A", A)
+        if b.size != m:
+            raise ValueError(f"b has length {b.size}, expected {m}")
+        if constraint.n != n:
+            raise ValueError(f"constraint dimension {constraint.n} does not match A columns {n}")
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "constraint", constraint)
+
+    @property
+    def A(self):
+        """The dense matrix; for a diagonal A, built anew on each read."""
+        return self._matrix if self.diagonal is None else np.diag(self.diagonal)
 
     @property
     def shape(self):
-        return self.A.shape
+        return self._matrix.shape if self.diagonal is None else (self.diagonal.size,) * 2
 
     # On a finite x the dense product with a diagonal A adds exact zeros to
     # d_i * x_i, so the entrywise product gives the same bits. A block of
@@ -65,19 +88,19 @@ class Problem:
     def apply(self, x):
         """A @ x for a vector or a block of columns."""
         if self.diagonal is None:
-            return self.A @ x
+            return self._matrix @ x
         return self.diagonal * x if np.ndim(x) < 2 else self.diagonal[:, None] * x
 
     def apply_t(self, r):
         """A^T @ r for a vector or a block of columns."""
         if self.diagonal is None:
-            return self.A.T @ r
+            return self._matrix.T @ r
         return self.diagonal * r if np.ndim(r) < 2 else self.diagonal[:, None] * r
 
     def ata_extremes(self):
         """Largest and smallest eigenvalues of A^T A (see analysis.ata_extremes)."""
         if self.diagonal is None:
-            return analysis.ata_extremes(self.A)
+            return analysis.ata_extremes(self._matrix)
         squares = self.diagonal**2
         return float(squares.max()), float(squares.min())
 
@@ -220,8 +243,10 @@ def certify_stationary(problem, x_star, eta, tol=1e-10):
     stationarity = float(np.linalg.norm(lin.apply(grad)))
     fixed_point = float(np.linalg.norm(x_star - problem.constraint.project(z_eta)))
     # A fixed point must be stationary; allow the gradient-scale factor
-    # (Frobenius norm: a cheap upper bound on the spectral norm).
-    gain = 10.0 * tol * (1.0 + np.linalg.norm(problem.A) ** 2)
+    # (Frobenius norm: a cheap upper bound on the spectral norm; that of a
+    # diagonal A is the 2-norm of its diagonal).
+    entries = problem.A if problem.diagonal is None else problem.diagonal
+    gain = 10.0 * tol * (1.0 + np.linalg.norm(entries) ** 2)
     consistent = not (fixed_point <= tol and stationarity > gain)
     return StationaryCertificate(
         stationarity_residual=stationarity,

@@ -2,8 +2,11 @@
 
 A problem file is a JSON object with fields
 
-* ``A``: matrix, either nested lists (rows) or ``{"shape": [m, n], "data":
-  [...]}`` with the data flattened row-major and m, n positive whole numbers,
+* ``A``: matrix, in one of three forms: nested lists (rows);
+  ``{"shape": [m, n], "data": [...]}`` with the data flattened row-major and
+  m, n positive whole numbers; or ``{"diagonal": [d_1, ..., d_n]}`` for the
+  square matrix diag(d), a flat non-empty array (a completion sampling mask,
+  for one, has d_i = 1 on the observed entries and 0 elsewhere),
 * ``b``: array,
 * ``constraint``: ``{"type": "affine"|"sparse"|"sphere"|"lowrank", ...}`` with
   the variant fields ``C``/``d``, ``s``, ``r``/``shape`` (``s``, ``r`` and
@@ -11,8 +14,12 @@ A problem file is a JSON object with fields
 * optional ``x_star`` and ``x0`` arrays.
 
 A whole number is a JSON integer or a number with no fractional part;
-``true`` and ``false`` are not numbers. Validation errors carry the JSON path
-of the offending field.
+``true`` and ``false`` are not numbers. The entries of every array must be
+finite and so must its 2-norm. Validation errors carry the JSON path of the
+offending field.
+
+:func:`save_problem` writes the diagonal form whenever A is diagonal
+(``Problem.diagonal`` is set) and the ``shape``/``data`` form otherwise.
 """
 
 from __future__ import annotations
@@ -87,7 +94,26 @@ def _vector_from_json(obj, path):
         raise ProblemFileError(path, f"not a numeric array: {exc}") from exc
     if not np.all(np.isfinite(vec)):
         raise ProblemFileError(path, "entries must be finite")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not np.isfinite(norm):
+        raise ProblemFileError(path, "the 2-norm overflows")
     return vec
+
+
+def _diagonal_from_json(obj, path):
+    """The diagonal of a ``{"diagonal": [...]}`` matrix object."""
+    if set(obj) != {"diagonal"}:
+        raise ProblemFileError(
+            path, f"a diagonal matrix has only the field 'diagonal', got {sorted(obj)}"
+        )
+    path = f"{path}.diagonal"
+    entries = obj["diagonal"]
+    if not isinstance(entries, list) or any(isinstance(v, list) for v in entries):
+        raise ProblemFileError(path, "expected a flat array of numbers")
+    if not entries:
+        raise ProblemFileError(path, "must not be empty")
+    return _vector_from_json(entries, path)
 
 
 def load_problem(path_or_file):
@@ -111,7 +137,11 @@ def load_problem(path_or_file):
         if key not in doc:
             raise ProblemFileError(key, "missing required field")
 
-    A = _matrix_from_json(doc["A"], "A")
+    # A is the matrix or, for the diagonal form, its diagonal.
+    if isinstance(doc["A"], dict) and "diagonal" in doc["A"]:
+        A, build = _diagonal_from_json(doc["A"], "A"), Problem.from_diagonal
+    else:
+        A, build = _matrix_from_json(doc["A"], "A"), Problem
     b = _vector_from_json(doc["b"], "b")
     constraint_doc = doc["constraint"]
     _check_constraint_sizes(constraint_doc)
@@ -122,11 +152,11 @@ def load_problem(path_or_file):
             raise ProblemFileError("constraint.C", "entries must be finite")
         constraint_doc["C"] = C.tolist()
     try:
-        constraint = constraint_from_json(constraint_doc, ambient_dim=A.shape[1])
+        constraint = constraint_from_json(constraint_doc, ambient_dim=A.shape[-1])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFileError("constraint", str(exc)) from exc
     try:
-        problem = Problem(A, b, constraint)  # checks that A is finite, naming path A
+        problem = build(A, b, constraint)  # checks that a dense A is finite, naming path A
     except ProblemFileError:
         raise
     except ValueError as exc:
@@ -151,9 +181,12 @@ def load_problem(path_or_file):
 
 def save_problem(path, problem, x_star=None, x0=None):
     """Write a problem file in the format accepted by :func:`load_problem`."""
-    m, n = problem.A.shape
+    if problem.diagonal is None:
+        A = {"shape": list(problem.shape), "data": problem.A.reshape(-1).tolist()}
+    else:
+        A = {"diagonal": problem.diagonal.tolist()}
     doc = {
-        "A": {"shape": [m, n], "data": problem.A.reshape(-1).tolist()},
+        "A": A,
         "b": problem.b.tolist(),
         "constraint": problem.constraint.to_json(),
     }

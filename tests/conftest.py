@@ -1,5 +1,7 @@
 import pytest
 
+from pgdlab.engine import Problem
+
 
 @pytest.fixture
 def record_projections(monkeypatch):
@@ -21,3 +23,24 @@ def record_projections(monkeypatch):
         return points
 
     return record
+
+
+@pytest.fixture
+def refuse_dense_a(monkeypatch):
+    """Call to make every later read of ``Problem.A`` on a diagonal problem fail.
+
+    A diagonal problem builds its n x n A on each read; the paths that solve,
+    analyze and save it must apply A through the diagonal instead.
+    """
+
+    def refuse():
+        dense = Problem.A
+
+        def read(problem):
+            if problem.diagonal is not None:
+                raise AssertionError("read the dense A of a diagonal problem")
+            return dense.fget(problem)
+
+        monkeypatch.setattr(Problem, "A", property(read))
+
+    return refuse

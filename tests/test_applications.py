@@ -17,14 +17,19 @@ from pgdlab.constraints import (
     SparsityConstraint,
     SphereConstraint,
 )
+from pgdlab.cli import main
 from pgdlab.empirics import (
+    default_etas,
     make_iht_instance,
     make_lcls_instance,
     make_mcp_instance,
     make_sphere_instance,
+    run_experiment,
 )
 from pgdlab.engine import Problem
 from pgdlab.errors import NoCertificateError, StationarityError
+from pgdlab.problem_io import load_problem, save_problem
+from pgdlab.verify import run_suites
 
 SQRT2 = np.sqrt(2.0)
 
@@ -462,15 +467,39 @@ class TestReadsAThroughProblem:
     @pytest.mark.parametrize(
         "family, seed", [("mcp", seed) for seed in range(5)] + [("lcls_signed_diagonal", 0)]
     )
-    def test_diagonal_problem_never_reads_dense_a(self, family, seed):
+    def test_diagonal_problem_never_reads_dense_a(self, family, seed, refuse_dense_a):
         prob, x_star = READS_A_INSTANCES[family](seed)
         assert prob.diagonal is not None
         expected = analyze_problem(prob, x_star)
-        object.__setattr__(prob, "A", None)
+        refuse_dense_a()
         report = analyze_problem(prob, x_star)
         for key in ("lam_max", "lam_min", "eta_max", "eta_opt", "rho_opt", "flags"):
             assert getattr(report, key) == getattr(expected, key), key
         assert np.array_equal(report.x_star, expected.x_star)
+
+    @pytest.mark.parametrize("family", ["mcp", "lcls_signed_diagonal"])
+    def test_file_solve_and_analyze_never_read_dense_a(
+        self, family, tmp_path, capsys, refuse_dense_a
+    ):
+        prob, x_star = READS_A_INSTANCES[family](0)
+        report = analyze_problem(prob, x_star)
+        path = tmp_path / "problem.json"
+        refuse_dense_a()
+        save_problem(path, prob, x_star=report.x_star)
+        loaded, x_loaded, _ = load_problem(path)
+        assert loaded.diagonal is not None and np.array_equal(x_loaded, report.x_star)
+        out = str(tmp_path / "trace.csv")
+        assert main(["solve", str(path), "--eta", repr(report.eta_opt), "--max-iters", "50",
+                     "--out", out]) == 0
+        assert main(["analyze", str(path)]) == 0
+
+    def test_experiment_and_verify_never_read_dense_a(self, tmp_path, refuse_dense_a):
+        refuse_dense_a()
+        bundle = run_experiment("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, default_etas, 0,
+                                outdir=tmp_path)
+        assert bundle["runs"]
+        failed = [r.name for r in run_suites(["rates", "bounds"], seed=0) if not r.ok]
+        assert failed == []
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("family", sorted(READS_A_INSTANCES))

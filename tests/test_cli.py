@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from pgdlab.empirics import (
     make_lcls_instance,
     make_sphere_instance,
 )
-from pgdlab.constraints import SparsityConstraint
+from pgdlab.constraints import AffineConstraint, SparsityConstraint, SphereConstraint
 from pgdlab.engine import Problem
 from pgdlab.errors import ProblemFileError
 from pgdlab.problem_io import load_problem, save_problem
@@ -169,6 +170,150 @@ class TestProblemIo:
         path.write_text(json.dumps(doc))
         with pytest.raises(ProblemFileError, match="A"):
             load_problem(path)
+
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("b", [1e200, 0.0]), ("x_star", [1e155, 1e155]), ("x0", [1e200, 0.0]),
+         ("A.diagonal", [1e200, 1e200])],
+    )
+    def test_overflowing_norm_exit_one(self, tmp_path, capsys, command, field, value):
+        doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0], "constraint": {"type": "sphere"},
+               "x_star": [1.0, 0.0], "x0": [0.0, 1.0]}
+        if field == "A.diagonal":
+            doc["A"] = {"diagonal": value}
+        else:
+            doc[field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--eta", "0.5", "--max-iters", "3"] if command == "solve" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy warning fails the test
+            code = main([command, str(path), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: the 2-norm overflows")
+        assert "Traceback" not in err and "Warning" not in err
+
+
+def _signed_diagonal(kind, seed=0):
+    """An lcls or sphere problem whose A is square, diagonal and of both signs,
+    with a point to store as x_star."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if kind == "lcls":
+        C = rng.standard_normal((4, n))
+        problem = Problem.from_diagonal(d, rng.standard_normal(n),
+                                        AffineConstraint(C, C @ rng.standard_normal(n)))
+        return problem, analyze_problem(problem).x_star
+    problem = Problem.from_diagonal(d, rng.standard_normal(n), SphereConstraint(n))
+    return problem, problem.constraint.random_member(rng)
+
+
+DIAGONAL_FILES = {
+    "mcp": lambda: make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0),
+    "lcls": lambda: _signed_diagonal("lcls"),
+    "sphere": lambda: _signed_diagonal("sphere"),
+}
+
+
+def _write_dense_layout(path, dense_path, layout):
+    """Rewrite a diagonal-form problem file with A in a dense layout."""
+    doc = json.loads(path.read_text())
+    A = np.diag(doc["A"]["diagonal"])
+    if layout == "rows":
+        doc["A"] = A.tolist()
+    else:
+        doc["A"] = {"shape": list(A.shape), "data": A.reshape(-1).tolist()}
+    dense_path.write_text(json.dumps(doc))
+
+
+class TestDiagonalForm:
+    @pytest.mark.parametrize("family", sorted(DIAGONAL_FILES))
+    def test_round_trip(self, tmp_path, family):
+        prob, x_star = DIAGONAL_FILES[family]()
+        path = tmp_path / "problem.json"
+        save_problem(path, prob, x_star=x_star)
+        assert list(json.loads(path.read_text())["A"]) == ["diagonal"]
+        loaded, x_loaded, _ = load_problem(path)
+        assert np.array_equal(loaded.diagonal, prob.diagonal)
+        assert np.array_equal(loaded.b, prob.b)
+        assert np.array_equal(x_loaded, x_star)
+        assert loaded.shape == prob.shape == (x_star.size, x_star.size)
+
+    @pytest.mark.parametrize("layout", ["rows", "shape_data"])
+    @pytest.mark.parametrize("family", sorted(DIAGONAL_FILES))
+    def test_dense_layout_gives_the_same_output(self, tmp_path, capsys, family, layout):
+        prob, x_star = DIAGONAL_FILES[family]()
+        compact, dense = tmp_path / "compact.json", tmp_path / "dense.json"
+        save_problem(compact, prob, x_star=x_star)
+        _write_dense_layout(compact, dense, layout)
+        outputs = []
+        for path in (compact, dense):
+            csv = tmp_path / f"{path.stem}.csv"
+            commands = [["solve", str(path), "--eta", "0.1", "--max-iters", "200",
+                         "--out", str(csv)]]
+            if family != "sphere":  # the stored sphere point is not a fixed point
+                commands.append(["analyze", str(path)])
+            runs = []
+            for argv in commands:
+                code = main(argv)
+                runs.append((code, capsys.readouterr().out.replace(str(csv), "CSV")))
+            outputs.append((runs, csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert all(code == 0 for code, _ in outputs[0][0])
+
+    @pytest.mark.parametrize(
+        "A, path",
+        [
+            ({"diagonal": ["a", 1.0]}, "A.diagonal"),
+            ({"diagonal": [[1.0, 0.0], [0.0, 1.0]]}, "A.diagonal"),
+            ({"diagonal": []}, "A.diagonal"),
+            ({"diagonal": [float("nan"), 1.0]}, "A.diagonal"),
+            ({"diagonal": [1.0, float("inf")]}, "A.diagonal"),
+            ({"diagonal": 1.0}, "A.diagonal"),
+            ({"diagonal": [1.0, 1.0], "shape": [2, 2]}, "A"),
+            ({"diagonal": [1.0, 1.0], "data": [1.0, 0.0, 0.0, 1.0]}, "A"),
+        ],
+        ids=["non_numeric", "nested", "empty", "nan", "inf", "scalar", "with_shape",
+             "with_data"],
+    )
+    def test_malformed_diagonal_exit_one(self, tmp_path, capsys, A, path):
+        doc = {"A": A, "b": [1.0, 0.0], "constraint": {"type": "sphere"}}
+        problem_path = tmp_path / "bad.json"
+        problem_path.write_text(json.dumps(doc))
+        code = main(["solve", str(problem_path), "--eta", "0.1", "--max-iters", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_diagonal_length_must_match_b(self, tmp_path):
+        doc = {"A": {"diagonal": [1.0, 1.0, 1.0]}, "b": [1.0, 0.0],
+               "constraint": {"type": "sphere"}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError, match=r"^\$: b has length 2, expected 3"):
+            load_problem(path)
+
+    def test_large_completion_stays_far_below_one_dense_a(self, tmp_path, capsys):
+        # n = 8000: one n x n array of float64 is 512 MB.
+        path = tmp_path / "mcp.json"
+        tracemalloc.start()
+        try:
+            prob, X_star = make_instance("mcp", {"m": 100, "n": 80, "r": 2, "s": 1600}, 0)
+            save_problem(path, prob, x_star=X_star.reshape(-1, order="F"))
+            loaded, _, _ = load_problem(path)
+            # --seed 1: the start drawn at the instance seed would be X_star itself.
+            code = main(["solve", str(path), "--eta", "1.0", "--max-iters", "50", "--seed", "1",
+                         "--tol", "1e-300"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.diagonal is not None and code == 0
+        assert "iterations: 50" in capsys.readouterr().out
+        assert peak < 128 * 2**20
 
 
 class TestSolveCommand:

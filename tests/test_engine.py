@@ -68,6 +68,36 @@ class TestDiagonal:
         prob = Problem(np.diag(d), np.zeros(3), SphereConstraint(3))
         np.testing.assert_array_equal(prob.diagonal, d)
 
+    def test_from_diagonal_is_the_dense_constructor_without_a(self):
+        d = np.array([2.5, -0.3, 0.0])
+        b = np.array([1.0, 2.0, 3.0])
+        dense = Problem(np.diag(d), b, SphereConstraint(3))
+        compact = Problem.from_diagonal(d, b, SphereConstraint(3))
+        for prob in (dense, compact):
+            assert np.array_equal(prob.diagonal, d) and np.array_equal(prob.b, b)
+            assert prob.shape == (3, 3)
+            assert np.array_equal(prob.A, np.diag(d))
+        d[0] = 7.0  # the problem keeps its own copy
+        assert compact.diagonal[0] == 2.5
+
+    @pytest.mark.parametrize(
+        "d, b, n, error",
+        [
+            ([np.inf, 1.0], [0.0, 0.0], 2, r"^A: .*finite"),
+            ([1.0, 1.0], [np.nan, 0.0], 2, r"^b: .*finite"),
+            ([1.0, 1.0], [0.0, 0.0, 0.0], 2, r"b has length 3, expected 2"),
+            ([1.0, 1.0], [0.0, 0.0], 3, r"constraint dimension 3 does not match A columns 2"),
+            ([[1.0, 1.0]], [0.0], 2, r"diagonal of A must be a vector"),
+        ],
+        ids=["non_finite_a", "non_finite_b", "b_length", "constraint_dimension", "matrix"],
+    )
+    def test_from_diagonal_runs_the_same_checks(self, d, b, n, error):
+        with pytest.raises(ValueError, match=error):
+            Problem.from_diagonal(d, b, SphereConstraint(n))
+        if np.ndim(d) == 1:  # the dense constructor gives the same error
+            with pytest.raises(ValueError, match=error):
+                Problem(np.diag(d), b, SphereConstraint(n))
+
     def test_off_diagonal_entry_or_rectangle_is_dense(self):
         A = np.diag([1.0, 2.0, 3.0])
         A[0, 2] = 1e-300

@@ -17,7 +17,12 @@ next to this script:
 * ``analyze`` of one saved file per family (lcls with and without
   ``x_star``), with no ``--eta`` and with ``--eta 0.01 0.05``;
 * an lcls and a sphere file whose A is square and diagonal with entries other
-  than 0 and 1: ``analyze`` of the lcls file, and ``solve --out`` of both.
+  than 0 and 1: ``analyze`` of the lcls file, and ``solve --out`` of both;
+* the same ``analyze`` and ``solve`` commands on a copy of each file with a
+  diagonal A (the mcp file and the two above), ``problem_<name>_dense.json``,
+  which this script rewrites with A in the dense ``shape``/``data`` layout
+  that ``save_problem`` no longer writes for a diagonal A. Its outputs must
+  equal those of the diagonal file, apart from the file name.
 
 Every ``manifest.json``, trace CSV and saved problem file lands under OUTDIR,
 and each command adds ``<name>.stdout``, ``<name>.stderr`` and
@@ -82,6 +87,23 @@ DIAGONAL_FILES = (
     ("lcls_diagonal", "lcls", {"m": 20, "n": 20, "p": 5}, 0, "0.1"),
     ("sphere_diagonal", "sphere", {"m": 10, "n": 10, "gamma": -0.5}, 0, "0.1"),
 )
+
+
+def _write_dense_copy(path):
+    """Write the problem file at ``path``, whose A is in the diagonal form, with
+    A in the dense layout as ``<stem>_dense.json``; returns the new path."""
+    with open(path, encoding="ascii") as fh:
+        doc = json.load(fh)
+    diagonal = doc["A"]["diagonal"]
+    n = len(diagonal)
+    data = [0.0] * (n * n)
+    data[::n + 1] = diagonal
+    doc["A"] = {"shape": [n, n], "data": data}
+    dense_path = path[:-len(".json")] + "_dense.json"
+    with open(dense_path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    return dense_path
 
 
 def _record(outdir, name, call):
@@ -235,9 +257,13 @@ def main(argv=None):
         path = os.path.join(outdir, f"problem_{name}.json")
         problem, x_star = empirics.make_instance(kind, params, seed)
         problem_io.save_problem(path, problem, x_star=x_star if keep_x_star else None)
-        for etas in ANALYZE_ETAS:
-            suffix = "_etas" if etas else ""
-            run_cli(f"analyze_{name}{suffix}", ["analyze", path, *etas])
+        copies = [(name, path)]
+        if problem.diagonal is not None:
+            copies.append((f"{name}_dense", _write_dense_copy(path)))
+        for label, target in copies:
+            for etas in ANALYZE_ETAS:
+                suffix = "_etas" if etas else ""
+                run_cli(f"analyze_{label}{suffix}", ["analyze", target, *etas])
 
     for name, kind, params, seed, eta in DIAGONAL_FILES:
         path = os.path.join(outdir, f"problem_{name}.json")
@@ -247,10 +273,11 @@ def main(argv=None):
         problem = Problem(np.diag(d), rng.standard_normal(constraint.n), constraint)
         x_star = applications.analyze_problem(problem).x_star if kind == "lcls" else None
         problem_io.save_problem(path, problem, x_star=x_star)
-        if kind == "lcls":
-            run_cli(f"analyze_{name}", ["analyze", path])
-        run_cli(f"solve_{name}", ["solve", path, "--eta", eta, "--max-iters", "2000",
-                                  "--out", os.path.join(outdir, f"solve_{name}.csv")])
+        for label, target in ((name, path), (f"{name}_dense", _write_dense_copy(path))):
+            if kind == "lcls":
+                run_cli(f"analyze_{label}", ["analyze", target])
+            run_cli(f"solve_{label}", ["solve", target, "--eta", eta, "--max-iters", "2000",
+                                       "--out", os.path.join(outdir, f"solve_{label}.csv")])
     return 0
 
 
