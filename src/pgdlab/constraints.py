@@ -29,22 +29,50 @@ SQRT2 = float(np.sqrt(2.0))
 RANK_CURVATURE = 4.0 * (1.0 + SQRT2)
 
 
+# The Monte-Carlo probes project their samples at most this many rows at a
+# time. Against one point at a time, the peak RSS of four ``pgdlab verify
+# --suite all`` commands (83.2 MB) grew by 10.9 MB with all 10,000 samples of
+# a quadratic bound check in one block, 1.2 MB with blocks of 1,000 and
+# 0.2 MB with blocks of 250; the speed was the same from 100 to 1,000 rows.
+SAMPLE_BLOCK = 250
+
+
+@np.errstate(over="ignore")  # cheaper per call than a with-block
+def row_norms(x):
+    """The 2-norm of each row of x, shape (..., 1). Each gives the bits of
+    ``np.linalg.norm`` of that row, and like it no overflow warning (both are
+    one BLAS dot); ``norm(x, axis=1)`` does not give the same bits."""
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+
+
 def _sphere_norm(x):
-    """||x|| of a finite x; rescaled by max|x| only when the sum of squares overflows."""
-    norm = np.linalg.norm(x)
-    if norm == np.inf:
-        top = np.max(np.abs(x))
-        norm = top * np.linalg.norm(x / top)
+    """Row norms (shape (..., 1)) of finite points; a row is rescaled by its
+    max |x_i| only when its sum of squares overflows."""
+    norm = row_norms(x)
+    big = np.isinf(norm)
+    if np.count_nonzero(big):
+        top = np.where(big, np.max(np.abs(x), axis=-1, keepdims=True), 1.0)
+        norm = np.where(big, top * row_norms(x / top), norm)
     return norm
 
 
-def _as_vector(x, n, what="x"):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != n:
-        raise ValueError(f"{what} has length {x.size}, expected {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} contains non-finite entries")
+def _as_points(x, n):
+    """x as one point (flattened to length n) or a (k, n) block of points, one
+    per row; checked once for its width and finite entries."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        x = x.reshape(-1)
+    if x.shape[-1] != n:
+        rows = "rows of " if x.ndim == 2 else ""
+        raise ValueError(f"x has {rows}length {x.shape[-1]}, expected {n}")
+    # count_nonzero: a fraction of the cost of .all() on a short vector
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise ValueError("x contains non-finite entries")
     return x
+
+
+def _as_vector(x, n):
+    return _as_points(np.asarray(x, dtype=float).reshape(-1), n)
 
 
 class Linearization:
@@ -69,9 +97,11 @@ class Linearization:
         self._scaled_basis = self.scale * self.basis
 
     def apply(self, vec):
-        """Apply the derivative to a vector."""
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        return self._scaled_basis @ (self.basis.T @ vec)
+        """Apply the derivative to a vector or to each row of a (k, n) block."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.ndim != 2:
+            vec = vec.reshape(-1)
+        return (self._scaled_basis @ (self.basis.T @ vec[..., :, None]))[..., 0]
 
     @property
     def matrix(self):
@@ -180,8 +210,8 @@ class AffineConstraint(Constraint):
         self.offset = Vt[:p].T @ (U.T @ d / sig)
 
     def project(self, x):
-        x = _as_vector(x, self.n)
-        return self.tangent_projector @ x + self.offset
+        x = _as_points(x, self.n)
+        return (self.tangent_projector @ x[..., :, None])[..., 0] + self.offset
 
     def linearize(self, x):
         _as_vector(x, self.n)
@@ -212,16 +242,19 @@ class SparsityConstraint(Constraint):
         self.n = n
 
     def top_support(self, x):
-        """Indices of the s largest-magnitude entries; ties keep the smaller index."""
-        x = _as_vector(x, self.n)
-        order = np.argsort(-np.abs(x), kind="stable")
-        return np.sort(order[: self.s])
+        """Indices of the s largest-magnitude entries (of each row of a block),
+        ascending; ties keep the smaller index."""
+        x = _as_points(x, self.n)
+        return np.sort(self._top(x), axis=-1)
+
+    def _top(self, x):
+        return np.argsort(-np.abs(x), axis=-1, kind="stable")[..., : self.s]
 
     def project(self, x):
-        x = _as_vector(x, self.n)
+        x = _as_points(x, self.n)
+        keep = self._top(x)
         out = np.zeros_like(x)
-        keep = self.top_support(x)
-        out[keep] = x[keep]
+        np.put_along_axis(out, keep, np.take_along_axis(x, keep, axis=-1), axis=-1)
         return out
 
     def _magnitude_gap(self, x):
@@ -278,20 +311,21 @@ class SphereConstraint(Constraint):
         self.n = n
 
     def project(self, x):
-        x = _as_vector(x, self.n)
+        x = _as_points(x, self.n)
         norm = _sphere_norm(x)
-        if norm == 0.0:
-            out = np.zeros(self.n)
-            out[0] = 1.0
-            return out
-        return x / norm
+        if np.count_nonzero(norm) == norm.size:
+            return x / norm
+        zero = norm == 0.0
+        out = x / np.where(zero, 1.0, norm)
+        out[..., :1] = np.where(zero, 1.0, out[..., :1])
+        return out
 
     def linearize(self, x):
         x = _as_vector(x, self.n)
         # ||x||^2 overflows past ~1e154: _sphere_norm then rescales, and
         # 2 / inf = 0.0 is the correctly rounded curvature.
         with np.errstate(over="ignore"):
-            norm = _sphere_norm(x)
+            norm = _sphere_norm(x)[0]
             if norm == 0.0:
                 raise ConstraintDomainError("sphere: derivative undefined at the origin")
             curvature = 2.0 / norm**2
@@ -301,7 +335,7 @@ class SphereConstraint(Constraint):
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)
-        return float(abs(_sphere_norm(x) - 1.0))
+        return float(abs(_sphere_norm(x)[0] - 1.0))
 
     def random_member(self, rng):
         v = rng.standard_normal(self.n)
@@ -340,19 +374,23 @@ class LowRankConstraint(Constraint):
         return np.asarray(X, dtype=float).reshape(-1, order="F")
 
     def project(self, x):
-        X = self.to_matrix(x)
+        x = _as_points(x, self.n)
+        # Each row read column-major as an m x n matrix: a view, as in to_matrix.
+        X = x.reshape(x.shape[:-1] + self.shape[::-1]).swapaxes(-1, -2)
         U, sig, Vt = np.linalg.svd(X, full_matrices=False)
-        if self.r < sig.size and sig[0] > 0:
-            gap = sig[self.r - 1] - sig[self.r]
-            if sig[self.r - 1] > RANK_RTOL * sig[0] and gap <= RANK_RTOL * sig[0]:
+        r = self.r
+        if r < sig.shape[-1]:
+            tol = RANK_RTOL * sig[..., 0]
+            kept = sig[..., r - 1]
+            if np.count_nonzero((kept > tol) & (kept - sig[..., r] <= tol)):
                 warnings.warn(
                     "rank-r truncation is not unique (tied singular values); "
                     "returning the SVD routine's selection",
                     NonUniqueProjectionWarning,
                     stacklevel=2,
                 )
-        Y = (U[:, : self.r] * sig[: self.r]) @ Vt[: self.r]
-        return self.to_vector(Y)
+        Y = (U[..., :r] * sig[..., None, :r]) @ Vt[..., :r, :]
+        return Y.swapaxes(-1, -2).reshape(x.shape)
 
     def _rank_r_factors(self, x):
         X = self.to_matrix(x)
@@ -417,6 +455,23 @@ def constraint_from_json(obj, ambient_dim=None):
     return spec
 
 
+def sample_blocks(count):
+    """Sizes of the successive blocks of at most SAMPLE_BLOCK rows that cover ``count`` samples."""
+    count = int(count)
+    return [min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)]
+
+
+def draw_directions(rng, rows, n):
+    """``rows`` samples of n standard normals and then one uniform each, drawn
+    in the order that a loop drawing one sample at a time would draw them."""
+    normals = np.empty((rows, n))
+    uniforms = []
+    for row in normals:
+        rng.standard_normal(out=row)
+        uniforms.append(rng.random())
+    return normals, uniforms
+
+
 def finite_difference_check(constraint, x, step=1e-6, trials=100, seed=0):
     """Max relative residual of a central-difference probe of the derivative.
 
@@ -429,15 +484,15 @@ def finite_difference_check(constraint, x, step=1e-6, trials=100, seed=0):
     lin = constraint.linearize(x)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(int(trials)):
-        u = rng.standard_normal(constraint.n)
-        u /= np.linalg.norm(u)
+    for rows in sample_blocks(trials):
+        u = rng.standard_normal((rows, constraint.n))
+        u /= row_norms(u)
         forward = constraint.project(x + step * u)
         backward = constraint.project(x - step * u)
         probe = (forward - backward) / (2.0 * step)
         reference = lin.apply(u)
-        residual = np.linalg.norm(probe - reference) / (1.0 + np.linalg.norm(reference))
-        worst = max(worst, float(residual))
+        residual = row_norms(probe - reference) / (1.0 + row_norms(reference))
+        worst = max(worst, float(residual.max()))
     return worst
 
 
@@ -455,13 +510,15 @@ def quadratic_bound_margin(constraint, x, radius, trials=1000, seed=0):
     rng = np.random.default_rng(seed)
     base = constraint.project(x)
     worst = np.inf
-    for _ in range(int(trials)):
-        direction = rng.standard_normal(constraint.n)
-        direction /= np.linalg.norm(direction)
-        length = radius * rng.random() ** (1.0 / constraint.n)
-        delta = length * direction
+    for rows in sample_blocks(trials):
+        direction, uniforms = draw_directions(rng, rows, constraint.n)
+        direction /= row_norms(direction)
+        # Python's float power (libm pow), not numpy's, whose vector loops may
+        # round differently: the lengths one sample at a time gave, bit for bit.
+        lengths = [radius * u ** (1.0 / constraint.n) for u in uniforms]
+        delta = np.array(lengths)[:, None] * direction
         actual = constraint.project(x + delta)
-        residual = np.linalg.norm(actual - base - lin.apply(delta))
-        margin = lin.curvature * float(length) ** 2 - float(residual)
-        worst = min(worst, margin)
+        residual = row_norms(actual - base - lin.apply(delta))[:, 0]
+        margin = lin.curvature * np.array([float(v) ** 2 for v in lengths]) - residual
+        worst = min(worst, float(margin.min()))
     return worst

@@ -11,7 +11,9 @@ A problem file is a JSON object with fields
 * ``constraint``: ``{"type": "affine"|"sparse"|"sphere"|"lowrank", ...}`` with
   the variant fields ``C``/``d``, ``s``, ``r``/``shape`` (``s``, ``r`` and
   ``shape`` whole numbers),
-* optional ``x_star`` and ``x0`` arrays.
+* optional ``x_star`` and ``x0``: flat arrays or, for a ``lowrank``
+  constraint, also the m x n matrix as nested rows, which is read
+  column-major as the constraint vectorizes it.
 
 A whole number is a JSON integer or a number with no fractional part;
 ``true`` and ``false`` are not numbers. The entries of every array must be
@@ -19,7 +21,8 @@ finite and so must its 2-norm. Validation errors carry the JSON path of the
 offending field.
 
 :func:`save_problem` writes the diagonal form whenever A is diagonal
-(``Problem.diagonal`` is set) and the ``shape``/``data`` form otherwise.
+(``Problem.diagonal`` is set) and the ``shape``/``data`` form otherwise; it
+writes ``x_star`` and ``x0`` flat, a matrix vectorized column-major.
 """
 
 from __future__ import annotations
@@ -101,6 +104,27 @@ def _vector_from_json(obj, path):
     return vec
 
 
+def _point_from_json(obj, path, constraint):
+    """``x_star`` or ``x0`` as a vector of the constraint's dimension."""
+    if isinstance(obj, list) and any(isinstance(v, list) for v in obj):
+        try:
+            mat = np.asarray(obj, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFileError(path, f"not a numeric array: {exc}") from exc
+        if constraint.kind != "lowrank":
+            raise ProblemFileError(path, "expected a flat array, got a nested one")
+        if mat.shape != constraint.shape:
+            raise ProblemFileError(
+                path,
+                f"a nested array must be the {constraint.shape} matrix, got shape {mat.shape}",
+            )
+        obj = mat.reshape(-1, order="F")
+    vec = _vector_from_json(obj, path)
+    if vec.size != constraint.n:
+        raise ProblemFileError(path, f"length {vec.size} does not match dimension {constraint.n}")
+    return vec
+
+
 def _diagonal_from_json(obj, path):
     """The diagonal of a ``{"diagonal": [...]}`` matrix object."""
     if set(obj) != {"diagonal"}:
@@ -162,20 +186,10 @@ def load_problem(path_or_file):
     except ValueError as exc:
         raise ProblemFileError("$", str(exc)) from exc
 
-    x_star = None
-    if "x_star" in doc:
-        x_star = _vector_from_json(doc["x_star"], "x_star")
-        if x_star.size != constraint.n:
-            raise ProblemFileError(
-                "x_star", f"length {x_star.size} does not match dimension {constraint.n}"
-            )
-    x0 = None
-    if "x0" in doc:
-        x0 = _vector_from_json(doc["x0"], "x0")
-        if x0.size != constraint.n:
-            raise ProblemFileError(
-                "x0", f"length {x0.size} does not match dimension {constraint.n}"
-            )
+    x_star, x0 = (
+        _point_from_json(doc[key], key, constraint) if key in doc else None
+        for key in ("x_star", "x0")
+    )
     return problem, x_star, x0
 
 
@@ -190,10 +204,9 @@ def save_problem(path, problem, x_star=None, x0=None):
         "b": problem.b.tolist(),
         "constraint": problem.constraint.to_json(),
     }
-    if x_star is not None:
-        doc["x_star"] = np.asarray(x_star, dtype=float).reshape(-1).tolist()
-    if x0 is not None:
-        doc["x0"] = np.asarray(x0, dtype=float).reshape(-1).tolist()
+    for key, point in (("x_star", x_star), ("x0", x0)):
+        if point is not None:
+            doc[key] = np.asarray(point, dtype=float).reshape(-1, order="F").tolist()
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh)
         fh.write("\n")

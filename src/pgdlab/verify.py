@@ -20,8 +20,11 @@ from .constraints import (
     LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
+    draw_directions,
     finite_difference_check,
     quadratic_bound_margin,
+    row_norms,
+    sample_blocks,
 )
 from .empirics import (
     make_iht_instance,
@@ -62,11 +65,10 @@ def check_idempotence(seed=0, trials=1000, rtol=1e-12):
     results = []
     for kind, spec in _test_constraints(rng).items():
         worst = 0.0
-        for _ in range(trials):
-            x = 3.0 * rng.standard_normal(spec.n)
-            once = spec.project(x)
+        for rows in sample_blocks(trials):
+            once = spec.project(3.0 * rng.standard_normal((rows, spec.n)))
             twice = spec.project(once)
-            worst = max(worst, np.linalg.norm(twice - once) / (1.0 + np.linalg.norm(once)))
+            worst = max(worst, (row_norms(twice - once) / (1.0 + row_norms(once))).max())
         results.append(
             _result(f"idempotence.{kind}", worst <= rtol, f"worst relative drift {worst:.3e}")
         )
@@ -97,12 +99,11 @@ def check_affine_nonexpansive(seed=0, trials=500):
     rng = np.random.default_rng(seed)
     spec = _test_constraints(rng)["affine"]
     worst = -np.inf
-    for _ in range(trials):
-        x = 5.0 * rng.standard_normal(spec.n)
-        y = 5.0 * rng.standard_normal(spec.n)
-        lhs = np.linalg.norm(spec.project(x) - spec.project(y))
-        rhs = np.linalg.norm(x - y)
-        worst = max(worst, lhs - rhs)
+    for rows in sample_blocks(trials):
+        # Each sample draws x, then y.
+        x, y = (5.0 * rng.standard_normal((rows, 2, spec.n))).transpose(1, 0, 2)
+        lhs = row_norms(spec.project(x) - spec.project(y))
+        worst = max(worst, (lhs - row_norms(x - y)).max())
     return [_result("nonexpansive.affine", worst <= 1e-12, f"largest expansion {worst:.3e}")]
 
 
@@ -191,11 +192,11 @@ def check_quadratic_bounds(seed=0, trials=10_000):
         radius = 1.0 if np.isinf(lin.radius) else 0.9 * lin.radius
         worst = 0.0
         base = spec.project(x)
-        for _ in range(1000):
-            delta = rng.standard_normal(spec.n)
-            delta *= radius * rng.random() / np.linalg.norm(delta)
-            residual = np.linalg.norm(spec.project(x + delta) - base - lin.apply(delta))
-            worst = max(worst, residual)
+        for rows in sample_blocks(1000):
+            delta, uniforms = draw_directions(rng, rows, spec.n)
+            delta *= radius * np.array(uniforms)[:, None] / row_norms(delta)
+            residual = row_norms(spec.project(x + delta) - base - lin.apply(delta))
+            worst = max(worst, residual.max())
         results.append(
             _result(f"cell_linearity.{kind}", worst <= 1e-12, f"worst residual {worst:.3e}")
         )
@@ -237,12 +238,11 @@ def check_support_stability(seed=0, trials=1000):
     radius = np.min(np.abs(x_star[support])) / SQRT2
 
     flips = 0
-    for _ in range(trials):
-        direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
+    for rows in sample_blocks(trials):
+        direction = rng.standard_normal((rows, n))
+        direction /= row_norms(direction)
         probe = x_star + 0.99 * radius * direction
-        if not np.array_equal(spec.top_support(probe), support):
-            flips += 1
+        flips += np.count_nonzero((spec.top_support(probe) != support).any(axis=-1))
     results = [
         _result(
             "support_stability.inside",

@@ -13,6 +13,7 @@ from pgdlab.empirics import (
     make_iht_instance,
     make_instance,
     make_lcls_instance,
+    make_mcp_instance,
     make_sphere_instance,
 )
 from pgdlab.constraints import AffineConstraint, SparsityConstraint, SphereConstraint
@@ -83,6 +84,53 @@ class TestProblemIo:
         path.write_text(json.dumps(doc))
         with pytest.raises(ProblemFileError, match=rf"^{field}: .*finite"):
             load_problem(path)
+
+    def test_nested_lowrank_x_star_is_read_column_major(self, tmp_path, capsys):
+        # Written as X.tolist(), the rows of X: it was read transposed, and
+        # analyze refused the file as "numerical rank 5".
+        prob, X_star = make_mcp_instance(6, 5, 2, 24, 0)
+        flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
+        save_problem(flat, prob, x_star=X_star.reshape(-1, order="F"))
+        doc = json.loads(flat.read_text())
+        doc["x_star"] = X_star.tolist()
+        nested.write_text(json.dumps(doc))
+        outputs = []
+        for path in (flat, nested):
+            assert main(["analyze", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert main(["solve", str(nested), "--eta", "1", "--seed", "3"]) == 0
+        error = re.search(r"final error: (\S+)", capsys.readouterr().out).group(1)
+        assert float(error) <= 1e-10
+
+    def test_save_writes_a_matrix_x_star_column_major(self, tmp_path):
+        prob, X_star = make_mcp_instance(6, 5, 2, 24, 0)
+        save_problem(tmp_path / "p.json", prob, x_star=X_star, x0=X_star)
+        _, x_star, x0 = load_problem(tmp_path / "p.json")
+        assert np.array_equal(x_star, X_star.reshape(-1, order="F"))
+        assert np.array_equal(x0, x_star)
+
+    @pytest.mark.parametrize("field", ["x_star", "x0"])
+    def test_nested_point_of_the_wrong_shape_exit_one(self, tmp_path, capsys, field):
+        prob, X_star = make_mcp_instance(6, 5, 2, 24, 0)
+        path = tmp_path / "bad.json"
+        save_problem(path, prob)
+        doc = json.loads(path.read_text())
+        doc[field] = X_star.T.tolist()  # 5 x 6
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--eta", "1"]) == 1
+        assert re.search(rf"^error: {field}: .*\(6, 5\) matrix, got shape \(5, 6\)",
+                         capsys.readouterr().err, re.M)
+
+    @pytest.mark.parametrize("field", ["x_star", "x0"])
+    def test_nested_point_of_a_vector_family_exit_one(self, tmp_path, capsys, field):
+        doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [2.0, 0.0], "constraint": {"type": "sphere"},
+               field: [[1.0], [0.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--eta", "0.5"]) == 1
+        assert re.search(rf"^error: {field}: expected a flat array", capsys.readouterr().err,
+                         re.M)
 
     @pytest.mark.parametrize("field", ["A", "constraint.C"])
     def test_non_finite_matrix_names_json_path(self, tmp_path, field):

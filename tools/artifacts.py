@@ -13,7 +13,8 @@ next to this script:
 * ``experiment mcp --m 50 --n 40 --r 3 --s 800 --seed 7``;
 * the lcls/iht/sphere acceptance bundles (steps at fixed fractions of the
   optimal step) at seeds 0, 9, ..., 99;
-* ``verify --suite all`` at seeds 0 to 3;
+* ``verify --suite all`` at seeds 0 to 7 (seed 4 prints a failing
+  ``bound_dominance.mcp`` detail line);
 * ``analyze`` of one saved file per family (lcls with and without
   ``x_star``), with no ``--eta`` and with ``--eta 0.01 0.05``;
 * an lcls and a sphere file whose A is square and diagonal with entries other
@@ -70,7 +71,7 @@ BUNDLES = (
     ("sphere", {"m": 15, "n": 10, "gamma": -0.5}, (0.5, 0.8, 1.0)),
 )
 BUNDLE_SEEDS = range(0, 100, 9)
-VERIFY_SEEDS = range(4)
+VERIFY_SEEDS = range(8)
 
 # (file name, kind, generator params, seed, keep x_star)
 ANALYZE_FILES = (
