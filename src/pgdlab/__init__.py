@@ -49,7 +49,14 @@ from .empirics import (
     make_sphere_instance,
     run_experiment,
 )
-from .engine import Problem, StationaryCertificate, Trace, certify_stationary, run_pgd
+from .engine import (
+    Problem,
+    StationaryCertificate,
+    Trace,
+    TraceBlock,
+    certify_stationary,
+    run_pgd,
+)
 from .errors import (
     ConstraintDomainError,
     DivergenceError,

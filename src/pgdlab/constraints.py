@@ -46,14 +46,17 @@ def row_norms(x):
 
 
 def _sphere_norm(x):
-    """Row norms (shape (..., 1)) of finite points; a row is rescaled by its
-    max |x_i| only when its sum of squares overflows."""
+    """(y, top, norm) for finite points: each row is x = top * y with
+    ||x|| = top * norm and norm = ||y|| (top and norm of shape (..., 1)).
+    top is 1 and y is x, except on a row whose sum of squares overflows:
+    that row is divided by its max |x_i|."""
     norm = row_norms(x)
     big = np.isinf(norm)
-    if np.count_nonzero(big):
-        top = np.where(big, np.max(np.abs(x), axis=-1, keepdims=True), 1.0)
-        norm = np.where(big, top * row_norms(x / top), norm)
-    return norm
+    if not np.count_nonzero(big):
+        return x, 1.0, norm
+    top = np.where(big, np.max(np.abs(x), axis=-1, keepdims=True), 1.0)
+    y = np.where(big, x / top, x)
+    return y, top, np.where(big, row_norms(y), norm)
 
 
 def _as_points(x, n):
@@ -153,6 +156,12 @@ class Constraint:
     n = 0
 
     def project(self, x):
+        """A closest point to x, or to each row of a (k, n) block of points."""
+        return self._project(_as_points(x, self.n))
+
+    def _project(self, x):
+        """``project`` without its checks, for x already a finite point or
+        block of width n (the PGD loop checks its iterates itself)."""
         raise NotImplementedError
 
     def linearize(self, x):
@@ -209,8 +218,11 @@ class AffineConstraint(Constraint):
         # Minimum-norm solution of Cx = d.
         self.offset = Vt[:p].T @ (U.T @ d / sig)
 
-    def project(self, x):
-        x = _as_points(x, self.n)
+    # Each family binds project in its own namespace, so that a tracer can
+    # wrap the projections of each family apart.
+    project = Constraint.project
+
+    def _project(self, x):
         return (self.tangent_projector @ x[..., :, None])[..., 0] + self.offset
 
     def linearize(self, x):
@@ -250,8 +262,9 @@ class SparsityConstraint(Constraint):
     def _top(self, x):
         return np.argsort(-np.abs(x), axis=-1, kind="stable")[..., : self.s]
 
-    def project(self, x):
-        x = _as_points(x, self.n)
+    project = Constraint.project
+
+    def _project(self, x):
         keep = self._top(x)
         out = np.zeros_like(x)
         np.put_along_axis(out, keep, np.take_along_axis(x, keep, axis=-1), axis=-1)
@@ -310,9 +323,10 @@ class SphereConstraint(Constraint):
             )
         self.n = n
 
-    def project(self, x):
-        x = _as_points(x, self.n)
-        norm = _sphere_norm(x)
+    project = Constraint.project
+
+    def _project(self, x):
+        x, _, norm = _sphere_norm(x)
         if np.count_nonzero(norm) == norm.size:
             return x / norm
         zero = norm == 0.0
@@ -325,7 +339,8 @@ class SphereConstraint(Constraint):
         # ||x||^2 overflows past ~1e154: _sphere_norm then rescales, and
         # 2 / inf = 0.0 is the correctly rounded curvature.
         with np.errstate(over="ignore"):
-            norm = _sphere_norm(x)[0]
+            _, top, norm = _sphere_norm(x)
+            norm = (top * norm)[0]
             if norm == 0.0:
                 raise ConstraintDomainError("sphere: derivative undefined at the origin")
             curvature = 2.0 / norm**2
@@ -335,7 +350,8 @@ class SphereConstraint(Constraint):
 
     def membership_residual(self, x):
         x = _as_vector(x, self.n)
-        return float(abs(_sphere_norm(x)[0] - 1.0))
+        _, top, norm = _sphere_norm(x)
+        return float(abs((top * norm)[0] - 1.0))
 
     def random_member(self, rng):
         v = rng.standard_normal(self.n)
@@ -373,8 +389,9 @@ class LowRankConstraint(Constraint):
     def to_vector(self, X):
         return np.asarray(X, dtype=float).reshape(-1, order="F")
 
-    def project(self, x):
-        x = _as_points(x, self.n)
+    project = Constraint.project
+
+    def _project(self, x):
         # Each row read column-major as an m x n matrix: a view, as in to_matrix.
         X = x.reshape(x.shape[:-1] + self.shape[::-1]).swapaxes(-1, -2)
         U, sig, Vt = np.linalg.svd(X, full_matrices=False)
@@ -387,7 +404,7 @@ class LowRankConstraint(Constraint):
                     "rank-r truncation is not unique (tied singular values); "
                     "returning the SVD routine's selection",
                     NonUniqueProjectionWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         Y = (U[..., :r] * sig[..., None, :r]) @ Vt[..., :r, :]
         return Y.swapaxes(-1, -2).reshape(x.shape)

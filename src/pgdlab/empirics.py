@@ -20,7 +20,6 @@ from .applications import analyze_problem, mcp_problem
 from .constraints import AffineConstraint, SparsityConstraint, SphereConstraint
 from .engine import ERROR_FLOOR_SCALE, Problem, run_pgd
 from .errors import (
-    DivergenceError,
     GenerationError,
     NoCertificateError,
     RateEstimationError,
@@ -261,37 +260,45 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
 
+    # Every start is drawn first, in grid order, and the grid runs as one block.
+    samples = report.sample(etas)
+    scale = 1e-3 * (1.0 + np.linalg.norm(x_star))
+    starts = [
+        # float() decodes the "inf" of a global certificate.
+        _start_point(problem, x_star, float(sample["region"]), rng)
+        if sample["region"] is not None
+        else _start_point(problem, x_star, np.inf, rng, scale)
+        for sample in samples
+    ]
+    floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_star))
+    floors = [
+        min(floor, initial_error * min(BOUND_ACCURACIES) / 3.0) if sample["admissible"] else floor
+        for sample, (_, initial_error) in zip(samples, starts)
+    ]
+    traces = run_pgd(
+        problem,
+        [sample["eta"] for sample in samples],
+        np.reshape([x0 for x0, _ in starts], (len(starts), x_star.size)),
+        max_iters=max_iters,
+        error_floor=floors,
+        x_ref=x_star,
+    )
+
     runs = []
-    for sample in report.sample(etas):
-        eta, region = sample["eta"], sample["region"]
+    for sample, (_, initial_error), trace in zip(samples, starts, traces):
+        eta = sample["eta"]
         row = {
             "eta": eta,
             "admissible": sample["admissible"],
             "theoretical_rate": sample["rate"],
-            "region_radius": region,
+            "region_radius": sample["region"],
+            "initial_error": initial_error,
+            "stop_reason": trace.stop_reason,
+            "diverged": trace.divergence is not None,
         }
-        if region is not None:
-            # float() decodes the "inf" of a global certificate.
-            x0, initial_error = _start_point(problem, x_star, float(region), rng)
-        else:
-            scale = 1e-3 * (1.0 + np.linalg.norm(x_star))
-            x0, initial_error = _start_point(problem, x_star, np.inf, rng, scale)
-        row["initial_error"] = initial_error
-
-        floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_star))
-        if row["admissible"]:
-            floor = min(floor, initial_error * min(BOUND_ACCURACIES) / 3.0)
-        try:
-            trace = run_pgd(
-                problem, eta, x0, max_iters=max_iters, error_floor=floor, x_ref=x_star
-            )
-            row["stop_reason"] = trace.stop_reason
-            row["diverged"] = False
-        except DivergenceError as exc:
-            row["stop_reason"] = "diverged"
-            row["diverged"] = True
-            row["divergence_iteration"] = exc.iteration
-            runs.append(row)
+        runs.append(row)
+        if row["diverged"]:
+            row["divergence_iteration"] = trace.divergence.iteration
             continue
 
         try:
@@ -314,7 +321,6 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
             name = f"trace_eta_{eta:g}.csv"
             trace.write_csv(os.path.join(outdir, name))
             row["csv"] = name
-        runs.append(row)
 
     bundle = {
         "kind": kind,

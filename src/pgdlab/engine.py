@@ -111,6 +111,14 @@ class Problem:
     def gradient(self, x):
         return self.apply_t(self.apply(x) - self.b)
 
+    def apply_rows(self, x, transpose=False):
+        """A @ x_i (A^T @ x_i with ``transpose``) for each row x_i of a block,
+        as rows: each has the bits of ``apply`` (``apply_t``) of x_i."""
+        if self.diagonal is not None:
+            return self.diagonal * x
+        A = self._matrix.T if transpose else self._matrix
+        return (A @ x[:, :, None])[:, :, 0]
+
 
 @dataclass
 class Trace:
@@ -122,6 +130,7 @@ class Trace:
     stop_reason: str
     x0_projected: bool = False
     error_floor: float | None = None
+    divergence: DivergenceError | None = None
 
     @property
     def n_iterations(self):
@@ -133,6 +142,15 @@ class Trace:
             for k in range(self.objectives.size):
                 err = "" if self.errors is None else repr(float(self.errors[k]))
                 fh.write(f"{k},{err},{float(self.objectives[k])!r}\n")
+
+
+class TraceBlock(tuple):
+    """The ``Trace`` of each row of a block run by ``run_pgd``."""
+
+    @property
+    def n_iterations(self):
+        """Iterations summed over the rows."""
+        return sum(trace.n_iterations for trace in self)
 
 
 @dataclass(frozen=True)
@@ -155,20 +173,29 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     Stops at ``max_iters``, when the distance to ``x_ref`` falls below
     ``error_floor``, or when the iterate stagnates at machine precision.
     An infeasible x0 is projected once before iterating.
-    """
-    eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    max_iters = int(max_iters)
-    spec = problem.constraint
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.size != spec.n:
-        raise ValueError(f"x0 has length {x.size}, expected {spec.n}")
 
-    x0_projected = False
-    if not spec.contains(x, MEMBERSHIP_TOL):
-        x = spec.project(x)
-        x0_projected = True
+    x0 is one start, or a (k, n) block of starts run side by side, with
+    ``eta`` and ``error_floor`` a scalar or one value per row; a block gives
+    a ``TraceBlock`` of one ``Trace`` per row. Each row has the bits of its
+    run alone. A row that diverges stops with its ``DivergenceError`` in
+    ``Trace.divergence``; the run of one start raises it.
+    """
+    spec = problem.constraint
+    x0 = np.asarray(x0, dtype=float)
+    block = x0.ndim == 2
+    x = (x0 if block else x0.reshape(1, -1)).copy()
+    if x.shape[1] != spec.n:
+        rows = "rows of " if block else ""
+        raise ValueError(f"x0 has {rows}length {x.shape[1]}, expected {spec.n}")
+    k = len(x)
+    rates = np.broadcast_to(np.asarray(eta, dtype=float), (k,))[:, None]
+    if np.any(rates <= 0):
+        raise ValueError("eta must be positive")
+    max_iters = max(int(max_iters), 0)
+
+    projected = np.array([not spec.contains(row, MEMBERSHIP_TOL) for row in x], dtype=bool)
+    if np.count_nonzero(projected):
+        x[projected] = spec._project(x[projected])
         warnings.warn(
             "starting point was not feasible; projected onto the constraint set",
             InfeasibleStartWarning,
@@ -179,54 +206,112 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
         if error_floor is None:
             error_floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_ref))
+    floors = None if error_floor is None else np.broadcast_to(
+        np.asarray(error_floor, dtype=float), (k,))
 
-    apply, apply_t, b = problem.apply, problem.apply_t, problem.b
-    residual = apply(x) - b
+    # The rows of x are the runs still going, ``runs`` their indices, and each
+    # has a column in the buffers of objectives and errors. A run that stops
+    # leaves the block, so its iterations never depend on the other rows.
+    objectives = np.empty((min(max_iters, 1023) + 1, k))
+    errors = None if x_ref is None else np.empty_like(objectives)
+    traces = [None] * k
+    runs = np.arange(k)
+    floor = floors
+    stagnant = np.zeros(k, dtype=int)
+    b = problem.b
 
-    objectives = [0.5 * float(residual @ residual)]
-    errors = None if x_ref is None else [float(np.linalg.norm(x - x_ref))]
+    def finish(row, stop_reason, iterations, divergence=None):
+        run = runs[row]
+        traces[run] = Trace(
+            final=x[row].copy(),
+            objectives=objectives[: iterations + 1, row].copy(),
+            errors=None if errors is None else errors[: iterations + 1, row].copy(),
+            stop_reason=stop_reason,
+            x0_projected=bool(projected[run]),
+            error_floor=None if floors is None else float(floors[run]),
+            divergence=divergence,
+        )
 
-    stop_reason = "max_iters"
-    stagnant = 0
     # Overflow on a diverging run is expected; it is caught by the finiteness
     # checks rather than surfacing as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_iters):
-            # Both raises report ||x_{k-1}||; hypot keeps it finite where
-            # x @ x would overflow.
-            descent = x - eta * apply_t(residual)
-            if not np.all(np.isfinite(descent)):
-                raise DivergenceError(k + 1, np.hypot.reduce(x))
-            x_next = spec.project(descent)
-            if not np.all(np.isfinite(x_next)):
-                raise DivergenceError(k + 1, np.hypot.reduce(x))
-            step = np.linalg.norm(x_next - x)
+        residual = problem.apply_rows(x) - b
+        objectives[0] = 0.5 * _row_dots(residual)
+        if errors is not None:
+            errors[0] = np.sqrt(_row_dots(x - x_ref))
+        for it in range(1, max_iters + 1):
+            if it == len(objectives):  # double the buffers
+                objectives = np.concatenate((objectives, np.empty_like(objectives)))
+                if errors is not None:
+                    errors = np.concatenate((errors, np.empty_like(errors)))
+            descent = x - rates * problem.apply_rows(residual, transpose=True)
+            diverged = None
+            x_next = spec._project(descent) if _finite(descent) else None
+            if x_next is None or not _finite(x_next):
+                x_next, diverged = _diverging(spec, x, descent)
+            # The norms of each row's step, iterate and error, as one stacked dot.
+            stacked = ((x_next - x, x_next) if errors is None
+                       else (x_next - x, x_next, x_next - x_ref))
+            norms = np.sqrt(_row_dots(np.concatenate(stacked))).reshape(len(stacked), -1)
             x = x_next
-            residual = apply(x) - b
-            objectives.append(0.5 * float(residual @ residual))
+            residual = problem.apply_rows(x) - b
+            objectives[it] = 0.5 * _row_dots(residual)
+            stall = STAGNATION_RTOL * (1.0 + norms[1])
+            stagnant = (stagnant + 1) * ((norms[0] <= stall) & np.isfinite(stall))
+            done = stagnant >= STAGNATION_RUN
+            reached = None
             if errors is not None:
-                errors.append(float(np.linalg.norm(x - x_ref)))
-
-            if errors is not None and errors[-1] < error_floor:
-                stop_reason = "error_floor"
+                errors[it] = norms[2]
+                reached = norms[2] < floor
+                done |= reached
+            if diverged is not None:
+                done |= diverged
+            if not np.count_nonzero(done):
+                continue
+            for row in np.flatnonzero(done):
+                if diverged is not None and diverged[row]:
+                    # The row kept x_{k-1}; hypot keeps its norm finite where
+                    # x @ x would overflow.
+                    finish(row, "diverged", it - 1, DivergenceError(it, np.hypot.reduce(x[row])))
+                else:
+                    hit = reached is not None and reached[row]
+                    finish(row, "error_floor" if hit else "stagnation", it)
+            keep = ~done
+            x, residual, runs, rates, stagnant = (
+                x[keep], residual[keep], runs[keep], rates[keep], stagnant[keep])
+            objectives = objectives[:, keep]
+            errors = None if errors is None else errors[:, keep]
+            floor = None if floor is None else floor[keep]
+            if not runs.size:
                 break
-            stall = STAGNATION_RTOL * (1.0 + np.linalg.norm(x))
-            if np.isfinite(stall) and step <= stall:
-                stagnant += 1
-                if stagnant >= STAGNATION_RUN:
-                    stop_reason = "stagnation"
-                    break
-            else:
-                stagnant = 0
+        for row in range(len(x)):
+            finish(row, "max_iters", max_iters)
 
-    return Trace(
-        final=x,
-        objectives=np.asarray(objectives),
-        errors=None if errors is None else np.asarray(errors),
-        stop_reason=stop_reason,
-        x0_projected=x0_projected,
-        error_floor=None if error_floor is None else float(error_floor),
-    )
+    if block:
+        return TraceBlock(traces)
+    if traces[0].divergence is not None:
+        raise traces[0].divergence
+    return traces[0]
+
+
+def _finite(a):
+    # count_nonzero: a fraction of the cost of np.all on a small array
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _diverging(spec, x, descent):
+    """The projected block when some row diverged, and the mask of the rows
+    that did: a row whose descent or projection is not finite keeps x."""
+    diverged = ~np.all(np.isfinite(descent), axis=1)
+    x_next = spec._project(np.where(diverged[:, None], 0.0, descent))
+    diverged |= ~np.all(np.isfinite(x_next), axis=1)
+    x_next[diverged] = x[diverged]
+    return x_next, diverged
+
+
+def _row_dots(r):
+    """r_i @ r_i for each row r_i of a block, with the bits of the 1-D dot."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def certify_stationary(problem, x_star, eta, tol=1e-10):

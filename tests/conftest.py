@@ -5,21 +5,26 @@ from pgdlab.engine import Problem
 
 @pytest.fixture
 def record_projections(monkeypatch):
-    """Wrap a constraint's ``project`` so that every point it returns is kept.
+    """Wrap a constraint's unchecked ``_project``, which ``run_pgd`` calls, so
+    that every point it returns is kept.
 
     ``run_pgd`` stores no iterates; a test that checks each one records them
     here instead: the projected start (if any), then one point per iteration.
+    ``run_pgd`` projects a block of rows, one start as a one-row block; each
+    row is kept as a point.
     """
 
     def record(spec):
         points = []
-        project = spec.project
+        project = spec._project
 
         def recording(x):
-            points.append(project(x))
-            return points[-1]
+            out = project(x)
+            if out.ndim == 2:  # not a one-point call of the public project
+                points.extend(out)
+            return out
 
-        monkeypatch.setattr(spec, "project", recording)
+        monkeypatch.setattr(spec, "_project", recording)
         return points
 
     return record

@@ -37,6 +37,20 @@ class TestProject:
         assert lin.scale == pytest.approx(1.0 / (SQRT2 * 1e200), rel=1e-15)
         np.testing.assert_allclose(np.abs(lin.basis.ravel()), [SQRT2 / 2, SQRT2 / 2], rtol=1e-15)
 
+    def test_sphere_point_near_the_float_maximum_stays_on_the_sphere(self):
+        # max|x| * ||x / max|x||| = 1e308 * sqrt(8) overflows; x / inf was the origin.
+        spec = SphereConstraint(8)
+        huge = np.full(8, 1e308)
+        ordinary = np.random.default_rng(0).standard_normal((3, 8))
+        block = np.vstack([ordinary[:1], huge, ordinary[1:], [1e200, -1e200] + [0.0] * 6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projected = spec.project(huge)
+            assert spec.membership_residual(projected) <= 1e-12
+            rows = spec.project(block)
+        assert np.array_equal(rows, np.array([spec.project(x) for x in block]))
+        assert np.array_equal(rows[1], projected)
+
     def test_sphere_huge_point_curvature_is_zero_without_warning(self):
         # 2 / ||x||^2 rounds to 0.0 once ||x||^2 overflows; numpy must not warn.
         with warnings.catch_warnings():

@@ -1,15 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pgdlab.applications import analyze_problem
-from pgdlab.constraints import AffineConstraint, SphereConstraint
+from pgdlab.constraints import (
+    AffineConstraint,
+    LowRankConstraint,
+    SparsityConstraint,
+    SphereConstraint,
+)
 from pgdlab.empirics import (
     make_iht_instance,
     make_lcls_instance,
     make_mcp_instance,
     make_sphere_instance,
 )
-from pgdlab.engine import Problem, certify_stationary, run_pgd
+from pgdlab.engine import Problem, TraceBlock, certify_stationary, run_pgd
 from pgdlab.errors import DivergenceError, InfeasibleStartWarning
 
 
@@ -289,3 +296,103 @@ def test_error_monotone_inside_region():
         for k in range(errors.size - 1):
             if active[k] and active[k + 1]:
                 assert errors[k + 1] <= errors[k] * (1.0 + 1e-10)
+
+
+def _block_problems():
+    """One problem per family, with a dense and with a diagonal A, plus a
+    block of starts on the set and a reference point: the limit of a long run
+    from the first start."""
+    rng = np.random.default_rng(11)
+    C = rng.standard_normal((2, 8))
+    constraints = {
+        "affine": AffineConstraint(C, C @ rng.standard_normal(8)),
+        "sparse": SparsityConstraint(3, 8),
+        "sphere": SphereConstraint(8),
+        "lowrank": LowRankConstraint(2, (4, 3)),
+    }
+    for kind, spec in constraints.items():
+        n = spec.n
+        for layout in ("dense", "diagonal"):
+            if layout == "dense":
+                prob = Problem(rng.standard_normal((n + 4, n)), rng.standard_normal(n + 4), spec)
+            else:
+                diagonal = rng.uniform(0.5, 1.5, n)
+                prob = Problem.from_diagonal(diagonal, rng.standard_normal(n), spec)
+            starts = np.array([spec.random_member(rng) for _ in range(4)])
+            x_ref = run_pgd(prob, 0.5 / prob.ata_extremes()[0], starts[0], max_iters=2000).final
+            yield f"{kind}-{layout}", prob, x_ref, starts
+
+
+def _assert_same_run(row, alone):
+    assert row.stop_reason == alone.stop_reason
+    assert row.error_floor == alone.error_floor
+    assert row.x0_projected == alone.x0_projected
+    for field in ("errors", "objectives", "final"):
+        assert np.array_equal(getattr(row, field), getattr(alone, field)), field
+
+
+class TestBlock:
+    @pytest.mark.parametrize("case", list(_block_problems()), ids=lambda case: case[0])
+    def test_each_row_is_its_run_alone(self, case):
+        _, prob, x_ref, starts = case
+        lipschitz = prob.ata_extremes()[0]
+        etas = np.array([0.2, 0.5, 0.9, 1.2]) / lipschitz
+        floors = [1e-12, 1e-6, 1e-9, 1e-3]
+        block = run_pgd(prob, etas, starts, max_iters=150, error_floor=floors, x_ref=x_ref)
+        assert isinstance(block, TraceBlock) and len(block) == len(starts)
+        assert block.n_iterations == sum(trace.n_iterations for trace in block)
+        alone = [
+            run_pgd(prob, eta, x0, max_iters=150, error_floor=floor, x_ref=x_ref)
+            for eta, x0, floor in zip(etas, starts, floors)
+        ]
+        for row, run in zip(block, alone):
+            _assert_same_run(row, run)
+        order = [2, 0, 3, 1]
+        permuted = run_pgd(prob, etas[order], starts[order], max_iters=150,
+                           error_floor=[floors[i] for i in order], x_ref=x_ref)
+        for row, i in zip(permuted, order):
+            _assert_same_run(row, alone[i])
+
+    def test_every_stop_reason_in_one_block(self):
+        rng = np.random.default_rng(2)
+        C = rng.standard_normal((2, 6))
+        prob = Problem(rng.standard_normal((8, 6)), rng.standard_normal(8),
+                       AffineConstraint(C, C @ rng.standard_normal(6)))
+        report = analyze_problem(prob)
+        x_star, x0 = report.x_star, prob.constraint.random_member(rng)
+        # Diverging, converging, starting at the solution with a zero floor,
+        # and too slow for the iteration budget.
+        etas = [1e12, report.eta_opt, report.eta_opt, 1e-6]
+        floors = [1e-12, 1e-12, 0.0, 1e-12]
+        starts = np.array([x0, x0, x_star, x0])
+        block = run_pgd(prob, etas, starts, max_iters=300, error_floor=floors, x_ref=x_star)
+        reasons = [trace.stop_reason for trace in block]
+        assert reasons == ["diverged", "error_floor", "stagnation", "max_iters"]
+        with pytest.raises(DivergenceError) as info:
+            run_pgd(prob, etas[0], x0, max_iters=300, error_floor=floors[0], x_ref=x_star)
+        divergence = block[0].divergence
+        assert (divergence.iteration, divergence.norm) == (info.value.iteration, info.value.norm)
+        assert block[0].n_iterations == divergence.iteration - 1
+        last = run_pgd(prob, etas[0], x0, max_iters=divergence.iteration - 1,
+                       error_floor=floors[0], x_ref=x_star)
+        _assert_same_run(dataclasses.replace(block[0], stop_reason="max_iters"), last)
+        for row, eta, x, floor in list(zip(block, etas, starts, floors))[1:]:
+            assert row.divergence is None
+            _assert_same_run(row, run_pgd(prob, eta, x, max_iters=300, error_floor=floor,
+                                          x_ref=x_star))
+
+    def test_infeasible_row_is_projected_alone(self):
+        prob = Problem(np.eye(3), np.array([2.0, 0.0, 0.0]), SphereConstraint(3))
+        starts = np.array([[0.0, 1.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.warns(InfeasibleStartWarning):
+            block = run_pgd(prob, 0.5, starts, max_iters=50, x_ref=[1.0, 0.0, 0.0])
+        assert [trace.x0_projected for trace in block] == [False, True, False]
+        with pytest.warns(InfeasibleStartWarning):
+            alone = run_pgd(prob, 0.5, starts[1], max_iters=50, x_ref=[1.0, 0.0, 0.0])
+        _assert_same_run(block[1], alone)
+        assert block[1].errors[0] == pytest.approx(np.linalg.norm([0.6, 0.8, 0.0] - np.eye(3)[0]))
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        with pytest.raises(ValueError, match="x0 has rows of length 2, expected 3"):
+            run_pgd(prob, 0.5, np.ones((2, 2)))
