@@ -55,10 +55,7 @@ def _require_seed(seed):
 
 
 def _require_positive(flag, *values):
-    """Reject a flag value that is not finite and positive as an input error.
-
-    argparse ``type=`` errors would exit 2, which is reserved for divergence.
-    """
+    """Reject a flag value that is not finite and positive as an input error."""
     for value in values:
         if not 0 < value < np.inf:  # also false for NaN
             raise ProblemFileError(flag, f"must be finite and positive, got {value!r}")
@@ -216,8 +213,16 @@ def cmd_verify(args):
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exit with the input-error code on a usage error, not argparse's 2 (divergence)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pgdlab",
         description="Projected gradient descent for constrained least squares, "
         "with local convergence certificates.",

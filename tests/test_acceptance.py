@@ -321,6 +321,6 @@ def test_criterion_11_exp_integral_oracle():
     report(
         11,
         worst <= 1e-10,
-        f"series/continued-fraction vs adaptive quadrature, 50 points in "
-        f"[0.01, 20]: max |error| {worst:.2e} (tol 1e-10)",
+        f"series/continued-fraction vs composite Gauss-Legendre quadrature, "
+        f"50 points in [0.01, 20]: max |error| {worst:.2e} (tol 1e-10)",
     )

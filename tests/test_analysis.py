@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pgdlab import analysis
+from pgdlab import analysis, verify
 from pgdlab.applications import analyze_problem
 from pgdlab.constraints import AffineConstraint, Linearization, SphereConstraint
 from pgdlab.empirics import make_instance, make_lcls_instance, make_sphere_instance
@@ -179,6 +179,31 @@ class TestExpIntegral:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             analysis.exp_integral_e1(0.0)
+
+
+class TestE1QuadratureOracle:
+    """``verify.e1_quadrature``, the oracle of the bounds suite, against SciPy."""
+
+    def test_matches_scipy_at_the_check_points(self):
+        # check_e1's 50 points and the transient-offset crosscheck's two.
+        ts = [*np.logspace(np.log10(0.01), np.log10(20.0), 50), np.log(4 / 3), np.log(2.0)]
+        for t in ts:
+            assert abs(verify.e1_quadrature(t) - e1_oracle(t)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_rejects_nonpositive(self, t):
+        with pytest.raises(ValueError):
+            verify.e1_quadrature(t)
+
+    def test_check_fails_on_a_relative_error(self, monkeypatch):
+        def oracle_ok():
+            return {r.name: r.ok for r in verify.check_e1()}["e1.quadrature_oracle"]
+
+        assert oracle_ok()
+        exact = analysis.exp_integral_e1
+        # Relative, not a constant shift: a shift cancels in the crosscheck's difference.
+        monkeypatch.setattr(analysis, "exp_integral_e1", lambda t: exact(t) * (1 + 1e-8))
+        assert not oracle_ok()
 
 
 class TestTransientOffset:

@@ -785,3 +785,19 @@ def test_negative_seed_exit_one(lcls_file, capsys, argv):
     assert code == 1
     err = capsys.readouterr().err
     assert "error: --seed:" in err and "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "--seed", "abc"], 1), (["verify", "--suite", "bogus"], 1),
+     (["verify", "--bogus"], 1), (["analyze"], 1), (["verify", "--help"], 0)],
+    ids=["seed_not_int", "unknown_suite", "unknown_flag", "analyze_without_file", "help"],
+)
+def test_usage_error_exit_one(capsys, argv, code):
+    # argparse's own exit code for a usage error is 2, the divergence code.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pgdlab") and "error:" in err
