@@ -5,12 +5,10 @@ optimal step sizes, and iteration bounds, checked against measured runs."""
 from .analysis import (
     ConvergenceReport,
     analyze_fixed_point,
-    compressed_rate,
     eigendecompose,
     exp_integral_e1,
     gradient_contraction,
     iteration_bound,
-    iteration_matrix,
     iterations_to_accuracy,
     optimal_step,
     quadratic_coefficient,
@@ -51,10 +49,8 @@ from .empirics import (
 )
 from .engine import (
     Problem,
-    StationaryCertificate,
     Trace,
     TraceBlock,
-    certify_stationary,
     run_pgd,
 )
 from .errors import (

@@ -85,48 +85,22 @@ def _linearizations(problem, x_star, eta):
     return spec.linearize(x_star), spec.linearize(z)
 
 
-def _refuse_overflow(M, eta):
-    """M itself, unless its norm overflows: such a step has no certificate."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(np.linalg.norm(M))
-    if not finite:
-        raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
-    return M
-
-
-def _dense_update(problem, lin_x, lin_z, eta):
-    """H = dP(z) (I - eta A^T A) dP(x*), an n x n matrix."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if problem.diagonal is None:
-            middle = np.eye(problem.constraint.n) - eta * (problem.A.T @ problem.A)
-            H = lin_z.matrix @ middle @ lin_x.matrix
-        else:
-            # Scaling the columns of dP(z) by the diagonal of I - eta A^T A gives
-            # the bits of the dense product dP(z) (I - eta A^T A).
-            middle = 1.0 - eta * problem.diagonal**2
-            H = (lin_z.matrix * middle) @ lin_x.matrix
-    return _refuse_overflow(H, eta)
-
-
 def _compressed_update(problem, lin_x, lin_z, eta):
     """C = s_z s_x (B_x^T B_z)(B_z^T G B_x) with G = I - eta A^T A, a k x k matrix.
 
-    H = (s_z B_z)(B_z^T G B_x s_x B_x^T) and C is the same product taken in
+    H = (s_z s_x B_z B_z^T G B_x)(B_x^T) and C is the same product taken in
     the other order, so C has the nonzero eigenvalues of H (Horn & Johnson,
     Matrix Analysis, Thm 1.3.22). G is applied to B_x through ``problem``, so
-    no n x n array is formed.
+    no n x n array is formed. A step at which C overflows has no certificate.
     """
     B_x, B_z = lin_x.basis, lin_z.basis
     with np.errstate(over="ignore", invalid="ignore"):
         GB_x = B_x - eta * problem.apply_t(problem.apply(B_x))
         C = (lin_z.scale * lin_x.scale) * ((B_x.T @ B_z) @ (B_z.T @ GB_x))
-    return _refuse_overflow(C, eta)
-
-
-def iteration_matrix(problem, x_star, eta):
-    """Linearized PGD update matrix at a fixed point x* with step eta."""
-    lin_x, lin_z = _linearizations(problem, x_star, eta)
-    return _dense_update(problem, lin_x, lin_z, float(eta))
+        finite = np.isfinite(np.linalg.norm(C))
+    if not finite:
+        raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
+    return C
 
 
 @dataclass(frozen=True)
@@ -210,14 +184,16 @@ def convergence_radius(radius_x, radius_z, eigvec_condition, contraction, rate, 
 
 
 def exp_integral_e1(t):
-    """Exponential integral E1(t) for t > 0.
+    """Exponential integral E1(t) for t > 0, and its limit 0 at t = inf.
 
     Power series about zero for t <= 1, modified Lentz continued fraction for
     t > 1; absolute error well below 1e-12 across (0, 700].
     """
     t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:  # also true for NaN
+        raise ValueError(f"t must be positive, got {t!r}")
+    if t == np.inf:
+        return 0.0
     if t <= 1.0:
         total = -EULER_GAMMA - np.log(t)
         term = 1.0
@@ -321,24 +297,6 @@ def iteration_bound(accuracy, rate, quad, initial_error, eigvec_condition=1.0):
     return iterations_to_accuracy(accuracy, rate, eigvec_condition, offset)
 
 
-def compressed_rate(A, basis, eta):
-    """Rate and extreme eigenvalues of the objective compressed onto a tangent basis.
-
-    ``basis`` must have orthonormal columns; the rate is the contraction factor
-    of gradient descent restricted to its span.
-    """
-    basis = np.asarray(basis, dtype=float)
-    eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    d = basis.shape[1]
-    gram_defect = np.linalg.norm(basis.T @ basis - np.eye(d))
-    if gram_defect > 1e-10:
-        raise ValueError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
-    lam_max, lam_min = gram_extremes(np.asarray(A, dtype=float) @ basis)
-    return contraction_factor(lam_max, lam_min, eta), lam_max, lam_min
-
-
 def optimal_step(lam_max, lam_min):
     """Step size minimizing max(|1 - eta*lam_max|, |1 - eta*lam_min|) and its rate."""
     lam_max = float(lam_max)
@@ -396,10 +354,13 @@ def json_float(v):
 def analyze_fixed_point(problem, x_star, eta):
     """Full convergence report for PGD at a fixed point with step ``eta``.
 
-    The spectrum comes from the k x k compressed update. Where that matrix is
-    symmetric (at a fixed point span B_z = span B_x) its eigenvectors are
-    orthonormal, as H's are; otherwise H's eigenvector condition number enters
-    the quadratic coefficient, so the dense H is eigensolved instead.
+    The spectrum comes from the k x k compressed update C, which has the
+    nonzero eigenvalues of H. At a fixed point span B_z = span B_x, so C is
+    symmetric and its eigenvectors are orthonormal, as H's are. Near one (x*
+    within a family's stationarity tolerance) C is nearly symmetric, and the
+    eigenvectors W from ``eig`` give H's eigenbasis: B_x W and a basis of
+    span B_x^perp, H's kernel; both have W's condition number. Off a fixed
+    point the rate is still H's, but the condition number is C's alone.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -409,8 +370,6 @@ def analyze_fixed_point(problem, x_star, eta):
         raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")
     lin_x, lin_z = _linearizations(problem, x_star, eta)
     eig = eigendecompose(_compressed_update(problem, lin_x, lin_z, eta))
-    if not eig.symmetric:
-        eig = eigendecompose(_dense_update(problem, lin_x, lin_z, eta))
     if eig.diagonalizable:
         quad = quadratic_coefficient(
             eig.eigvec_condition,

@@ -233,11 +233,7 @@ def analyze_iht(problem, x_star, tol=STATIONARITY_TOL):
         "iht", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
         full_rank=_full_rank(lam_max, lam_min), fixed_point_ok=fixed_point_cap > 0,
         fixed_point_eta_max=fixed_point_cap,
-        details={
-            "support": support,
-            "smallest_magnitude": smallest,
-            "gradient_sup_norm": grad_inf,
-        },
+        details={"smallest_magnitude": smallest, "gradient_sup_norm": grad_inf},
     )
 
 

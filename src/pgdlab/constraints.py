@@ -106,11 +106,6 @@ class Linearization:
             vec = vec.reshape(-1)
         return (self._scaled_basis @ (self.basis.T @ vec[..., :, None]))[..., 0]
 
-    @property
-    def matrix(self):
-        """The dense derivative (ambient x ambient), built on each access."""
-        return self.scale * (self.basis @ self.basis.T)
-
     def operator_norm(self):
         """Spectral norm of the derivative."""
         return self.scale if self.basis.shape[1] else 0.0

@@ -1,4 +1,4 @@
-"""Fixed-step projected gradient descent with trace recording and certificates."""
+"""Fixed-step projected gradient descent with trace recording."""
 
 from __future__ import annotations
 
@@ -153,20 +153,6 @@ class TraceBlock(tuple):
         return sum(trace.n_iterations for trace in self)
 
 
-@dataclass(frozen=True)
-class StationaryCertificate:
-    """Residuals of the stationarity and fixed-point conditions at a point.
-
-    ``consistent`` records the runtime check that a vanishing fixed-point
-    residual also forces a vanishing stationarity residual (scaled by ||A||^2).
-    """
-
-    stationarity_residual: float
-    fixed_point_residual: float
-    z_eta: np.ndarray
-    consistent: bool
-
-
 def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     """Iterate x <- P(x - eta * grad), recording errors and objectives.
 
@@ -312,30 +298,3 @@ def _diverging(spec, x, descent):
 def _row_dots(r):
     """r_i @ r_i for each row r_i of a block, with the bits of the 1-D dot."""
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-
-
-def certify_stationary(problem, x_star, eta, tol=1e-10):
-    """Stationarity and fixed-point residuals of a candidate point.
-
-    The stationarity residual is the norm of the gradient pushed through the
-    projection derivative; the fixed-point residual measures how far the point
-    moves under one PGD update with step ``eta``.
-    """
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    grad = problem.gradient(x_star)
-    z_eta = x_star - float(eta) * grad
-    lin = problem.constraint.linearize(x_star)
-    stationarity = float(np.linalg.norm(lin.apply(grad)))
-    fixed_point = float(np.linalg.norm(x_star - problem.constraint.project(z_eta)))
-    # A fixed point must be stationary; allow the gradient-scale factor
-    # (Frobenius norm: a cheap upper bound on the spectral norm; that of a
-    # diagonal A is the 2-norm of its diagonal).
-    entries = problem.A if problem.diagonal is None else problem.diagonal
-    gain = 10.0 * tol * (1.0 + np.linalg.norm(entries) ** 2)
-    consistent = not (fixed_point <= tol and stationarity > gain)
-    return StationaryCertificate(
-        stationarity_residual=stationarity,
-        fixed_point_residual=fixed_point,
-        z_eta=z_eta,
-        consistent=consistent,
-    )

@@ -126,7 +126,7 @@ def test_criterion_3_iht_rates_and_support(bundles, record_projections):
     gaps = [run["relative_gap"] for run in bundle["runs"]]
     ok_gaps = all(g <= 0.05 for g in gaps)
 
-    support = rep.details["support"]
+    support = np.flatnonzero(x_star)
     eta = 0.7 * rep.eta_opt
     radius = rep.region(eta)
     rng = np.random.default_rng(99)

@@ -41,27 +41,27 @@ class TestIterationMatrix:
         prob = Problem(A, rng.standard_normal(7), AffineConstraint(C, d))
         x_star = analyze_problem(prob).x_star
         eta = 0.05
-        H = analysis.iteration_matrix(prob, x_star, eta)
+        H = verify.iteration_matrix(prob, x_star, eta)
         P = prob.constraint.tangent_projector
         expected = P @ (np.eye(6) - eta * A.T @ A) @ P
         np.testing.assert_allclose(H, expected, atol=1e-12)
 
     def test_vanishing_step_gives_tangent_projector(self):
         prob, x_star = make_lcls_instance(8, 6, 2, 2)
-        H = analysis.iteration_matrix(prob, x_star, 1e-15)
+        H = verify.iteration_matrix(prob, x_star, 1e-15)
         rho = analysis.eigendecompose(H).spectral_radius
         assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_sphere_hand_example(self):
         prob = Problem(np.eye(2), np.array([2.0, 0.0]), SphereConstraint(2))
-        H = analysis.iteration_matrix(prob, [1.0, 0.0], 0.5)
+        H = verify.iteration_matrix(prob, [1.0, 0.0], 0.5)
         np.testing.assert_allclose(H, np.diag([0.0, 1.0 / 3.0]), atol=1e-14)
 
     def test_sphere_flipped_fixed_point_rejected(self):
         # gamma = 1 at this stationary point: eta = 2 flips the projection.
         prob = Problem(np.eye(2), np.zeros(2), SphereConstraint(2))
         with pytest.raises(ConstraintDomainError, match="fixed-point"):
-            analysis.iteration_matrix(prob, [1.0, 0.0], 2.0)
+            analysis.analyze_fixed_point(prob, [1.0, 0.0], 2.0)
 
     @pytest.mark.parametrize("kind", ["affine", "sphere"])
     def test_diagonal_a_matches_dense_product(self, kind):
@@ -80,8 +80,9 @@ class TestIterationMatrix:
         eta = 0.1
         lin_x = prob.constraint.linearize(x_star)
         lin_z = prob.constraint.linearize(x_star - eta * prob.gradient(x_star))
-        expected = lin_z.matrix @ (np.eye(6) - eta * (A.T @ A)) @ lin_x.matrix
-        assert np.array_equal(analysis.iteration_matrix(prob, x_star, eta), expected)
+        dense_z, dense_x = verify.derivative_matrix(lin_z), verify.derivative_matrix(lin_x)
+        expected = dense_z @ (np.eye(6) - eta * (A.T @ A)) @ dense_x
+        assert np.array_equal(verify.iteration_matrix(prob, x_star, eta), expected)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,7 @@ class TestEigendecompose:
 
     def test_application_matrix_is_symmetric_path(self):
         prob, x_star = make_sphere_instance(9, 5, -0.5, 3)
-        H = analysis.iteration_matrix(prob, x_star, 0.1)
+        H = verify.iteration_matrix(prob, x_star, 0.1)
         eig = analysis.eigendecompose(H)
         assert eig.symmetric
         assert eig.eigvec_condition == 1.0
@@ -179,6 +180,13 @@ class TestExpIntegral:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             analysis.exp_integral_e1(0.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="positive"):
+            analysis.exp_integral_e1(np.nan)
+
+    def test_limit_at_infinity(self):
+        assert analysis.exp_integral_e1(np.inf) == 0.0
 
 
 class TestE1QuadratureOracle:
@@ -253,10 +261,8 @@ class TestIterationBound:
 
 class TestCompressedRateAndOptimalStep:
     def test_single_direction(self):
-        rate, lam_max, lam_min = analysis.compressed_rate(
-            np.eye(2), np.array([[1.0], [0.0]]), 0.5
-        )
-        assert rate == pytest.approx(0.5)
+        lam_max, lam_min = analysis.gram_extremes(np.eye(2) @ np.array([[1.0], [0.0]]))
+        assert analysis.contraction_factor(lam_max, lam_min, 0.5) == pytest.approx(0.5)
         assert lam_max == lam_min == pytest.approx(1.0)
 
     def test_interlacing_random(self):
@@ -265,13 +271,9 @@ class TestCompressedRateAndOptimalStep:
             A = rng.standard_normal((9, 6))
             full = np.linalg.eigvalsh(A.T @ A)
             q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-            _, lam_max, lam_min = analysis.compressed_rate(A, q, 1.0)
+            lam_max, lam_min = analysis.gram_extremes(A @ q)
             assert lam_max <= full[-1] + 1e-10
             assert lam_min >= full[0] - 1e-10
-
-    def test_rejects_skew_basis(self):
-        with pytest.raises(ValueError):
-            analysis.compressed_rate(np.eye(3), np.ones((3, 2)), 0.5)
 
     def test_optimal_step_examples(self):
         assert analysis.optimal_step(1.0, 1.0) == (pytest.approx(1.0), pytest.approx(0.0))
@@ -330,7 +332,7 @@ class TestFixedPointReport:
         report = analyze_problem(prob, x_star)
         eta = 0.8 * report.eta_opt
         conv = analysis.analyze_fixed_point(prob, x_star, eta)
-        H = analysis.iteration_matrix(prob, x_star, eta)
+        H = verify.iteration_matrix(prob, x_star, eta)
         eig = analysis.eigendecompose(H)
         n = prob.constraint.n
         np.testing.assert_allclose(eig.Q.T @ eig.Q, np.eye(n), atol=1e-10)
@@ -353,7 +355,7 @@ class TestFixedPointReport:
         x_star /= np.linalg.norm(x_star)
         b = A @ x_star + 0.5 * (A @ np.linalg.solve(A.T @ A, x_star))
         prob = Problem(A, b, SphereConstraint(10))
-        assert np.isfinite(np.linalg.norm(analysis.iteration_matrix(prob, x_star, 1e308)))
+        assert np.isfinite(np.linalg.norm(verify.iteration_matrix(prob, x_star, 1e308)))
         with pytest.raises(NoCertificateError, match="contraction factor overflows"):
             analysis.analyze_fixed_point(prob, x_star, 1e308)
 
@@ -370,6 +372,35 @@ class TestFixedPointReport:
         ]
 
 
+def moved_observations(prob, delta=1e-11):
+    """The completion problem with every observation moved by ``delta``: its
+    x* still fits them within the stationarity tolerance of ``analyze_mcp``."""
+    b = prob.b + delta * prob.diagonal
+    return Problem.from_diagonal(prob.diagonal, b, prob.constraint)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Call with a width limit: wrap ``np.linalg.eig`` and ``eigh`` to record
+    the (width, result) of every eigensolve and to fail on a wider matrix."""
+
+    def limit(widest):
+        calls = []
+        for name in ("eig", "eigh"):
+            solve = getattr(np.linalg, name)
+
+            def recording(M, *args, _solve=solve, _name=name, **kwargs):
+                width = np.shape(M)[-1]
+                assert width <= widest, f"np.linalg.{_name} of width {width}"
+                calls.append((width, _solve(M, *args, **kwargs)))
+                return calls[-1][1]
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        return calls
+
+    return limit
+
+
 class TestCompressedCertificate:
     @pytest.mark.parametrize(
         "kind, params",
@@ -379,35 +410,67 @@ class TestCompressedCertificate:
          ("mcp", {"m": 6, "n": 5, "r": 2, "s": 24})],
         ids=["lcls", "iht", "sphere_pos", "sphere_neg", "mcp"],
     )
-    def test_fixed_point_never_forms_a_dense_projector(self, monkeypatch, kind, params):
+    def test_fixed_point_never_forms_a_dense_projector(self, eigensolves, kind, params):
         prob, x_star = make_instance(kind, params, 3)
         x_star = x_star.reshape(-1, order="F")
         report = analyze_problem(prob, x_star)
         etas = [f * report.eta_opt for f in (0.5, 1.0)]
-        dense = [analysis.eigendecompose(analysis.iteration_matrix(prob, x_star, eta))
+        dense = [analysis.eigendecompose(verify.iteration_matrix(prob, x_star, eta))
                  for eta in etas]
 
-        def refuse(self):
-            raise AssertionError("Linearization.matrix read on the compressed path")
-
-        monkeypatch.setattr(Linearization, "matrix", property(refuse))
+        calls = eigensolves(report.tangent_basis.shape[1])
         for eta, eig in zip(etas, dense):
             conv = analysis.analyze_fixed_point(prob, x_star, eta)
             assert conv.symmetric and conv.eigvec_condition == 1.0
             assert abs(conv.rate - eig.spectral_radius) <= 1e-12 * (1.0 + eig.spectral_radius)
+        assert [width for width, _ in calls] == [report.tangent_basis.shape[1]] * 2
 
-    def test_non_stationary_sphere_point_uses_the_dense_update(self):
-        # Off a fixed point span B_z != span B_x: the compressed update is not
-        # symmetric and its eigenvectors are not H's, so H is eigensolved.
+    def test_non_stationary_sphere_point_reports_kappa_of_c(self):
+        # Off a fixed point span B_z != span B_x and C is not symmetric. The
+        # rate is still H's; the condition number is that of C's eigenvectors,
+        # which leaves out the angle between span B_z and span B_x^perp.
         prob, _ = make_sphere_instance(9, 5, -0.5, 6)
         x = prob.constraint.random_member(np.random.default_rng(0))
         eta = 0.1
         conv = analysis.analyze_fixed_point(prob, x, eta)
-        eig = analysis.eigendecompose(analysis.iteration_matrix(prob, x, eta))
-        assert not eig.symmetric and eig.eigvec_condition > 1.0
-        assert (conv.rate, conv.eigvec_condition, conv.symmetric, conv.diagonalizable) == (
-            eig.spectral_radius, eig.eigvec_condition, eig.symmetric, eig.diagonalizable
-        )
+        dense = analysis.eigendecompose(verify.iteration_matrix(prob, x, eta))
+        assert not conv.symmetric and conv.diagonalizable
+        assert conv.rate == pytest.approx(dense.spectral_radius, rel=1e-12)
+        assert conv.eigvec_condition == pytest.approx(3.39, abs=5e-3)
+        assert dense.eigvec_condition == pytest.approx(4.55, abs=5e-3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_fixed_completion_point_reports_the_condition_of_h(self, eigensolves, seed):
+        # A dense eig of this 120 x 120 H read kappa 57 to 217: its 80-fold
+        # zero eigenvalue leaves the eigenvector basis of the kernel unresolved.
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, seed)
+        prob = moved_observations(prob)
+        eta = analyze_problem(prob, x_star).eta_opt
+        calls = eigensolves(40)
+        conv = analysis.analyze_fixed_point(prob, x_star, eta)
+        assert conv.certified and not conv.symmetric
+        # H's eigenvectors: B_x W, with W those of C (C's eigenvalue 1 - eta
+        # is repeated, so they are the ones this eig chose), and a basis of
+        # span B_x^perp, H's kernel.
+        (_, (lams, W)), = calls
+        B_x = prob.constraint.linearize(x_star).basis
+        vectors = np.hstack([B_x @ W, np.linalg.qr(B_x, mode="complete")[0][:, 40:]])
+        H = verify.iteration_matrix(prob, x_star, eta)
+        values = np.concatenate([lams, np.zeros(80)])
+        assert np.linalg.norm(H @ vectors - vectors * values) <= 1e-9
+        sig = np.linalg.svd(vectors, compute_uv=False)
+        assert conv.eigvec_condition == pytest.approx(sig[0] / sig[-1], rel=1e-6)
+        assert conv.rate == pytest.approx(np.max(np.abs(np.linalg.eigvals(H))), rel=1e-12)
+
+    def test_near_fixed_paper_scale_completion_solves_only_k_by_k(self, eigensolves):
+        prob, x_star = make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
+        prob = moved_observations(prob)
+        report = analyze_problem(prob, x_star)
+        assert report.tangent_basis.shape[1] == 261
+        calls = eigensolves(261)
+        conv = analysis.analyze_fixed_point(prob, x_star, report.eta_opt)
+        assert [width for width, _ in calls] == [261]
+        assert conv.certified and conv.eigvec_condition < 1.01
 
     def test_block_apply_scales_rows_of_a_diagonal_a(self):
         rng = np.random.default_rng(8)

@@ -103,7 +103,7 @@ class TestIht:
         rng = np.random.default_rng(6)
         eta = 0.5 * report.eta_max
         radius = report.region(eta)
-        support = report.details["support"]
+        support = np.flatnonzero(x_star)
         base = prob.objective(x_star)
         for _ in range(1000):
             y = rng.standard_normal(support.size)
@@ -145,9 +145,8 @@ class TestSphere:
         report = analyze_problem(prob, x_star)
         assert report.gamma == pytest.approx(0.0, abs=1e-12)
         eta = 0.8 * report.eta_opt
-        rate, lam_max, lam_min = analysis.compressed_rate(
-            prob.A, report.tangent_basis, eta
-        )
+        lam_max, lam_min = analysis.gram_extremes(prob.apply(report.tangent_basis))
+        rate = analysis.contraction_factor(lam_max, lam_min, eta)
         assert report.rate(eta) == pytest.approx(rate, abs=1e-12)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
 

@@ -11,13 +11,14 @@ from pgdlab.constraints import (
     SphereConstraint,
 )
 from pgdlab.empirics import (
+    _check_generated,
     make_iht_instance,
     make_lcls_instance,
     make_mcp_instance,
     make_sphere_instance,
 )
-from pgdlab.engine import Problem, TraceBlock, certify_stationary, run_pgd
-from pgdlab.errors import DivergenceError, InfeasibleStartWarning
+from pgdlab.engine import Problem, TraceBlock, run_pgd
+from pgdlab.errors import DivergenceError, GenerationError, InfeasibleStartWarning
 
 
 def test_gradient_identity():
@@ -223,30 +224,31 @@ class TestRunPgd:
         assert len(rows) == trace.errors.size + 1
 
 
+def fixed_point_residual(prob, x, eta):
+    """||x - P(x - eta * gradient(x))||, the move of one PGD step from x."""
+    return float(np.linalg.norm(x - prob.constraint.project(x - eta * prob.gradient(x))))
+
+
 class TestCertify:
     def test_lcls_solution_certifies(self):
         prob, x_star = make_lcls_instance(12, 8, 3, 5)
-        cert = certify_stationary(prob, x_star, eta=0.05)
-        assert cert.stationarity_residual <= 1e-10
-        assert cert.fixed_point_residual <= 1e-10
-        assert cert.consistent
+        _check_generated(prob, x_star)
+        assert fixed_point_residual(prob, x_star, 0.05) <= 1e-10
 
     def test_sphere_analytic_point(self):
         b = np.array([0.4, 0.3, 0.0])
         prob = Problem(np.eye(3), b, SphereConstraint(3))
         x_star = b / np.linalg.norm(b)
-        cert = certify_stationary(prob, x_star, eta=0.5)
-        assert cert.stationarity_residual <= 1e-14
-        assert cert.fixed_point_residual <= 1e-14
-        np.testing.assert_allclose(cert.z_eta, x_star - 0.5 * (x_star - b))
+        _check_generated(prob, x_star, tol=1e-14)
+        assert fixed_point_residual(prob, x_star, 0.5) <= 1e-14
 
     def test_non_stationary_point_has_positive_residual(self):
         rng = np.random.default_rng(6)
         prob = Problem(rng.standard_normal((6, 4)), rng.standard_normal(6),
                        SphereConstraint(4))
         x = prob.constraint.random_member(rng)
-        cert = certify_stationary(prob, x, eta=0.1)
-        assert cert.stationarity_residual > 1e-3
+        with pytest.raises(GenerationError, match="not stationary"):
+            _check_generated(prob, x, tol=1e-3)
 
     def test_fixed_point_persistence(self):
         for maker, args in [

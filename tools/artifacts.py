@@ -16,11 +16,13 @@ next to this script:
 * ``verify --suite all`` at seeds 0 to 7 (seed 4 prints a failing
   ``bound_dominance.mcp`` detail line);
 * ``analyze`` of one saved file per family (lcls with and without
-  ``x_star``), with no ``--eta`` and with ``--eta 0.01 0.05``;
+  ``x_star``), and of a completion file whose observations are moved by
+  1e-11, so that its ``x_star`` fits them only within the stationarity
+  tolerance, each with no ``--eta`` and with ``--eta 0.01 0.05``;
 * an lcls and a sphere file whose A is square and diagonal with entries other
   than 0 and 1: ``analyze`` of the lcls file, and ``solve --out`` of both;
 * the same ``analyze`` and ``solve`` commands on a copy of each file with a
-  diagonal A (the mcp file and the two above), ``problem_<name>_dense.json``,
+  diagonal A (the two mcp files and the two above), ``problem_<name>_dense.json``,
   which this script rewrites with A in the dense ``shape``/``data`` layout
   that ``save_problem`` no longer writes for a diagonal A. Its outputs must
   equal those of the diagonal file, apart from the file name.
@@ -73,13 +75,14 @@ BUNDLES = (
 BUNDLE_SEEDS = range(0, 100, 9)
 VERIFY_SEEDS = range(8)
 
-# (file name, kind, generator params, seed, keep x_star)
+# (file name, kind, generator params, seed, keep x_star, move of each observation)
 ANALYZE_FILES = (
-    ("lcls", "lcls", {"m": 30, "n": 20, "p": 5}, 0, True),
-    ("lcls_no_x_star", "lcls", {"m": 30, "n": 20, "p": 5}, 0, False),
-    ("iht", "iht", {"m": 50, "n": 100, "s": 5}, 0, True),
-    ("sphere", "sphere", {"m": 15, "n": 10, "gamma": -0.5}, 0, True),
-    ("mcp", "mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, True),
+    ("lcls", "lcls", {"m": 30, "n": 20, "p": 5}, 0, True, 0.0),
+    ("lcls_no_x_star", "lcls", {"m": 30, "n": 20, "p": 5}, 0, False, 0.0),
+    ("iht", "iht", {"m": 50, "n": 100, "s": 5}, 0, True, 0.0),
+    ("sphere", "sphere", {"m": 15, "n": 10, "gamma": -0.5}, 0, True, 0.0),
+    ("mcp", "mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, True, 0.0),
+    ("mcp_near_fixed", "mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, True, 1e-11),
 )
 ANALYZE_ETAS = ((), ("--eta", "0.01", "0.05"))
 
@@ -254,9 +257,12 @@ def main(argv=None):
     for seed in VERIFY_SEEDS:
         run_cli(f"verify_seed{seed}", ["verify", "--suite", "all", "--seed", str(seed)])
 
-    for name, kind, params, seed, keep_x_star in ANALYZE_FILES:
+    for name, kind, params, seed, keep_x_star, move in ANALYZE_FILES:
         path = os.path.join(outdir, f"problem_{name}.json")
         problem, x_star = empirics.make_instance(kind, params, seed)
+        if move:  # completion: b is the sampling mask times the observations
+            b = problem.b + move * problem.diagonal
+            problem = Problem.from_diagonal(problem.diagonal, b, problem.constraint)
         problem_io.save_problem(path, problem, x_star=x_star if keep_x_star else None)
         copies = [(name, path)]
         if problem.diagonal is not None:
