@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import contraction_factor, gram_extremes, json_float, optimal_step
-from .constraints import RANK_CURVATURE, RANK_RTOL, SQRT2, LowRankConstraint, coordinate_basis
-from .constraints import rank_tangent_basis
+from .constraints import RANK_CURVATURE, SQRT2, LowRankConstraint
+from .constraints import rank_tangent_basis  # noqa: F401  (perfbench traces it here)
 from .engine import Problem
 from .errors import NoCertificateError, StationarityError
 
@@ -221,7 +221,8 @@ def analyze_iht(problem, x_star, tol=STATIONARITY_TOL):
             f"x_star is not stationary: gradient on the support has residual {residual:.3e}"
         )
 
-    basis = coordinate_basis(support, x_star.size)
+    # The nonzero support; linearize refuses fewer than s nonzeros.
+    basis = problem.constraint.linearize(x_star).basis
     lam_max, lam_min = gram_extremes(problem.apply(basis))
 
     smallest = float(np.min(np.abs(x_star[support])))
@@ -286,14 +287,7 @@ def analyze_mcp(problem, x_star, tol=STATIONARITY_TOL):
     if not sampled.any():
         raise ValueError("need at least one observation")
 
-    spec = problem.constraint
-    U, sig, Vt = np.linalg.svd(x_star.reshape(spec.shape, order="F"), full_matrices=False)
-    cutoff = RANK_RTOL * (sig[0] if sig[0] > 0 else 1.0)
-    numerical_rank = int(np.count_nonzero(sig > cutoff))
-    if numerical_rank != spec.r:
-        raise StationarityError(
-            f"X_star has numerical rank {numerical_rank}, expected exactly {spec.r}"
-        )
+    basis = problem.constraint.linearize(x_star).basis
 
     omega = np.flatnonzero(sampled)
     observed = problem.b[omega]
@@ -303,7 +297,6 @@ def analyze_mcp(problem, x_star, tol=STATIONARITY_TOL):
             f"X_star does not reproduce the observations (residual {fit:.3e})"
         )
 
-    basis = rank_tangent_basis(U[:, :spec.r], Vt[:spec.r].T)
     # The Gram on the sampled rows: B^T D B for the 0/1 mask D, without the
     # zero rows, whose sums round differently.
     lam_max, lam_min = gram_extremes(basis[omega, :])

@@ -39,7 +39,6 @@ class RateEstimate:
 
     rho_hat: float
     window: tuple
-    per_step_ratios: np.ndarray
     floor_hit: bool
 
 
@@ -67,12 +66,10 @@ def estimate_rate(trace, floor=None):
     window = errors[k_start : k_end + 1]
     if np.any(window <= 0):
         raise RateEstimationError("window contains zero errors")
-    ratios = window[1:] / window[:-1]
-    rho_hat = float(np.exp(np.mean(np.log(ratios))))
+    rho_hat = float(np.exp(np.mean(np.log(window[1:] / window[:-1]))))
     return RateEstimate(
         rho_hat=rho_hat,
         window=(k_start, k_end),
-        per_step_ratios=ratios,
         floor_hit=bool(errors.min() <= floor),
     )
 

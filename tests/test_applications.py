@@ -27,7 +27,7 @@ from pgdlab.empirics import (
     run_experiment,
 )
 from pgdlab.engine import Problem
-from pgdlab.errors import NoCertificateError, StationarityError
+from pgdlab.errors import ConstraintDomainError, NoCertificateError, StationarityError
 from pgdlab.problem_io import load_problem, save_problem
 from pgdlab.verify import run_suites
 
@@ -97,6 +97,25 @@ class TestIht:
         with pytest.raises(StationarityError, match="s=3"):
             analyze_problem(Problem(prob.A, prob.b, SparsityConstraint(3, 40)), x_star)
 
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_rejects_fewer_nonzeros_than_s(self, residual):
+        # Four nonzeros under s = 6: the top-6 support ties at zero, so hard
+        # thresholding has no derivative at x_star; with a residual, x_star is
+        # not even a fixed point (P(x* - eta grad) != x*).
+        prob, x_star = make_iht_instance(20, 40, 4, 0, residual=residual)
+        with pytest.raises(ConstraintDomainError, match="rank s"):
+            analyze_problem(Problem(prob.A, prob.b, SparsityConstraint(6, 40)), x_star)
+
+    @pytest.mark.parametrize("etas", [[], ["--eta", "0.02"]])
+    def test_analyze_of_an_under_sparse_file_exits_1(self, etas, tmp_path, capsys):
+        prob, x_star = make_iht_instance(20, 40, 4, 0, residual=True)
+        path = tmp_path / "problem.json"
+        save_problem(path, Problem(prob.A, prob.b, SparsityConstraint(6, 40)), x_star=x_star)
+        assert main(["analyze", str(path), *etas]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rank s" in captured.err
+
     def test_local_minimum_on_support(self):
         prob, x_star = make_iht_instance(20, 40, 4, 5)
         report = analyze_problem(prob, x_star)
@@ -149,11 +168,6 @@ class TestSphere:
         rate = analysis.contraction_factor(lam_max, lam_min, eta)
         assert report.rate(eta) == pytest.approx(rate, abs=1e-12)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
-
-    def test_tangent_basis_is_the_linearization_basis(self):
-        prob, x_star = make_sphere_instance(12, 6, -0.4, 5)
-        report = analyze_sphere(prob, x_star)
-        assert np.array_equal(report.tangent_basis, SphereConstraint(6).linearize(x_star).basis)
 
     def test_rejects_off_sphere_and_non_collinear(self):
         rng = np.random.default_rng(9)
@@ -270,7 +284,7 @@ class TestMcp:
         X = rng.standard_normal((5, 4))  # full rank 4
         omega = np.arange(10)
         x = X.reshape(-1, order="F")
-        with pytest.raises(StationarityError, match="rank"):
+        with pytest.raises(ConstraintDomainError, match="rank"):
             analyze_mcp(mcp_problem(x[omega], omega, X.shape, 2), x)
         low = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
         xl = low.reshape(-1, order="F")
@@ -441,6 +455,14 @@ class TestRecipe:
             assert (_outcome(report.quad_coefficient, eta)
                     == _outcome(lambda e: _old_quad(report, e), eta))
             assert _outcome(report.region, eta) == _outcome(lambda e: _old_region(report, e), eta)
+
+
+@pytest.mark.parametrize("family", ["lcls", "iht", "sphere", "mcp"])
+def test_tangent_basis_is_the_linearization_basis(family):
+    prob, x_star = RECIPE_INSTANCES[family](5)
+    report = analyze_problem(prob, x_star)
+    basis = prob.constraint.linearize(report.x_star).basis
+    assert np.array_equal(report.tangent_basis, basis)
 
 
 def _signed_diagonal_lcls(seed):

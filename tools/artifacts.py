@@ -19,6 +19,8 @@ next to this script:
   ``x_star``), and of a completion file whose observations are moved by
   1e-11, so that its ``x_star`` fits them only within the stationarity
   tolerance, each with no ``--eta`` and with ``--eta 0.01 0.05``;
+* the same two ``analyze`` commands on an iht file saved with s = 6 around an
+  ``x_star`` with 4 nonzeros, which is no fixed point: both exit 1;
 * an lcls and a sphere file whose A is square and diagonal with entries other
   than 0 and 1: ``analyze`` of the lcls file, and ``solve --out`` of both;
 * the same ``analyze`` and ``solve`` commands on a copy of each file with a
@@ -85,6 +87,8 @@ ANALYZE_FILES = (
     ("mcp_near_fixed", "mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, True, 1e-11),
 )
 ANALYZE_ETAS = ((), ("--eta", "0.01", "0.05"))
+# (file name, generator params, seed, sparsity level of the saved file)
+UNDER_SPARSE_FILE = ("iht_under_sparse", {"m": 20, "n": 40, "s": 4, "residual": True}, 0, 6)
 
 # (file name, kind, generator params, seed, solve step) of the diagonal-A files
 DIAGONAL_FILES = (
@@ -226,6 +230,7 @@ def main(argv=None):
     import numpy as np
 
     from pgdlab import applications, cli, empirics, problem_io
+    from pgdlab.constraints import SparsityConstraint
     from pgdlab.engine import Problem
 
     os.makedirs(outdir, exist_ok=True)
@@ -271,6 +276,14 @@ def main(argv=None):
             for etas in ANALYZE_ETAS:
                 suffix = "_etas" if etas else ""
                 run_cli(f"analyze_{label}{suffix}", ["analyze", target, *etas])
+
+    name, params, seed, s = UNDER_SPARSE_FILE
+    path = os.path.join(outdir, f"problem_{name}.json")
+    problem, x_star = empirics.make_instance("iht", params, seed)
+    problem = Problem(problem.A, problem.b, SparsityConstraint(s, problem.constraint.n))
+    problem_io.save_problem(path, problem, x_star=x_star)
+    for etas in ANALYZE_ETAS:
+        run_cli(f"analyze_{name}{'_etas' if etas else ''}", ["analyze", path, *etas])
 
     for name, kind, params, seed, eta in DIAGONAL_FILES:
         path = os.path.join(outdir, f"problem_{name}.json")
