@@ -61,28 +61,22 @@ def gradient_contraction(A, eta):
     return contraction_factor(*ata_extremes(A), eta)
 
 
-def _linearizations(problem, x_star, eta):
-    """The projection derivatives at the fixed point and at its gradient step.
+def _gradient_step_linearization(report, eta):
+    """The projection derivative at the gradient step z = x* - eta * gradient(x*).
 
     A step at which the gradient step overflows has no certificate; on the
     sphere a step with 1 - eta*gamma <= 0 leaves the fixed-point domain.
     """
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    eta = float(eta)
-    grad = problem.gradient(x_star)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x_star - eta * grad
+        z = report.x_star - eta * report.problem.gradient(report.x_star)
     if not np.all(np.isfinite(z)):
         raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
-    spec = problem.constraint
-    if spec.kind == "sphere":
-        multiplier = float(x_star @ grad)
-        if 1.0 - eta * multiplier <= 0.0:
-            raise ConstraintDomainError(
-                "sphere: fixed-point condition violated "
-                f"(1 - eta*gamma = {1.0 - eta * multiplier:.3e} <= 0)"
-            )
-    return spec.linearize(x_star), spec.linearize(z)
+    if report.gamma is not None and 1.0 - eta * report.gamma <= 0.0:
+        raise ConstraintDomainError(
+            "sphere: fixed-point condition violated "
+            f"(1 - eta*gamma = {1.0 - eta * report.gamma:.3e} <= 0)"
+        )
+    return report.problem.constraint.linearize(z)
 
 
 def _compressed_update(problem, lin_x, lin_z, eta):
@@ -351,25 +345,26 @@ def json_float(v):
     return "inf" if np.isinf(v) else v
 
 
-def analyze_fixed_point(problem, x_star, eta):
-    """Full convergence report for PGD at a fixed point with step ``eta``.
+def analyze_fixed_point(report, eta):
+    """Full convergence report for PGD with step ``eta`` at the fixed point of
+    ``report``, an ``applications.ApplicationReport``.
 
     The spectrum comes from the k x k compressed update C, which has the
     nonzero eigenvalues of H. At a fixed point span B_z = span B_x, so C is
     symmetric and its eigenvectors are orthonormal, as H's are. Near one (x*
     within a family's stationarity tolerance) C is nearly symmetric, and the
     eigenvectors W from ``eig`` give H's eigenbasis: B_x W and a basis of
-    span B_x^perp, H's kernel; both have W's condition number. Off a fixed
-    point the rate is still H's, but the condition number is C's alone.
+    span B_x^perp, H's kernel; both have W's condition number.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     eta = float(eta)
-    contraction = contraction_factor(*problem.ata_extremes(), eta)
+    contraction = report.contraction(eta)
     if not np.isfinite(contraction):
         raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")
-    lin_x, lin_z = _linearizations(problem, x_star, eta)
-    eig = eigendecompose(_compressed_update(problem, lin_x, lin_z, eta))
+    lin_x = report.linearization
+    lin_z = _gradient_step_linearization(report, eta)
+    eig = eigendecompose(_compressed_update(report.problem, lin_x, lin_z, eta))
     if eig.diagonalizable:
         quad = quadratic_coefficient(
             eig.eigvec_condition,

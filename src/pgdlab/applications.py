@@ -28,18 +28,21 @@ class ApplicationReport:
     """Per-family convergence summary around a certified solution.
 
     Every family reduces to the same numbers: the extreme eigenvalues of the
-    objective compressed onto the tangent basis, the constraint multiplier
+    objective compressed onto the tangent basis of ``linearization``, the
+    projection derivative at ``x_star``, the constraint multiplier
     ``gamma`` (read as 0 when ``None``), the ``curvature`` of the projection and
     the fixed-point step cap. ``rate(eta)`` and ``region(eta)`` evaluate the
     closed forms from them; ``region`` raises NoCertificateError outside the
-    admissible step range.
+    admissible step range. ``problem`` and ``linearization`` are kept for
+    ``analysis.analyze_fixed_point``.
     """
 
-    def __init__(self, kind, tangent_basis, lam_max, lam_min, x_star, ata_extremes, *,
+    def __init__(self, kind, problem, linearization, lam_max, lam_min, x_star, *,
                  full_rank, fixed_point_ok=True, curvature=0.0, gamma=None,
                  fixed_point_eta_max=np.inf, details=None):
         self.kind = kind
-        self.tangent_basis = tangent_basis
+        self.problem = problem
+        self.linearization = linearization
         self.lam_max = float(lam_max)
         self.lam_min = float(lam_min)
         self.gamma = None if gamma is None else float(gamma)
@@ -54,7 +57,7 @@ class ApplicationReport:
             "fixed_point_ok": bool(fixed_point_ok),
         }
         self.x_star = x_star
-        self.ata_extremes = (float(ata_extremes[0]), float(ata_extremes[1]))
+        self.ata_extremes = problem.ata_extremes()
         self.details = dict(details or {})
 
         self.eta_opt = None
@@ -166,7 +169,7 @@ class ApplicationReport:
             "rho_opt": self.rho_opt,
             "certified": self.certified,
             "flags": self.flags,
-            "tangent_dimension": int(self.tangent_basis.shape[1]),
+            "tangent_dimension": int(self.linearization.basis.shape[1]),
             "rate_table": self.sample(etas),
         }
 
@@ -199,11 +202,12 @@ def analyze_lcls(problem):
         y = np.linalg.lstsq(K, rhs, rcond=None)[0]
     x_star = basis @ y + constraint.offset
     return ApplicationReport(
-        "lcls", basis, lam_max, lam_min, x_star, problem.ata_extremes(), full_rank=full_rank,
+        "lcls", problem, constraint.linearize(x_star), lam_max, lam_min, x_star,
+        full_rank=full_rank,
     )
 
 
-def analyze_iht(problem, x_star, tol=STATIONARITY_TOL):
+def analyze_iht(problem, x_star):
     """Sparse recovery by hard thresholding around a stationary s-sparse point."""
     support = np.flatnonzero(x_star)
     if support.size == 0:
@@ -216,14 +220,14 @@ def analyze_iht(problem, x_star, tol=STATIONARITY_TOL):
 
     v = problem.gradient(x_star)
     residual = np.linalg.norm(v[support]) / (1.0 + np.linalg.norm(v))
-    if residual > tol:
+    if residual > STATIONARITY_TOL:
         raise StationarityError(
             f"x_star is not stationary: gradient on the support has residual {residual:.3e}"
         )
 
     # The nonzero support; linearize refuses fewer than s nonzeros.
-    basis = problem.constraint.linearize(x_star).basis
-    lam_max, lam_min = gram_extremes(problem.apply(basis))
+    lin = problem.constraint.linearize(x_star)
+    lam_max, lam_min = gram_extremes(problem.apply(lin.basis))
 
     smallest = float(np.min(np.abs(x_star[support])))
     off = np.ones(x_star.size, dtype=bool)
@@ -231,14 +235,14 @@ def analyze_iht(problem, x_star, tol=STATIONARITY_TOL):
     grad_inf = float(np.max(np.abs(v[off]))) if off.any() else 0.0
     fixed_point_cap = smallest / grad_inf if grad_inf > 0 else np.inf
     return ApplicationReport(
-        "iht", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
+        "iht", problem, lin, lam_max, lam_min, x_star,
         full_rank=_full_rank(lam_max, lam_min), fixed_point_ok=fixed_point_cap > 0,
         fixed_point_eta_max=fixed_point_cap,
         details={"smallest_magnitude": smallest, "gradient_sup_norm": grad_inf},
     )
 
 
-def analyze_sphere(problem, x_star, tol=STATIONARITY_TOL):
+def analyze_sphere(problem, x_star):
     """Least squares on the unit sphere around a stationary unit vector.
 
     The gradient at a stationary point is collinear with the point; its signed
@@ -246,29 +250,29 @@ def analyze_sphere(problem, x_star, tol=STATIONARITY_TOL):
     rate, and the region. A certificate needs the multiplier strictly below
     the smallest tangent eigenvalue.
     """
-    if abs(np.linalg.norm(x_star) - 1.0) > tol:
+    if abs(np.linalg.norm(x_star) - 1.0) > STATIONARITY_TOL:
         raise StationarityError("x_star is not on the unit sphere")
 
     v = problem.gradient(x_star)
     gamma = float(x_star @ v)
     residual = np.linalg.norm(v - gamma * x_star) / (1.0 + np.linalg.norm(v))
-    if residual > tol:
+    if residual > STATIONARITY_TOL:
         raise StationarityError(
             f"x_star is not a stationary point: tangential gradient residual {residual:.3e}"
         )
 
-    basis = problem.constraint.linearize(x_star).basis
-    lam_max, lam_min = gram_extremes(problem.apply(basis))
+    lin = problem.constraint.linearize(x_star)
+    lam_max, lam_min = gram_extremes(problem.apply(lin.basis))
 
     local_min = gamma < lam_min
     # Curvature 2.0, not linearize's 2/||x*||^2, which rounds differently.
     return ApplicationReport(
-        "sphere", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
+        "sphere", problem, lin, lam_max, lam_min, x_star,
         full_rank=local_min, fixed_point_ok=local_min, curvature=2.0, gamma=gamma,
     )
 
 
-def analyze_mcp(problem, x_star, tol=STATIONARITY_TOL):
+def analyze_mcp(problem, x_star):
     """Low-rank matrix completion around an exactly consistent rank-r solution.
 
     A must be a 0/1 diagonal sampling mask with at least one sample and b must
@@ -287,21 +291,21 @@ def analyze_mcp(problem, x_star, tol=STATIONARITY_TOL):
     if not sampled.any():
         raise ValueError("need at least one observation")
 
-    basis = problem.constraint.linearize(x_star).basis
+    lin = problem.constraint.linearize(x_star)
 
     omega = np.flatnonzero(sampled)
     observed = problem.b[omega]
     fit = np.linalg.norm(x_star[omega] - observed) / (1.0 + np.linalg.norm(observed))
-    if fit > tol:
+    if fit > STATIONARITY_TOL:
         raise StationarityError(
             f"X_star does not reproduce the observations (residual {fit:.3e})"
         )
 
     # The Gram on the sampled rows: B^T D B for the 0/1 mask D, without the
     # zero rows, whose sums round differently.
-    lam_max, lam_min = gram_extremes(basis[omega, :])
+    lam_max, lam_min = gram_extremes(lin.basis[omega, :])
     return ApplicationReport(
-        "mcp", basis, lam_max, lam_min, x_star, problem.ata_extremes(),
+        "mcp", problem, lin, lam_max, lam_min, x_star,
         full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .applications import analyze_problem
-from .empirics import default_etas, run_experiment
+from .empirics import BOUND_ACCURACIES, default_etas, run_experiment
 from .engine import run_pgd
 from .errors import (
     ConstraintDomainError,
@@ -71,8 +71,8 @@ def cmd_solve(args):
     if args.tol is not None and x_star is None:
         raise ProblemFileError("--tol", "the problem file has no x_star to measure the error to")
     if x0 is None:
-        rng = np.random.default_rng(args.seed)
-        x0 = problem.constraint.random_member(rng)
+        # Not default_rng(seed): the generators draw their x* from that stream.
+        x0 = problem.constraint.random_member(np.random.default_rng([args.seed, 1]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", InfeasibleStartWarning)
         trace = run_pgd(
@@ -103,8 +103,6 @@ def cmd_analyze(args):
             raise ProblemFileError("--eps", f"must lie in (0, 1), got {eps!r}")
     problem, x_star, _ = load_problem(args.problem)
     report = analyze_problem(problem, x_star)
-    if x_star is None:
-        x_star = report.x_star
 
     etas = list(args.eta) if args.eta else []
     if report.eta_opt is not None and not etas:
@@ -117,7 +115,7 @@ def cmd_analyze(args):
     for eta in etas:
         entry = {"eta": float(eta)}
         try:
-            conv = analysis.analyze_fixed_point(problem, x_star, eta)
+            conv = analysis.analyze_fixed_point(report, eta)
             entry["convergence"] = conv.to_json()
             if conv.certified and args.eps:
                 # Bounds need an initial error: half the certified radius. An
@@ -242,7 +240,7 @@ def build_parser():
     p_an = sub.add_parser("analyze", help="convergence certificates for a problem file")
     p_an.add_argument("problem", help="problem JSON file")
     p_an.add_argument("--eta", type=float, nargs="*", default=None)
-    p_an.add_argument("--eps", type=float, nargs="*", default=[1e-2, 1e-4, 1e-6, 1e-8])
+    p_an.add_argument("--eps", type=float, nargs="*", default=BOUND_ACCURACIES)
     p_an.add_argument("--out", default=None, help="report JSON path")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -97,14 +97,13 @@ class Linearization:
             raise ValueError("curvature must be nonnegative")
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be finite and positive")
-        self._scaled_basis = self.scale * self.basis
 
     def apply(self, vec):
         """Apply the derivative to a vector or to each row of a (k, n) block."""
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 2:
             vec = vec.reshape(-1)
-        return (self._scaled_basis @ (self.basis.T @ vec[..., :, None]))[..., 0]
+        return self.scale * (self.basis @ (self.basis.T @ vec[..., :, None]))[..., 0]
 
     def operator_norm(self):
         """Spectral norm of the derivative."""
@@ -164,9 +163,6 @@ class Constraint:
 
     def membership_residual(self, x):
         raise NotImplementedError
-
-    def contains(self, x, tol=1e-10):
-        return self.membership_residual(x) <= tol
 
     def random_member(self, rng):
         """Sample some point of the constraint set (used by the check suites)."""
@@ -442,27 +438,23 @@ class LowRankConstraint(Constraint):
         return {"type": "lowrank", "r": self.r, "shape": list(self.shape)}
 
 
-def constraint_from_json(obj, ambient_dim=None):
-    """Build a constraint from its JSON form; ``ambient_dim`` resolves variants
-    that do not carry their own dimension (sparse, sphere)."""
+def constraint_from_json(obj, ambient_dim):
+    """Build a constraint from its JSON form; ``ambient_dim`` is the dimension
+    of the variants that do not carry their own (sparse, sphere)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("constraint JSON must be an object with a 'type' field")
     kind = obj["type"]
     if kind == "affine":
         spec = AffineConstraint(obj["C"], obj["d"])
     elif kind == "sparse":
-        if ambient_dim is None:
-            raise ValueError("sparse constraint needs the ambient dimension")
         spec = SparsityConstraint(obj["s"], ambient_dim)
     elif kind == "sphere":
-        if ambient_dim is None:
-            raise ValueError("sphere constraint needs the ambient dimension")
         spec = SphereConstraint(ambient_dim)
     elif kind == "lowrank":
         spec = LowRankConstraint(obj["r"], obj["shape"])
     else:
         raise ValueError(f"unknown constraint type {kind!r}")
-    if ambient_dim is not None and spec.n != ambient_dim:
+    if spec.n != ambient_dim:
         raise ValueError(f"constraint dimension {spec.n} does not match ambient {ambient_dim}")
     return spec
 

@@ -179,7 +179,8 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         raise ValueError("eta must be positive")
     max_iters = max(int(max_iters), 0)
 
-    projected = np.array([not spec.contains(row, MEMBERSHIP_TOL) for row in x], dtype=bool)
+    # not <=, so that a NaN residual is projected too
+    projected = np.array([not spec.membership_residual(r) <= MEMBERSHIP_TOL for r in x], bool)
     if np.count_nonzero(projected):
         x[projected] = spec._project(x[projected])
         warnings.warn(

@@ -347,7 +347,7 @@ def check_rate_agreement(seed=0, instances=20, tol=1e-10):
             cap = report.eta_max if np.isfinite(report.eta_max) else 4.0
             eta = float(rng.uniform(0.15, 0.95)) * cap
             rho_recipe = report.rate(eta)
-            conv = analysis.analyze_fixed_point(problem, x_star, eta)
+            conv = analysis.analyze_fixed_point(report, eta)
             worst[kind] = max(worst[kind], abs(rho_recipe - conv.rate))
             H = iteration_matrix(problem, x_star, eta)
             rho_dense = analysis.eigendecompose(H).spectral_radius
@@ -399,15 +399,13 @@ def check_interlacing(seed=0, instances=10):
         lam_max, lam_min = analysis.gram_extremes(A @ q)
         worst_eig = max(worst_eig, lam_max - full[-1], full[0] - lam_min)
 
-        for kind, problem, x_star in _rate_instances(seed + 300 + k):
-            if kind == "sphere":
-                report = analyze_problem(problem, x_star)
-                if report.gamma is not None and report.gamma > 0:
-                    continue
-            extremes = problem.ata_extremes()
-            eta = float(rng.uniform(0.1, 0.95)) * 2.0 / extremes[0]
-            contraction = analysis.contraction_factor(*extremes, eta)
-            conv = analysis.analyze_fixed_point(problem, x_star, eta)
+        for _, problem, x_star in _rate_instances(seed + 300 + k):
+            report = analyze_problem(problem, x_star)
+            if report.gamma is not None and report.gamma > 0:
+                continue
+            eta = float(rng.uniform(0.1, 0.95)) * 2.0 / report.ata_extremes[0]
+            contraction = report.contraction(eta)
+            conv = analysis.analyze_fixed_point(report, eta)
             worst_rate = max(worst_rate, conv.rate - contraction)
             worst_contraction = max(worst_contraction, contraction - 1.0)
     return [

@@ -7,7 +7,7 @@ from pgdlab.applications import analyze_problem
 from pgdlab.constraints import AffineConstraint, Linearization, SphereConstraint
 from pgdlab.empirics import make_instance, make_lcls_instance, make_sphere_instance
 from pgdlab.engine import Problem
-from pgdlab.errors import ConstraintDomainError, NoCertificateError
+from pgdlab.errors import ConstraintDomainError, NoCertificateError, StationarityError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,8 +60,9 @@ class TestIterationMatrix:
     def test_sphere_flipped_fixed_point_rejected(self):
         # gamma = 1 at this stationary point: eta = 2 flips the projection.
         prob = Problem(np.eye(2), np.zeros(2), SphereConstraint(2))
+        report = analyze_problem(prob, [1.0, 0.0])
         with pytest.raises(ConstraintDomainError, match="fixed-point"):
-            analysis.analyze_fixed_point(prob, [1.0, 0.0], 2.0)
+            analysis.analyze_fixed_point(report, 2.0)
 
     @pytest.mark.parametrize("kind", ["affine", "sphere"])
     def test_diagonal_a_matches_dense_product(self, kind):
@@ -295,18 +296,18 @@ class TestCompressedRateAndOptimalStep:
 
 class TestFixedPointReport:
     def test_lcls_global_region(self):
-        prob, x_star = make_lcls_instance(10, 7, 2, 5)
+        prob, _ = make_lcls_instance(10, 7, 2, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(prob, x_star, 0.8 * report.eta_opt)
+        conv = analysis.analyze_fixed_point(report, 0.8 * report.eta_opt)
         assert conv.certified
         assert np.isinf(conv.region_radius)
         assert conv.quad_coeff == 0.0
         assert conv.eigvec_condition == 1.0
 
     def test_uncertified_above_threshold(self):
-        prob, x_star = make_lcls_instance(10, 7, 2, 5)
+        prob, _ = make_lcls_instance(10, 7, 2, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(prob, x_star, 1.05 * report.eta_max)
+        conv = analysis.analyze_fixed_point(report, 1.05 * report.eta_max)
         assert not conv.certified
         assert conv.region_radius is None
         with pytest.raises(NoCertificateError):
@@ -316,7 +317,7 @@ class TestFixedPointReport:
         prob, x_star = make_sphere_instance(9, 5, -0.5, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.9 * report.eta_opt
-        conv = analysis.analyze_fixed_point(prob, x_star, eta)
+        conv = analysis.analyze_fixed_point(report, eta)
         initial = 0.5 * report.region(eta)
         assert conv.certified
         assert 0 < conv.quad_coeff * initial / (1.0 - conv.rate) < 1  # the error fraction
@@ -331,7 +332,7 @@ class TestFixedPointReport:
         prob, x_star = make_sphere_instance(9, 5, -0.5, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.8 * report.eta_opt
-        conv = analysis.analyze_fixed_point(prob, x_star, eta)
+        conv = analysis.analyze_fixed_point(report, eta)
         H = verify.iteration_matrix(prob, x_star, eta)
         eig = analysis.eigendecompose(H)
         n = prob.constraint.n
@@ -356,13 +357,14 @@ class TestFixedPointReport:
         b = A @ x_star + 0.5 * (A @ np.linalg.solve(A.T @ A, x_star))
         prob = Problem(A, b, SphereConstraint(10))
         assert np.isfinite(np.linalg.norm(verify.iteration_matrix(prob, x_star, 1e308)))
+        report = analyze_problem(prob, x_star)
         with pytest.raises(NoCertificateError, match="contraction factor overflows"):
-            analysis.analyze_fixed_point(prob, x_star, 1e308)
+            analysis.analyze_fixed_point(report, 1e308)
 
     def test_json_encodes_infinity(self):
-        prob, x_star = make_lcls_instance(10, 7, 2, 5)
+        prob, _ = make_lcls_instance(10, 7, 2, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(prob, x_star, 0.5 * report.eta_opt)
+        conv = analysis.analyze_fixed_point(report, 0.5 * report.eta_opt)
         doc = conv.to_json()
         assert doc["region_radius"] == "inf"
         assert None not in doc.values()
@@ -418,26 +420,21 @@ class TestCompressedCertificate:
         dense = [analysis.eigendecompose(verify.iteration_matrix(prob, x_star, eta))
                  for eta in etas]
 
-        calls = eigensolves(report.tangent_basis.shape[1])
+        calls = eigensolves(report.linearization.basis.shape[1])
         for eta, eig in zip(etas, dense):
-            conv = analysis.analyze_fixed_point(prob, x_star, eta)
+            conv = analysis.analyze_fixed_point(report, eta)
             assert conv.symmetric and conv.eigvec_condition == 1.0
             assert abs(conv.rate - eig.spectral_radius) <= 1e-12 * (1.0 + eig.spectral_radius)
-        assert [width for width, _ in calls] == [report.tangent_basis.shape[1]] * 2
+        assert [width for width, _ in calls] == [report.linearization.basis.shape[1]] * 2
 
-    def test_non_stationary_sphere_point_reports_kappa_of_c(self):
-        # Off a fixed point span B_z != span B_x and C is not symmetric. The
-        # rate is still H's; the condition number is that of C's eigenvectors,
-        # which leaves out the angle between span B_z and span B_x^perp.
+    def test_non_stationary_sphere_point_is_refused(self):
+        # Off a fixed point span B_z != span B_x, and H's eigenbasis is not
+        # given by C's: the certificate starts from a point the sphere
+        # analysis accepted, and that analysis refuses this one.
         prob, _ = make_sphere_instance(9, 5, -0.5, 6)
         x = prob.constraint.random_member(np.random.default_rng(0))
-        eta = 0.1
-        conv = analysis.analyze_fixed_point(prob, x, eta)
-        dense = analysis.eigendecompose(verify.iteration_matrix(prob, x, eta))
-        assert not conv.symmetric and conv.diagonalizable
-        assert conv.rate == pytest.approx(dense.spectral_radius, rel=1e-12)
-        assert conv.eigvec_condition == pytest.approx(3.39, abs=5e-3)
-        assert dense.eigvec_condition == pytest.approx(4.55, abs=5e-3)
+        with pytest.raises(StationarityError, match="not a stationary point"):
+            analyze_problem(prob, x)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_near_fixed_completion_point_reports_the_condition_of_h(self, eigensolves, seed):
@@ -445,9 +442,10 @@ class TestCompressedCertificate:
         # zero eigenvalue leaves the eigenvector basis of the kernel unresolved.
         prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, seed)
         prob = moved_observations(prob)
-        eta = analyze_problem(prob, x_star).eta_opt
+        report = analyze_problem(prob, x_star)
+        eta = report.eta_opt
         calls = eigensolves(40)
-        conv = analysis.analyze_fixed_point(prob, x_star, eta)
+        conv = analysis.analyze_fixed_point(report, eta)
         assert conv.certified and not conv.symmetric
         # H's eigenvectors: B_x W, with W those of C (C's eigenvalue 1 - eta
         # is repeated, so they are the ones this eig chose), and a basis of
@@ -466,9 +464,9 @@ class TestCompressedCertificate:
         prob, x_star = make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
         prob = moved_observations(prob)
         report = analyze_problem(prob, x_star)
-        assert report.tangent_basis.shape[1] == 261
+        assert report.linearization.basis.shape[1] == 261
         calls = eigensolves(261)
-        conv = analysis.analyze_fixed_point(prob, x_star, report.eta_opt)
+        conv = analysis.analyze_fixed_point(report, report.eta_opt)
         assert [width for width, _ in calls] == [261]
         assert conv.certified and conv.eigvec_condition < 1.01
 

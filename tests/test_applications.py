@@ -38,7 +38,7 @@ class TestLcls:
     def test_one_dimensional_reduction(self):
         prob = Problem(np.eye(2), np.zeros(2), AffineConstraint([[1.0, 1.0]], [np.sqrt(2.0)]))
         report = analyze_lcls(prob)
-        basis = report.tangent_basis.ravel()
+        basis = report.linearization.basis.ravel()
         np.testing.assert_allclose(np.abs(basis), np.ones(2) / SQRT2, atol=1e-12)
         assert report.lam_max == pytest.approx(1.0)
         assert report.rate(0.3) == pytest.approx(0.7)
@@ -164,7 +164,7 @@ class TestSphere:
         report = analyze_problem(prob, x_star)
         assert report.gamma == pytest.approx(0.0, abs=1e-12)
         eta = 0.8 * report.eta_opt
-        lam_max, lam_min = analysis.gram_extremes(prob.apply(report.tangent_basis))
+        lam_max, lam_min = analysis.gram_extremes(prob.apply(report.linearization.basis))
         rate = analysis.contraction_factor(lam_max, lam_min, eta)
         assert report.rate(eta) == pytest.approx(rate, abs=1e-12)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
@@ -325,7 +325,7 @@ class TestDualPath:
             report = analyze_problem(prob, x_star)
             cap = report.eta_max if np.isfinite(report.eta_max) else 4.0
             eta = float(rng.uniform(0.2, 0.95)) * cap
-            conv = analysis.analyze_fixed_point(prob, x_star, eta)
+            conv = analysis.analyze_fixed_point(report, eta)
             assert abs(report.rate(eta) - conv.rate) <= 1e-10
             r1, r2 = report.region(eta), conv.region_radius
             if np.isinf(r1):
@@ -340,7 +340,7 @@ class TestDualPath:
         assert prob.objective(x_star) <= 1e-20
         report = analyze_problem(prob, x_star)
         assert report.kind == "mcp"
-        assert report.tangent_basis.shape[1] == 2 * (5 + 4 - 2)
+        assert report.linearization.basis.shape[1] == 2 * (5 + 4 - 2)
 
 
 # The per-family closed forms as they were written before ApplicationReport
@@ -462,7 +462,7 @@ def test_tangent_basis_is_the_linearization_basis(family):
     prob, x_star = RECIPE_INSTANCES[family](5)
     report = analyze_problem(prob, x_star)
     basis = prob.constraint.linearize(report.x_star).basis
-    assert np.array_equal(report.tangent_basis, basis)
+    assert np.array_equal(report.linearization.basis, basis)
 
 
 def _signed_diagonal_lcls(seed):
@@ -527,7 +527,7 @@ class TestReadsAThroughProblem:
     def test_bits_of_the_raw_array_formulas(self, family, seed):
         prob, x_star = READS_A_INSTANCES[family](seed)
         report = analyze_problem(prob, x_star)
-        A, basis = prob.A, report.tangent_basis
+        A, basis = prob.A, report.linearization.basis
         if report.kind == "mcp":
             # The Gram of the sampled rows only: with the zero rows its sums round differently.
             expected = analysis.gram_extremes(basis[np.flatnonzero(np.diagonal(A))])

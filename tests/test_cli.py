@@ -16,7 +16,12 @@ from pgdlab.empirics import (
     make_mcp_instance,
     make_sphere_instance,
 )
-from pgdlab.constraints import AffineConstraint, SparsityConstraint, SphereConstraint
+from pgdlab.constraints import (
+    AffineConstraint,
+    LowRankConstraint,
+    SparsityConstraint,
+    SphereConstraint,
+)
 from pgdlab.engine import Problem
 from pgdlab.errors import ProblemFileError
 from pgdlab.problem_io import load_problem, save_problem
@@ -427,6 +432,18 @@ class TestSolveCommand:
         code = main(["solve", "/nonexistent/prob.json", "--eta", "0.1"])
         assert code == 1
 
+    def test_default_start_is_not_the_generated_solution(self, tmp_path, capsys, monkeypatch):
+        # make_mcp_instance draws its x* from default_rng(seed), and so did the
+        # default start: solve stopped after one step at error 4.6e-15.
+        monkeypatch.delenv("PGDLAB_SEED", raising=False)
+        prob, X_star = make_mcp_instance(12, 10, 2, 80, 0)
+        path, out = tmp_path / "mcp.json", tmp_path / "trace.csv"
+        save_problem(path, prob, x_star=X_star)
+        assert main(["solve", str(path), "--eta", "1.0", "--out", str(out)]) == 0
+        assert "iterations: 1\n" not in capsys.readouterr().out
+        first_error = float(out.read_text().splitlines()[1].split(",")[1])
+        assert first_error > 1.0
+
 
 class TestAnalyzeCommand:
     def test_lcls_reports_global_region(self, lcls_file, tmp_path, capsys):
@@ -490,6 +507,25 @@ class TestAnalyzeCommand:
         at_opt = next(r for r in app["rate_table"]
                       if r["eta"] == pytest.approx(app["eta_opt"]))
         assert at_opt["rate"] == pytest.approx(app["rho_opt"])
+
+    def test_completion_file_linearizes_x_star_once(self, tmp_path, capsys, monkeypatch):
+        # One linearization at x* for the whole command, then one at the
+        # gradient step of each eta.
+        prob, X_star = make_mcp_instance(12, 10, 2, 80, 0)
+        path = tmp_path / "mcp.json"
+        save_problem(path, prob, x_star=X_star)
+        calls = []
+        linearize = LowRankConstraint.linearize
+
+        def counting(self, x):
+            calls.append(x)
+            return linearize(self, x)
+
+        monkeypatch.setattr(LowRankConstraint, "linearize", counting)
+        etas = ["0.5", "1.0", "1.5"]
+        assert main(["analyze", str(path), "--eta", *etas]) == 0
+        assert len(json.loads(capsys.readouterr().out)["etas"]) == len(etas)
+        assert len(calls) == 1 + len(etas)
 
     def test_lcls_bounds_have_no_initial_error(self, lcls_file, capsys):
         path, _, _ = lcls_file

@@ -90,7 +90,7 @@ class TestGenerators:
         assert prob.A.shape == (2000, 2000)
         assert X_star.shape == (50, 40)
         report = analyze_problem(prob, X_star.reshape(-1, order="F"))
-        assert report.tangent_basis.shape == (2000, 3 * (50 + 40 - 3))
+        assert report.linearization.basis.shape == (2000, 3 * (50 + 40 - 3))
 
     def test_iht_exact_and_residual(self):
         prob, x_star = make_iht_instance(18, 36, 4, 2)

@@ -19,6 +19,9 @@ next to this script:
   ``x_star``), and of a completion file whose observations are moved by
   1e-11, so that its ``x_star`` fits them only within the stationarity
   tolerance, each with no ``--eta`` and with ``--eta 0.01 0.05``;
+* ``analyze`` of the paper-scale completion file (50, 40, 3, 800, seed 7)
+  with no ``--eta`` and with ``--eta 1.0``, the step of the benchmark's
+  ``analyze_mcp`` workload;
 * the same two ``analyze`` commands on an iht file saved with s = 6 around an
   ``x_star`` with 4 nonzeros, which is no fixed point: both exit 1;
 * an lcls and a sphere file whose A is square and diagonal with entries other
@@ -87,6 +90,7 @@ ANALYZE_FILES = (
     ("mcp_near_fixed", "mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, True, 1e-11),
 )
 ANALYZE_ETAS = ((), ("--eta", "0.01", "0.05"))
+PAPER_ANALYZE_ETAS = ((), ("--eta", "1.0"))
 # (file name, generator params, seed, sparsity level of the saved file)
 UNDER_SPARSE_FILE = ("iht_under_sparse", {"m": 20, "n": 40, "s": 4, "residual": True}, 0, 6)
 
@@ -276,6 +280,13 @@ def main(argv=None):
             for etas in ANALYZE_ETAS:
                 suffix = "_etas" if etas else ""
                 run_cli(f"analyze_{label}{suffix}", ["analyze", target, *etas])
+
+    # No dense copy: its 2000 x 2000 A would take tens of MB.
+    path = os.path.join(outdir, "problem_mcp_paper.json")
+    problem, x_star = empirics.make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
+    problem_io.save_problem(path, problem, x_star=x_star)
+    for etas in PAPER_ANALYZE_ETAS:
+        run_cli(f"analyze_mcp_paper{'_etas' if etas else ''}", ["analyze", path, *etas])
 
     name, params, seed, s = UNDER_SPARSE_FILE
     path = os.path.join(outdir, f"problem_{name}.json")
