@@ -2,7 +2,7 @@
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a given
 seed reproduces an instance bit for bit. Instance generators return a problem
-together with a solution that is stationary by construction; ``run_experiment``
+together with a solution that its family analysis accepts; ``run_experiment``
 drives PGD across a step-size grid and compares measured contraction rates
 against the closed-form predictions.
 """
@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import gram_extremes, iteration_bound
+from .analysis import iteration_bound
 from .applications import analyze_problem, mcp_problem
 from .constraints import AffineConstraint, SparsityConstraint, SphereConstraint
 from .engine import ERROR_FLOOR_SCALE, Problem, run_pgd
 from .errors import (
+    ConstraintDomainError,
     GenerationError,
     NoCertificateError,
     RateEstimationError,
+    StationarityError,
 )
 
 BOUND_ACCURACIES = (1e-2, 1e-4, 1e-6, 1e-8)
@@ -83,15 +85,7 @@ def _require_sizes(kind, **sizes):
 
 def make_lcls_instance(m, n, p, seed):
     """Random equality-constrained least squares with its exact solution."""
-    _require_sizes("lcls", m=m, n=n)
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n))
-    C = rng.standard_normal((p, n))
-    d = C @ rng.standard_normal(n)
-    b = rng.standard_normal(m)
-    problem = Problem(A, b, AffineConstraint(C, d))
-    report = analyze_problem(problem)
-    return problem, report.x_star
+    return _unpack(_draw_lcls(m, n, p, seed))
 
 
 def make_iht_instance(m, n, s, seed, residual=False):
@@ -101,6 +95,69 @@ def make_iht_instance(m, n, s, seed, residual=False):
     of the compressed sensing matrix, so the gradient at the solution is
     nonzero off the support.
     """
+    return _unpack(_draw_iht(m, n, s, seed, residual))
+
+
+def make_sphere_instance(m, n, gamma, seed):
+    """Unit-norm least squares whose solution has the requested multiplier.
+
+    Retries until the multiplier sits below the smallest tangent eigenvalue,
+    which is what certifies the solution as a strict local minimum.
+    """
+    return _unpack(_draw_sphere(m, n, gamma, seed))
+
+
+def make_mcp_instance(m_mat, n_mat, r, s, seed):
+    """Random matrix completion: rank-r product factors, uniform sampling."""
+    report = _draw_mcp(m_mat, n_mat, r, s, seed)
+    return report.problem, report.x_star.reshape((m_mat, n_mat), order="F")
+
+
+def make_instance(kind, params, seed):
+    """Uniform entry point used by the CLI; returns (problem, x_star_vector)."""
+    return _unpack(_instance_report(kind, params, seed))
+
+
+def _unpack(report):
+    return report.problem, report.x_star
+
+
+def _instance_report(kind, params, seed):
+    """Draw an instance of ``kind`` and run its family analysis, once: the one
+    stationarity test of a draw, whose refusal raises GenerationError. Returns
+    the ``ApplicationReport``; its ``x_star`` is column-major for mcp."""
+    if kind == "lcls":
+        return _draw_lcls(params["m"], params["n"], params["p"], seed)
+    if kind == "iht":
+        return _draw_iht(params["m"], params["n"], params["s"], seed,
+                         params.get("residual", False))
+    if kind == "sphere":
+        return _draw_sphere(params["m"], params["n"], params.get("gamma", -0.5), seed)
+    if kind == "mcp":
+        return _draw_mcp(params["m"], params["n"], params["r"], params["s"], seed)
+    raise ValueError(f"unknown experiment kind {kind!r}")
+
+
+def _analyze_draw(problem, x_star=None):
+    try:
+        return analyze_problem(problem, x_star)
+    except (StationarityError, ConstraintDomainError) as exc:
+        raise GenerationError(f"generated point refused: {exc}") from exc
+
+
+def _draw_lcls(m, n, p, seed):
+    _require_sizes("lcls", m=m, n=n)
+    if not 1 <= p < n:
+        raise ValueError(f"lcls: need 1 <= p < n (p={p}, n={n})")
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    C = rng.standard_normal((p, n))
+    d = C @ rng.standard_normal(n)
+    b = rng.standard_normal(m)
+    return _analyze_draw(Problem(A, b, AffineConstraint(C, d)))
+
+
+def _draw_iht(m, n, s, seed, residual):
     _require_sizes("iht", m=m, n=n)
     if not 1 <= s <= n:
         raise ValueError(f"iht: need 1 <= s <= n (s={s}, n={n})")
@@ -119,17 +176,10 @@ def make_iht_instance(m, n, s, seed, residual=False):
         w = left_null @ rng.standard_normal(m - s)
         w *= 0.1 / max(np.linalg.norm(w), 1e-300)
         b = b - w
-    problem = Problem(A, b, SparsityConstraint(s, n))
-    _check_generated(problem, x_star)
-    return problem, x_star
+    return _analyze_draw(Problem(A, b, SparsityConstraint(s, n)), x_star)
 
 
-def make_sphere_instance(m, n, gamma, seed):
-    """Unit-norm least squares whose solution has the requested multiplier.
-
-    Retries until the multiplier sits below the smallest tangent eigenvalue,
-    which is what certifies the solution as a strict local minimum.
-    """
+def _draw_sphere(m, n, gamma, seed):
     _require_sizes("sphere", m=m, n=n)
     if n < 2:
         raise ValueError(f"sphere: need n >= 2, the sphere in R^1 has no tangent space (n={n})")
@@ -143,75 +193,38 @@ def make_sphere_instance(m, n, gamma, seed):
         A = rng.standard_normal((m, n))
         x_star = rng.standard_normal(n)
         x_star /= np.linalg.norm(x_star)
-        gram = A.T @ A
-        b = A @ x_star - gamma * (A @ np.linalg.solve(gram, x_star))
-        _, lam_min = gram_extremes(A @ spec.linearize(x_star).basis)
-        if gamma < lam_min:
-            problem = Problem(A, b, spec)
-            _check_generated(problem, x_star)
-            return problem, x_star
+        b = A @ x_star - gamma * (A @ np.linalg.solve(A.T @ A, x_star))
+        report = _analyze_draw(Problem(A, b, spec), x_star)
+        # The sphere analysis certifies exactly a multiplier below lam_min.
+        if report.certified:
+            return report
     raise GenerationError(
         f"could not draw a sphere instance with multiplier {gamma} below the "
         f"smallest tangent eigenvalue in {SPHERE_MAX_TRIES} tries"
     )
 
 
-def make_mcp_instance(m_mat, n_mat, r, s, seed):
-    """Random matrix completion: rank-r product factors, uniform sampling."""
+def _draw_mcp(m_mat, n_mat, r, s, seed):
     _require_sizes("mcp", m=m_mat, n=n_mat, r=r)
     if not 0 < s < m_mat * n_mat:
-        raise ValueError("need 0 < s < m*n observations")
+        raise ValueError(f"mcp: need 0 < s < m*n (s={s}, m*n={m_mat * n_mat})")
     if r > min(m_mat, n_mat):
-        raise ValueError("rank exceeds matrix dimensions")
+        raise ValueError(f"mcp: need r <= min(m, n) (r={r}, min(m, n)={min(m_mat, n_mat)})")
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((m_mat, r))
     G = rng.standard_normal((n_mat, r))
     X_star = F @ G.T
+    # Its own cutoff, stricter than linearize's rank test (RANK_RTOL).
     sig = np.linalg.svd(X_star, compute_uv=False)
     if sig[r - 1] / sig[0] <= 1e-8:
         raise GenerationError("generated factors are numerically rank deficient")
     omega = np.sort(rng.choice(m_mat * n_mat, size=s, replace=False))
     x_star = X_star.reshape(-1, order="F")
-    problem = mcp_problem(x_star[omega], omega, (m_mat, n_mat), r)
-    _check_generated(problem, x_star)
-    return problem, X_star
-
-
-def _check_generated(problem, x_star, tol=1e-10):
-    x_ref = np.asarray(x_star, dtype=float).reshape(-1, order="F")
-    lin = problem.constraint.linearize(x_ref)
-    residual = float(np.linalg.norm(lin.apply(problem.gradient(x_ref))))
-    if residual > tol * (1.0 + np.linalg.norm(x_ref)):
-        raise GenerationError(f"generated point is not stationary (residual {residual:.3e})")
-
-
-def make_instance(kind, params, seed):
-    """Uniform entry point used by the CLI; returns (problem, x_star_vector)."""
-    if kind == "lcls":
-        problem, x_star = make_lcls_instance(
-            params["m"], params["n"], params["p"], seed
-        )
-    elif kind == "iht":
-        problem, x_star = make_iht_instance(
-            params["m"], params["n"], params["s"], seed,
-            residual=params.get("residual", False),
-        )
-    elif kind == "sphere":
-        problem, x_star = make_sphere_instance(
-            params["m"], params["n"], params.get("gamma", -0.5), seed
-        )
-    elif kind == "mcp":
-        problem, X_star = make_mcp_instance(
-            params["m"], params["n"], params["r"], params["s"], seed
-        )
-        x_star = X_star.reshape(-1, order="F")
-    else:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    return problem, x_star
+    return _analyze_draw(mcp_problem(x_star[omega], omega, (m_mat, n_mat), r), x_star)
 
 
 def _start_point(problem, x_star, region, rng, offset=None):
-    """Pick a feasible start: half the certified radius,or a fixed offset when
+    """Pick a feasible start: half the certified radius, or a fixed offset when
     the certificate is global. Shrinks until the projected point is inside."""
     spec = problem.constraint
     direction = rng.standard_normal(spec.n)
@@ -248,8 +261,8 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     Returns the bundle dictionary; when ``outdir`` is given also writes
     ``manifest.json`` plus one ``trace_eta_<value>.csv`` per step size.
     """
-    problem, x_star = make_instance(kind, params, seed)
-    report = analyze_problem(problem, x_star)
+    report = _instance_report(kind, params, seed)
+    problem, x_star = report.problem, report.x_star
     if callable(etas):
         etas = etas(report)
     rng = np.random.default_rng(seed + 1)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .applications import analyze_problem
 from .constraints import (
     SQRT2,
     AffineConstraint,
@@ -31,13 +30,7 @@ from .constraints import (
     row_norms,
     sample_blocks,
 )
-from .empirics import (
-    make_iht_instance,
-    make_lcls_instance,
-    make_mcp_instance,
-    make_sphere_instance,
-    run_experiment,
-)
+from .empirics import _instance_report, make_lcls_instance, run_experiment
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -318,15 +311,11 @@ def projections_suite(seed=0):
 
 
 def _rate_instances(seed):
-    """Small instances of all four families with a certified solution."""
-    problem, x_star = make_lcls_instance(12, 8, 3, seed)
-    yield "lcls", problem, x_star
-    problem, x_star = make_iht_instance(16, 32, 4, seed, residual=bool(seed % 2))
-    yield "iht", problem, x_star
-    problem, x_star = make_sphere_instance(12, 6, -0.4 if seed % 2 else 0.3, seed)
-    yield "sphere", problem, x_star
-    problem, X_star = make_mcp_instance(6, 5, 2, 24, seed)
-    yield "mcp", problem, X_star.reshape(-1, order="F")
+    """Reports of small instances of all four families."""
+    yield _instance_report("lcls", {"m": 12, "n": 8, "p": 3}, seed)
+    yield _instance_report("iht", {"m": 16, "n": 32, "s": 4, "residual": bool(seed % 2)}, seed)
+    yield _instance_report("sphere", {"m": 12, "n": 6, "gamma": -0.4 if seed % 2 else 0.3}, seed)
+    yield _instance_report("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, seed)
 
 
 def check_rate_agreement(seed=0, instances=20, tol=1e-10):
@@ -340,16 +329,16 @@ def check_rate_agreement(seed=0, instances=20, tol=1e-10):
     region_worst = 0.0
     rng = np.random.default_rng(seed)
     for k in range(instances):
-        for kind, problem, x_star in _rate_instances(seed + 100 + k):
-            report = analyze_problem(problem, x_star)
+        for report in _rate_instances(seed + 100 + k):
             if not report.certified:
                 continue
             cap = report.eta_max if np.isfinite(report.eta_max) else 4.0
             eta = float(rng.uniform(0.15, 0.95)) * cap
             rho_recipe = report.rate(eta)
             conv = analysis.analyze_fixed_point(report, eta)
+            kind = report.kind
             worst[kind] = max(worst[kind], abs(rho_recipe - conv.rate))
-            H = iteration_matrix(problem, x_star, eta)
+            H = iteration_matrix(report.problem, report.x_star, eta)
             rho_dense = analysis.eigendecompose(H).spectral_radius
             compressed_worst[kind] = max(
                 compressed_worst[kind], abs(conv.rate - rho_dense) / (1.0 + conv.rate)
@@ -399,8 +388,7 @@ def check_interlacing(seed=0, instances=10):
         lam_max, lam_min = analysis.gram_extremes(A @ q)
         worst_eig = max(worst_eig, lam_max - full[-1], full[0] - lam_min)
 
-        for _, problem, x_star in _rate_instances(seed + 300 + k):
-            report = analyze_problem(problem, x_star)
+        for report in _rate_instances(seed + 300 + k):
             if report.gamma is not None and report.gamma > 0:
                 continue
             eta = float(rng.uniform(0.1, 0.95)) * 2.0 / report.ata_extremes[0]
@@ -427,10 +415,9 @@ def check_interlacing(seed=0, instances=10):
 
 def check_gelfand(seed=0, power=64, rtol=0.1):
     worst = 0.0
-    for kind, problem, x_star in _rate_instances(seed + 500):
-        report = analyze_problem(problem, x_star)
+    for report in _rate_instances(seed + 500):
         eta = 0.8 * (report.eta_max if np.isfinite(report.eta_max) else 2.0)
-        H = iteration_matrix(problem, x_star, eta)
+        H = iteration_matrix(report.problem, report.x_star, eta)
         rho = analysis.eigendecompose(H).spectral_radius
         if rho <= 0:
             continue
@@ -442,16 +429,15 @@ def check_gelfand(seed=0, power=64, rtol=0.1):
 def check_eigvec_order_invariance(seed=0):
     """Region and bound are unchanged when the eigenvector basis is shuffled."""
     rng = np.random.default_rng(seed)
-    problem, x_star = make_lcls_instance(12, 8, 3, seed + 700)
-    report = analyze_problem(problem, x_star)
+    report = _instance_report("lcls", {"m": 12, "n": 8, "p": 3}, seed + 700)
     eta = 0.7 * report.eta_max
-    H = iteration_matrix(problem, x_star, eta)
+    H = iteration_matrix(report.problem, report.x_star, eta)
     perm = rng.permutation(H.shape[0])
     H_shuffled = H[np.ix_(perm, perm)]
     eig_a = analysis.eigendecompose(H)
     eig_b = analysis.eigendecompose(H_shuffled)
     rho_gap = abs(eig_a.spectral_radius - eig_b.spectral_radius)
-    contraction = analysis.contraction_factor(*problem.ata_extremes(), eta)
+    contraction = report.contraction(eta)
     vals = []
     for eig in (eig_a, eig_b):
         radius = analysis.convergence_radius(

@@ -3,9 +3,15 @@ import filecmp
 import numpy as np
 import pytest
 
-from pgdlab.applications import analyze_problem
+from pgdlab import applications, empirics
+from pgdlab.applications import analyze_problem, mcp_problem
+from pgdlab.constraints import (
+    AffineConstraint,
+    LowRankConstraint,
+    SparsityConstraint,
+    SphereConstraint,
+)
 from pgdlab.empirics import (
-    _check_generated,
     default_etas,
     estimate_rate,
     make_iht_instance,
@@ -15,7 +21,7 @@ from pgdlab.empirics import (
     make_sphere_instance,
     run_experiment,
 )
-from pgdlab.engine import Trace
+from pgdlab.engine import Problem, Trace
 from pgdlab.errors import GenerationError, RateEstimationError
 from pgdlab.verify import derivative_matrix
 
@@ -116,10 +122,15 @@ class TestGenerators:
             (make_sphere_instance, (5, 4, np.nan, 0), {}, "gamma"),
             (make_mcp_instance, (0, 4, 1, 2, 0), {}, "m"),
             (make_mcp_instance, (5, 4, 0, 10, 0), {}, "r"),
+            (make_lcls_instance, (5, 3, -1, 0), {}, "p"),
+            (make_lcls_instance, (5, 3, 4, 0), {}, "p"),
+            (make_mcp_instance, (5, 4, 2, 20, 0), {}, "s"),
+            (make_mcp_instance, (5, 4, 5, 10, 0), {}, "r"),
         ],
         ids=["iht_s_above_n", "iht_s_zero", "iht_residual_s_above_m", "sphere_m_below_n",
              "lcls_m_zero", "lcls_n_zero", "iht_m_zero", "sphere_n_zero", "sphere_n_one",
-             "sphere_gamma_nan", "mcp_m_zero", "mcp_r_zero"],
+             "sphere_gamma_nan", "mcp_m_zero", "mcp_r_zero", "lcls_p_negative",
+             "lcls_p_not_below_n", "mcp_s_not_below_mn", "mcp_r_above_min_mn"],
     )
     def test_bad_sizes_rejected_before_drawing(self, make, args, kwargs, name):
         with pytest.raises(ValueError, match=rf"\b{name}="):
@@ -141,30 +152,26 @@ class TestGenerators:
             x_ref = np.asarray(x_star, dtype=float).reshape(-1)
             assert dense_stationarity_residual(prob, x_ref) <= 1e-10 * (1 + np.linalg.norm(x_ref))
 
-    @pytest.mark.parametrize("kind, params", [
-        ("lcls", {"m": 12, "n": 8, "p": 3}),
-        ("iht", {"m": 16, "n": 32, "s": 4}),
-        ("sphere", {"m": 10, "n": 6, "gamma": -0.5}),
-        ("mcp", {"m": 6, "n": 5, "r": 2, "s": 22}),
+    @pytest.mark.parametrize("kind, params, refusal", [
+        ("lcls", {"m": 12, "n": 8, "p": 3}, None),
+        ("iht", {"m": 16, "n": 32, "s": 4}, "not stationary"),
+        ("sphere", {"m": 10, "n": 6, "gamma": -0.5}, "not a stationary point"),
+        ("mcp", {"m": 6, "n": 5, "r": 2, "s": 22}, "does not reproduce the observations"),
     ])
-    def test_generated_point_check_matches_the_certificate(self, kind, params):
-        # The check refuses exactly the feasible points whose residual, taken
-        # through the dense projector rather than ``Linearization.apply``,
-        # exceeds its tolerance.
-        prob, x_star = make_instance(kind, params, 5)
-        spec = prob.constraint
-        rng = np.random.default_rng(6)
-        refused = []
-        for scale in (0.0, 1e-14, 1e-12, 1e-9, 1e-3):
-            x = spec.project(x_star + scale * rng.standard_normal(spec.n))
-            residual = dense_stationarity_residual(prob, x)
-            refused.append(bool(residual > 1e-10 * (1.0 + np.linalg.norm(x))))
-            if refused[-1]:
-                with pytest.raises(GenerationError, match="not stationary"):
-                    _check_generated(prob, x)
-            else:
-                _check_generated(prob, x)
-        assert not refused[0] and refused[-1]
+    def test_non_stationary_draw_is_refused_by_the_family_analysis(
+            self, kind, params, refusal, monkeypatch):
+        # Every drawn observation moves by 1e-3, so the drawn point is no longer
+        # stationary; the family analysis refuses it with its own message. The
+        # lcls analysis solves for its point, which stays stationary.
+        monkeypatch.setattr(empirics, "Problem", lambda A, b, c: Problem(A, b + 1e-3, c))
+        monkeypatch.setattr(empirics, "mcp_problem",
+                            lambda obs, omega, shape, r: mcp_problem(obs + 1e-3, omega, shape, r))
+        if refusal is None:
+            prob, x_star = make_instance(kind, params, 5)
+            assert dense_stationarity_residual(prob, x_star) <= 1e-10 * (1 + np.linalg.norm(x_star))
+            return
+        with pytest.raises(GenerationError, match=refusal):
+            make_instance(kind, params, 5)
 
 
 class TestRunExperiment:
@@ -196,6 +203,33 @@ class TestRunExperiment:
         run_experiment("lcls", params, etas, 4, outdir=tmp_path / "list")
         manifest = (tmp_path / "fn" / "manifest.json").read_bytes()
         assert manifest == (tmp_path / "list" / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("kind, params, constraint", [
+        ("lcls", {"m": 12, "n": 8, "p": 3}, AffineConstraint),
+        ("iht", {"m": 16, "n": 32, "s": 4}, SparsityConstraint),
+        ("sphere", {"m": 10, "n": 6, "gamma": -0.5}, SphereConstraint),
+        ("mcp", {"m": 6, "n": 5, "r": 2, "s": 22}, LowRankConstraint),
+    ])
+    def test_instance_is_linearized_and_analyzed_once(self, kind, params, constraint,
+                                                      monkeypatch):
+        _, x_star = make_instance(kind, params, 5)
+        points, analyses = [], []
+        linearize, analyze = constraint.linearize, applications.analyze_problem
+
+        def counting_linearize(self, x):
+            points.append(np.array(x, dtype=float).reshape(-1))
+            return linearize(self, x)
+
+        def counting_analyze(*args):
+            analyses.append(args)
+            return analyze(*args)
+
+        monkeypatch.setattr(constraint, "linearize", counting_linearize)
+        for module in (applications, empirics):
+            monkeypatch.setattr(module, "analyze_problem", counting_analyze)
+        run_experiment(kind, params, default_etas, 5)
+        assert sum(np.array_equal(x, x_star) for x in points) == 1
+        assert len(analyses) == 1
 
     def test_inadmissible_eta_flagged_not_fatal(self):
         prob, x_star = make_lcls_instance(12, 8, 3, 6)

@@ -11,14 +11,13 @@ from pgdlab.constraints import (
     SphereConstraint,
 )
 from pgdlab.empirics import (
-    _check_generated,
     make_iht_instance,
     make_lcls_instance,
     make_mcp_instance,
     make_sphere_instance,
 )
 from pgdlab.engine import Problem, TraceBlock, run_pgd
-from pgdlab.errors import DivergenceError, GenerationError, InfeasibleStartWarning
+from pgdlab.errors import DivergenceError, InfeasibleStartWarning, StationarityError
 
 
 def test_gradient_identity():
@@ -232,14 +231,15 @@ def fixed_point_residual(prob, x, eta):
 class TestCertify:
     def test_lcls_solution_certifies(self):
         prob, x_star = make_lcls_instance(12, 8, 3, 5)
-        _check_generated(prob, x_star)
+        assert analyze_problem(prob).certified
         assert fixed_point_residual(prob, x_star, 0.05) <= 1e-10
 
     def test_sphere_analytic_point(self):
         b = np.array([0.4, 0.3, 0.0])
         prob = Problem(np.eye(3), b, SphereConstraint(3))
         x_star = b / np.linalg.norm(b)
-        _check_generated(prob, x_star, tol=1e-14)
+        report = analyze_problem(prob, x_star)
+        assert report.certified and report.gamma == pytest.approx(0.5, abs=1e-14)
         assert fixed_point_residual(prob, x_star, 0.5) <= 1e-14
 
     def test_non_stationary_point_has_positive_residual(self):
@@ -247,8 +247,8 @@ class TestCertify:
         prob = Problem(rng.standard_normal((6, 4)), rng.standard_normal(6),
                        SphereConstraint(4))
         x = prob.constraint.random_member(rng)
-        with pytest.raises(GenerationError, match="not stationary"):
-            _check_generated(prob, x, tol=1e-3)
+        with pytest.raises(StationarityError, match="not a stationary point"):
+            analyze_problem(prob, x)
 
     def test_fixed_point_persistence(self):
         for maker, args in [

@@ -251,10 +251,8 @@ def main(argv=None):
     run_cli(name, ["experiment", "mcp", *PAPER_MCP, "--outdir", os.path.join(outdir, name)])
 
     def bundle(kind, params, fractions, seed, target):
-        problem, x_star = empirics.make_instance(kind, params, seed)
-        report = applications.analyze_problem(problem, x_star)
-        etas = [f * report.eta_opt for f in fractions]
-        empirics.run_experiment(kind, params, etas, seed, outdir=target)
+        empirics.run_experiment(kind, params, lambda report: [f * report.eta_opt for f in fractions],
+                                seed, outdir=target)
         return 0
 
     for kind, params, fractions in BUNDLES:
