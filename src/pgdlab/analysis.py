@@ -22,8 +22,6 @@ import numpy as np
 from .errors import ConstraintDomainError, NoCertificateError
 
 SYMMETRY_RTOL = 1e-12
-EIGVEC_CONDITION_LIMIT = 1e12
-IMAG_TOL = 1e-10
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -80,69 +78,51 @@ def _gradient_step_linearization(report, eta):
 
 
 def _compressed_update(problem, lin_x, lin_z, eta):
-    """C = s_z s_x (B_x^T B_z)(B_z^T G B_x) with G = I - eta A^T A, a k x k matrix.
+    """C = (B_x^T B_z)(sM) and sM = s_z s_x B_z^T G B_x with G = I - eta A^T A, k x k.
 
-    H = (s_z s_x B_z B_z^T G B_x)(B_x^T) and C is the same product taken in
-    the other order, so C has the nonzero eigenvalues of H (Horn & Johnson,
-    Matrix Analysis, Thm 1.3.22). G is applied to B_x through ``problem``, so
-    no n x n array is formed. A step at which C overflows has no certificate.
+    H = (B_z sM)(B_x^T) and C is the same product taken in the other order,
+    so C has the nonzero eigenvalues of H (Horn & Johnson, Matrix Analysis,
+    Thm 1.3.22), and H^j = B_z (sM) C^(j-1) B_x^T. G is applied to B_x through
+    ``problem``, so no n x n array is formed. A step at which C overflows has
+    no certificate.
     """
     B_x, B_z = lin_x.basis, lin_z.basis
+    scale = lin_z.scale * lin_x.scale
     with np.errstate(over="ignore", invalid="ignore"):
         GB_x = B_x - eta * problem.apply_t(problem.apply(B_x))
-        C = (lin_z.scale * lin_x.scale) * ((B_x.T @ B_z) @ (B_z.T @ GB_x))
+        M = B_z.T @ GB_x
+        C = scale * ((B_x.T @ B_z) @ M)
         finite = np.isfinite(np.linalg.norm(C))
     if not finite:
         raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
-    return C
+    return C, scale * M
 
 
 @dataclass(frozen=True)
 class EigenData:
-    """Eigendecomposition of the update matrix with the quantities used downstream."""
+    """The rate bound r and the constant kappa with ||H^j|| <= kappa r^j."""
 
-    Q: np.ndarray
-    eigenvalues: np.ndarray
     spectral_radius: float
     eigvec_condition: float
     symmetric: bool
-    diagonalizable: bool
 
 
-def eigendecompose(H):
-    """Eigendecomposition of H, preferring the symmetric solver when applicable.
+def eigendecompose(C, sM):
+    """Rate bound r and constant kappa, ||H^j|| <= kappa r^j, from H's k x k
+    compression C and the factor sM of its powers, H^j = B_z (sM) C^(j-1) B_x^T.
 
-    A symmetric H gets an orthogonal eigenvector basis (condition number one).
-    The decomposition is flagged non-diagonalizable when the eigenvector basis
-    is numerically singular or the spectrum is not real.
+    A symmetric C gives its spectral radius and kappa = 1. Otherwise, with S
+    and K the symmetric and skew parts of C, ||C|| <= rho(S) + ||K|| = r (Weyl)
+    and kappa = max(1, ||sM|| / r): no eigenvector matrix, so no choice of
+    basis for a repeated eigenvalue, enters.
     """
-    H = np.asarray(H, dtype=float)
-    asym = np.linalg.norm(H - H.T)
-    symmetric = asym <= SYMMETRY_RTOL * (1.0 + np.linalg.norm(H))
+    symmetric = np.linalg.norm(C - C.T) <= SYMMETRY_RTOL * (1.0 + np.linalg.norm(C))
+    rate = float(np.max(np.abs(np.linalg.eigh(0.5 * (C + C.T))[0])))
     if symmetric:
-        eigenvalues, Q = np.linalg.eigh(0.5 * (H + H.T))
-        return EigenData(
-            Q=Q,
-            eigenvalues=eigenvalues,
-            spectral_radius=float(np.max(np.abs(eigenvalues))),
-            eigvec_condition=1.0,
-            symmetric=True,
-            diagonalizable=True,
-        )
-    eigenvalues, Q = np.linalg.eig(H)
-    scale = np.max(np.abs(eigenvalues)) if eigenvalues.size else 0.0
-    real_spectrum = bool(np.max(np.abs(eigenvalues.imag)) <= IMAG_TOL * (1.0 + scale))
-    sing = np.linalg.svd(Q, compute_uv=False)
-    condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
-    diagonalizable = real_spectrum and condition <= EIGVEC_CONDITION_LIMIT
-    return EigenData(
-        Q=Q.real if real_spectrum else Q,
-        eigenvalues=eigenvalues.real if real_spectrum else eigenvalues,
-        spectral_radius=float(np.max(np.abs(eigenvalues))),
-        eigvec_condition=condition,
-        symmetric=False,
-        diagonalizable=diagonalizable,
-    )
+        return EigenData(spectral_radius=rate, eigvec_condition=1.0, symmetric=True)
+    rate += float(np.linalg.norm(0.5 * (C - C.T), 2))
+    condition = max(1.0, float(np.linalg.norm(sM, 2)) / rate)
+    return EigenData(spectral_radius=rate, eigvec_condition=condition, symmetric=False)
 
 
 def quadratic_coefficient(eigvec_condition, contraction, curvature_z, proj_norm_z, curvature_x):
@@ -314,7 +294,6 @@ class ConvergenceReport:
     region_radius: float | None
     certified: bool
     symmetric: bool
-    diagonalizable: bool
 
     def bound(self, accuracy, initial_error):
         """Iteration bound for the given relative accuracy from ``initial_error``."""
@@ -333,7 +312,8 @@ class ConvergenceReport:
             "region_radius": json_float(self.region_radius),
             "certified": self.certified,
             "symmetric": self.symmetric,
-            "diagonalizable": self.diagonalizable,
+            # Every update has a bound ||H^j|| <= kappa r^j; the key stays.
+            "diagonalizable": True,
         }
 
 
@@ -349,12 +329,11 @@ def analyze_fixed_point(report, eta):
     """Full convergence report for PGD with step ``eta`` at the fixed point of
     ``report``, an ``applications.ApplicationReport``.
 
-    The spectrum comes from the k x k compressed update C, which has the
-    nonzero eigenvalues of H. At a fixed point span B_z = span B_x, so C is
-    symmetric and its eigenvectors are orthonormal, as H's are. Near one (x*
-    within a family's stationarity tolerance) C is nearly symmetric, and the
-    eigenvectors W from ``eig`` give H's eigenbasis: B_x W and a basis of
-    span B_x^perp, H's kernel; both have W's condition number.
+    The rate and the constant kappa come from the k x k compressed update C
+    and the factor sM of H's powers (``eigendecompose``). At a fixed point
+    span B_z = span B_x, so C is symmetric and its rate is H's spectral
+    radius. Near one (x* within a family's stationarity tolerance) C is nearly
+    symmetric, and the rate is a norm bound within ||K|| of it.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -364,19 +343,15 @@ def analyze_fixed_point(report, eta):
         raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")
     lin_x = report.linearization
     lin_z = _gradient_step_linearization(report, eta)
-    eig = eigendecompose(_compressed_update(report.problem, lin_x, lin_z, eta))
-    if eig.diagonalizable:
-        quad = quadratic_coefficient(
-            eig.eigvec_condition,
-            contraction,
-            lin_z.curvature,
-            lin_z.operator_norm(),
-            lin_x.curvature,
-        )
-    else:
-        quad = np.inf
-
-    certified = eig.diagonalizable and eig.spectral_radius < 1.0
+    eig = eigendecompose(*_compressed_update(report.problem, lin_x, lin_z, eta))
+    quad = quadratic_coefficient(
+        eig.eigvec_condition,
+        contraction,
+        lin_z.curvature,
+        lin_z.operator_norm(),
+        lin_x.curvature,
+    )
+    certified = eig.spectral_radius < 1.0
     region = None
     if certified:
         region = convergence_radius(
@@ -395,5 +370,4 @@ def analyze_fixed_point(report, eta):
         region_radius=region,
         certified=certified,
         symmetric=eig.symmetric,
-        diagonalizable=eig.diagonalizable,
     )

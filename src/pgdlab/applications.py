@@ -179,6 +179,14 @@ def _full_rank(lam_max, lam_min):
     return lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
 
+def _relative_residual(part, v):
+    """||part|| / (1 + ||v||) for a gradient v, with both divided by max(1, max|v|)
+    first so that neither sum of squares overflows; NaN when v is not finite."""
+    top = max(float(np.max(np.abs(v))), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(part / top) / (1.0 / top + np.linalg.norm(v / top)))
+
+
 def analyze_lcls(problem):
     """Equality-constrained least squares: min 0.5||Ax-b||^2 s.t. Cx = d.
 
@@ -219,8 +227,8 @@ def analyze_iht(problem, x_star):
         )
 
     v = problem.gradient(x_star)
-    residual = np.linalg.norm(v[support]) / (1.0 + np.linalg.norm(v))
-    if residual > STATIONARITY_TOL:
+    residual = _relative_residual(v[support], v)
+    if not residual <= STATIONARITY_TOL:
         raise StationarityError(
             f"x_star is not stationary: gradient on the support has residual {residual:.3e}"
         )
@@ -255,8 +263,8 @@ def analyze_sphere(problem, x_star):
 
     v = problem.gradient(x_star)
     gamma = float(x_star @ v)
-    residual = np.linalg.norm(v - gamma * x_star) / (1.0 + np.linalg.norm(v))
-    if residual > STATIONARITY_TOL:
+    residual = _relative_residual(v - gamma * x_star, v)
+    if not residual <= STATIONARITY_TOL:
         raise StationarityError(
             f"x_star is not a stationary point: tangential gradient residual {residual:.3e}"
         )

@@ -7,7 +7,8 @@ Each check returns a result record with a counterexample string on failure.
 
 The rates suite checks the certificate of ``analysis``, which eigensolves
 only the k x k compressed update, against the dense n x n update H built
-here from its definition.
+here from its definition and eigensolved by numpy's general ``eigvals``, code
+that the certificate does not share.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def _test_constraints(rng):
 
 # ---------------------------------------------------------------------------
 # dense references
+
+
+def spectral_radius(H):
+    """max |lambda| over the eigenvalues of a dense square H (``eigvals``)."""
+    return float(np.max(np.abs(np.linalg.eigvals(H))))
 
 
 def derivative_matrix(lin):
@@ -339,7 +345,7 @@ def check_rate_agreement(seed=0, instances=20, tol=1e-10):
             kind = report.kind
             worst[kind] = max(worst[kind], abs(rho_recipe - conv.rate))
             H = iteration_matrix(report.problem, report.x_star, eta)
-            rho_dense = analysis.eigendecompose(H).spectral_radius
+            rho_dense = spectral_radius(H)
             compressed_worst[kind] = max(
                 compressed_worst[kind], abs(conv.rate - rho_dense) / (1.0 + conv.rate)
             )
@@ -418,7 +424,7 @@ def check_gelfand(seed=0, power=64, rtol=0.1):
     for report in _rate_instances(seed + 500):
         eta = 0.8 * (report.eta_max if np.isfinite(report.eta_max) else 2.0)
         H = iteration_matrix(report.problem, report.x_star, eta)
-        rho = analysis.eigendecompose(H).spectral_radius
+        rho = spectral_radius(H)
         if rho <= 0:
             continue
         approx = np.linalg.norm(np.linalg.matrix_power(H, power), 2) ** (1.0 / power)
@@ -434,8 +440,9 @@ def check_eigvec_order_invariance(seed=0):
     H = iteration_matrix(report.problem, report.x_star, eta)
     perm = rng.permutation(H.shape[0])
     H_shuffled = H[np.ix_(perm, perm)]
-    eig_a = analysis.eigendecompose(H)
-    eig_b = analysis.eigendecompose(H_shuffled)
+    # H is its own compression onto the identity basis, with H^j = H H^(j-1).
+    eig_a = analysis.eigendecompose(H, H)
+    eig_b = analysis.eigendecompose(H_shuffled, H_shuffled)
     rho_gap = abs(eig_a.spectral_radius - eig_b.spectral_radius)
     contraction = report.contraction(eta)
     vals = []
@@ -467,7 +474,7 @@ def check_corollary_consistency(seed=0, instances=10, tol=1e-10):
         eta = float(rng.uniform(0.05, 0.3))
         rate = analysis.contraction_factor(*analysis.gram_extremes(problem.apply(basis)), eta)
         H = iteration_matrix(problem, x_star, eta)
-        rho = analysis.eigendecompose(H).spectral_radius
+        rho = spectral_radius(H)
         worst = max(worst, abs(rate - rho))
     return [_result("corollary_consistency.affine", worst <= tol, f"max gap {worst:.3e}")]
 

@@ -659,6 +659,29 @@ class TestAnalyzeCommand:
         assert "s=3" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "constraint, message",
+        [({"type": "sparse", "s": 1}, "gradient on the support"),
+         ({"type": "sphere"}, "tangential gradient residual")],
+        ids=["iht", "sphere"],
+    )
+    def test_overflowing_gradient_norm_is_not_stationary(self, tmp_path, capsys, constraint,
+                                                         message):
+        # The support gradient is 1e200: its sum of squares overflows, which
+        # once made the stationarity residual NaN and let the point through.
+        path = tmp_path / "big_gradient.json"
+        path.write_text(json.dumps({"A": {"diagonal": [1e100, 1e100, 1e100]},
+                                    "b": [0, 1e100, 0], "constraint": constraint,
+                                    "x_star": [1, 0, 0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy warning fails the test
+            code = main(["analyze", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "not" in captured.err
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        assert captured.out == ""
+
     def test_missing_x_star_exit_one(self, tmp_path, capsys):
         prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
         path = tmp_path / "sphere.json"
@@ -731,8 +754,10 @@ class TestExperimentCommand:
          (["iht", "--m", "0", "--n", "5", "--s", "2"], "m=0"),
          (["mcp", "--m", "5", "--n", "4", "--r", "0", "--s", "10"], "r=0"),
          (["sphere", "--m", "5", "--n", "4", "--gamma", "nan"], "gamma=nan"),
-         (["sphere", "--m", "3", "--n", "1"], "n=1")],
-        ids=["lcls_m_zero", "iht_m_zero", "mcp_r_zero", "sphere_gamma_nan", "sphere_n_one"],
+         (["sphere", "--m", "3", "--n", "1"], "n=1"),
+         (["sphere", "--m", "15", "--n", "10", "--gamma", "1e200"], "multiplier 1e+200")],
+        ids=["lcls_m_zero", "iht_m_zero", "mcp_r_zero", "sphere_gamma_nan", "sphere_n_one",
+             "sphere_gamma_1e200"],
     )
     def test_bad_generator_input_exit_one_quietly(self, capsys, argv, name):
         with warnings.catch_warnings():

@@ -47,17 +47,36 @@ A ``.stdout`` file holding JSON must keep its keys and every value that is not
 a float; each other file must be byte-identical (a text file that is not
 shows its changed lines). The report ends with the largest relative change of
 a float under each key. It exits 0 when only floats moved, else 1.
+
+The bits of the set are recorded in ``tools/artifacts.sha256``::
+
+    python tools/artifacts.py --digest
+    python tools/artifacts.py --check
+
+``--digest`` writes the set into a temporary directory and records one
+``<sha256>  <path>`` line per file, under a header naming the numpy version,
+the BLAS it was built with and the BLAS thread settings. ``--check`` writes
+the set again and lists each path whose digest changed, or that is new or
+gone; it exits 0 when none did, else 1. The bits depend on the platform: when
+the header does not match this environment, ``--check`` says so, gives no
+verdict and exits 3 without writing the set. The header does not name the
+CPU, whose kernels a DYNAMIC_ARCH OpenBLAS picks at run time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 import traceback
+
+DIGEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "artifacts.sha256")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (label, kind, flags)
 EXPERIMENTS = (
@@ -220,6 +239,51 @@ def compare(old_dir, new_dir):
     return 1 if failed else 0
 
 
+def environment():
+    """The digest header: what the bits depend on besides the code."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS)
+    return [f"# numpy {np.__version__}", f"# blas {blas.get('name')} {blas.get('version')}",
+            f"# threads {threads}"]
+
+
+def digest(root, header):
+    """The digest text of the set under ``root``: the header lines, then one
+    ``<sha256>  <path>`` line per file, sorted by path."""
+    lines = list(header)
+    for name in sorted(_files(root)):
+        with open(os.path.join(root, name), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(text):
+    """(header lines, {path: sha256}) of a digest text."""
+    lines = text.splitlines()
+    sums = dict(line.split("  ", 1)[::-1] for line in lines if not line.startswith("#"))
+    return [line for line in lines if line.startswith("#")], sums
+
+
+def check(recorded, header, build):
+    """Compare the ``recorded`` digest text with the one ``build()`` returns;
+    ``build`` is not called when the recorded header is not ``header``."""
+    old_header, old = _parse(recorded)
+    if old_header != list(header):
+        print("the recorded environment differs from this one; no verdict")
+        print("\n".join(f"    recorded {line}" for line in old_header))
+        print("\n".join(f"    here     {line}" for line in header))
+        return 3
+    new = _parse(build())[1]
+    changed = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+    for path in changed:
+        state = "new" if path not in old else "gone" if path not in new else "changed"
+        print(f"{state}: {path}")
+    print(f"{len(changed)} of {len(old.keys() | new.keys())} paths changed")
+    return 1 if changed else 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--compare":
@@ -227,9 +291,30 @@ def main(argv=None):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    outdir = os.path.abspath(argv[0])
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         os.environ[var] = "1"  # read once, when numpy loads BLAS below
+    if argv[0] not in ("--digest", "--check"):
+        write_set(os.path.abspath(argv[0]))
+        return 0
+    header = environment()
+
+    def build():
+        with tempfile.TemporaryDirectory() as outdir:
+            write_set(outdir)
+            return digest(outdir, header)
+
+    if argv == ["--digest"]:
+        text = build()
+        with open(DIGEST, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"{DIGEST}: {len(_parse(text)[1])} files")
+        return 0
+    with open(DIGEST, encoding="utf-8") as fh:
+        return check(fh.read(), header, build)
+
+
+def write_set(outdir):
+    """Write the artifact set into ``outdir``."""
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     import numpy as np
 
@@ -307,7 +392,6 @@ def main(argv=None):
                 run_cli(f"analyze_{label}", ["analyze", target])
             run_cli(f"solve_{label}", ["solve", target, "--eta", eta, "--max-iters", "2000",
                                        "--out", os.path.join(outdir, f"solve_{label}.csv")])
-    return 0
 
 
 if __name__ == "__main__":
