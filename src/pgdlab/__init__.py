@@ -40,11 +40,7 @@ from .empirics import (
     RateEstimate,
     default_etas,
     estimate_rate,
-    make_iht_instance,
     make_instance,
-    make_lcls_instance,
-    make_mcp_instance,
-    make_sphere_instance,
     run_experiment,
 )
 from .engine import (

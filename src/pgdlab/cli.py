@@ -26,11 +26,8 @@ from .errors import (
     ConstraintDomainError,
     DivergenceError,
     GenerationError,
-    InfeasibleStartWarning,
     NoCertificateError,
     ProblemFileError,
-    RateEstimationError,
-    StationarityError,
 )
 from .problem_io import load_problem
 from .verify import SUITES, run_suites
@@ -73,8 +70,8 @@ def cmd_solve(args):
     if x0 is None:
         # Not default_rng(seed): the generators draw their x* from that stream.
         x0 = problem.constraint.random_member(np.random.default_rng([args.seed, 1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", InfeasibleStartWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
         trace = run_pgd(
             problem,
             args.eta,
@@ -83,8 +80,8 @@ def cmd_solve(args):
             error_floor=args.tol,
             x_ref=x_star,
         )
-    if trace.x0_projected:
-        print("notice: x0 was infeasible and has been projected onto the constraint set")
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"notice: {message}")
     if args.out:
         trace.write_csv(args.out)
         print(f"trace written to {args.out}")
@@ -154,16 +151,6 @@ def cmd_experiment(args):
         params["gamma"] = args.gamma
     if args.residual:
         params["residual"] = True
-
-    required = {
-        "lcls": ("m", "n", "p"),
-        "iht": ("m", "n", "s"),
-        "sphere": ("m", "n"),
-        "mcp": ("m", "n", "r", "s"),
-    }[args.kind]
-    missing = [key for key in required if key not in params]
-    if missing:
-        raise ProblemFileError("flags", f"{args.kind} needs --" + ", --".join(missing))
     _require_positive("--etas", *(args.etas or ()))
     _require_positive("--max-iters", args.max_iters)
     _require_seed(args.seed)
@@ -273,8 +260,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, StationarityError, ConstraintDomainError,
-            GenerationError, RateEstimationError, ValueError) as exc:
+    except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:

@@ -31,8 +31,15 @@ BOUND_ACCURACIES = (1e-2, 1e-4, 1e-6, 1e-8)
 # Leading share of the iterations before the last error above the floor that
 # estimate_rate skips as transient.
 BURN_IN_FRACTION = 0.5
-# Draws make_sphere_instance tries before giving up on a multiplier.
+# Draws _draw_sphere tries before giving up on a multiplier.
 SPHERE_MAX_TRIES = 100
+# The parameters each family's generator cannot do without.
+REQUIRED_PARAMS = {
+    "lcls": ("m", "n", "p"),
+    "iht": ("m", "n", "s"),
+    "sphere": ("m", "n"),
+    "mcp": ("m", "n", "r", "s"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,42 +90,17 @@ def _require_sizes(kind, **sizes):
             raise ValueError(f"{kind}: need {name} >= 1 ({name}={value})")
 
 
-def make_lcls_instance(m, n, p, seed):
-    """Random equality-constrained least squares with its exact solution."""
-    return _unpack(_draw_lcls(m, n, p, seed))
-
-
-def make_iht_instance(m, n, s, seed, residual=False):
-    """Random sparse-recovery instance around a stationary s-sparse point.
-
-    With ``residual`` the observation keeps a component in the left null space
-    of the compressed sensing matrix, so the gradient at the solution is
-    nonzero off the support.
-    """
-    return _unpack(_draw_iht(m, n, s, seed, residual))
-
-
-def make_sphere_instance(m, n, gamma, seed):
-    """Unit-norm least squares whose solution has the requested multiplier.
-
-    Retries until the multiplier sits below the smallest tangent eigenvalue,
-    which is what certifies the solution as a strict local minimum.
-    """
-    return _unpack(_draw_sphere(m, n, gamma, seed))
-
-
-def make_mcp_instance(m_mat, n_mat, r, s, seed):
-    """Random matrix completion: rank-r product factors, uniform sampling."""
-    report = _draw_mcp(m_mat, n_mat, r, s, seed)
-    return report.problem, report.x_star.reshape((m_mat, n_mat), order="F")
-
-
 def make_instance(kind, params, seed):
-    """Uniform entry point used by the CLI; returns (problem, x_star_vector)."""
-    return _unpack(_instance_report(kind, params, seed))
+    """Draw a seeded instance of ``kind`` and return (problem, x_star).
 
-
-def _unpack(report):
+    ``params`` holds, per family, with the defaults of the optional keys:
+    lcls ``m, n, p``; iht ``m, n, s, residual=False``; sphere ``m, n,
+    gamma=-0.5``; mcp ``m, n, r, s`` (matrix shape, rank, samples). A missing
+    key raises ValueError naming it, before any draw. x_star is a vector that
+    the family analysis accepts, column-major for mcp
+    (``problem.constraint.to_matrix(x_star)`` is the matrix).
+    """
+    report = _instance_report(kind, params, seed)
     return report.problem, report.x_star
 
 
@@ -126,6 +108,11 @@ def _instance_report(kind, params, seed):
     """Draw an instance of ``kind`` and run its family analysis, once: the one
     stationarity test of a draw, whose refusal raises GenerationError. Returns
     the ``ApplicationReport``; its ``x_star`` is column-major for mcp."""
+    if kind not in REQUIRED_PARAMS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    missing = [key for key in REQUIRED_PARAMS[kind] if key not in params]
+    if missing:
+        raise ValueError(f"{kind} needs " + ", ".join(missing))
     if kind == "lcls":
         return _draw_lcls(params["m"], params["n"], params["p"], seed)
     if kind == "iht":
@@ -133,9 +120,7 @@ def _instance_report(kind, params, seed):
                          params.get("residual", False))
     if kind == "sphere":
         return _draw_sphere(params["m"], params["n"], params.get("gamma", -0.5), seed)
-    if kind == "mcp":
-        return _draw_mcp(params["m"], params["n"], params["r"], params["s"], seed)
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    return _draw_mcp(params["m"], params["n"], params["r"], params["s"], seed)
 
 
 def _analyze_draw(problem, x_star=None):
@@ -158,6 +143,9 @@ def _draw_lcls(m, n, p, seed):
 
 
 def _draw_iht(m, n, s, seed, residual):
+    """Random sparse recovery around a stationary s-sparse point. With
+    ``residual`` the observation keeps a component in the left null space of
+    the support columns, so the gradient at x* is nonzero off the support."""
     _require_sizes("iht", m=m, n=n)
     if not 1 <= s <= n:
         raise ValueError(f"iht: need 1 <= s <= n (s={s}, n={n})")
@@ -180,6 +168,9 @@ def _draw_iht(m, n, s, seed, residual):
 
 
 def _draw_sphere(m, n, gamma, seed):
+    """Unit-norm least squares whose x* has the multiplier ``gamma``. Retries
+    until the multiplier sits below the smallest tangent eigenvalue, which
+    certifies x* as a strict local minimum."""
     _require_sizes("sphere", m=m, n=n)
     if n < 2:
         raise ValueError(f"sphere: need n >= 2, the sphere in R^1 has no tangent space (n={n})")

@@ -140,21 +140,15 @@ def _diagonal_from_json(obj, path):
     return _vector_from_json(entries, path)
 
 
-def load_problem(path_or_file):
+def load_problem(path):
     """Read a problem file; returns (Problem, x_star or None, x0 or None)."""
-    if hasattr(path_or_file, "read"):
-        try:
-            doc = json.load(path_or_file)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError("$", f"invalid JSON: {exc}") from exc
-    else:
-        try:
-            with open(path_or_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ProblemFileError("$", f"cannot read {path_or_file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError("$", f"invalid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ProblemFileError("$", f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError("$", "top-level JSON value must be an object")
     for key in ("A", "b", "constraint"):

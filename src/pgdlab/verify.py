@@ -31,7 +31,7 @@ from .constraints import (
     row_norms,
     sample_blocks,
 )
-from .empirics import _instance_report, make_lcls_instance, run_experiment
+from .empirics import _instance_report, make_instance, run_experiment
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -469,7 +469,7 @@ def check_corollary_consistency(seed=0, instances=10, tol=1e-10):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(instances):
-        problem, x_star = make_lcls_instance(10, 7, 2, seed + 900 + k)
+        problem, x_star = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, seed + 900 + k)
         basis = problem.constraint.null_basis
         eta = float(rng.uniform(0.05, 0.3))
         rate = analysis.contraction_factor(*analysis.gram_extremes(problem.apply(basis)), eta)

@@ -17,12 +17,7 @@ from pgdlab.constraints import (
     finite_difference_check,
     quadratic_bound_margin,
 )
-from pgdlab.empirics import (
-    make_iht_instance,
-    make_lcls_instance,
-    make_sphere_instance,
-    run_experiment,
-)
+from pgdlab.empirics import make_instance, run_experiment
 from pgdlab.engine import run_pgd
 from pgdlab.verify import (
     check_idempotence,
@@ -63,14 +58,14 @@ def bundles(tmp_path_factory):
     out["mcp"] = (bundle, elapsed)
 
     t0 = time.monotonic()
-    prob, _ = make_lcls_instance(30, 20, 5, 11)
+    prob, _ = make_instance("lcls", {"m": 30, "n": 20, "p": 5}, 11)
     rep = analyze_problem(prob)
     etas = [0.5 * rep.eta_opt, 0.8 * rep.eta_opt, rep.eta_opt]
     bundle = run_experiment("lcls", {"m": 30, "n": 20, "p": 5}, etas, 11)
     out["lcls"] = (bundle, time.monotonic() - t0)
 
     t0 = time.monotonic()
-    prob, x_star = make_iht_instance(50, 100, 5, 13)
+    prob, x_star = make_instance("iht", {"m": 50, "n": 100, "s": 5}, 13)
     rep = analyze_problem(prob, x_star)
     # Moderate rates: fast steps stop within a handful of iterations, too few
     # for a tail estimate.
@@ -79,7 +74,7 @@ def bundles(tmp_path_factory):
     out["iht"] = (bundle, time.monotonic() - t0, prob, x_star, rep)
 
     t0 = time.monotonic()
-    prob, x_star = make_sphere_instance(15, 10, -0.5, 17)
+    prob, x_star = make_instance("sphere", {"m": 15, "n": 10, "gamma": -0.5}, 17)
     rep = analyze_problem(prob, x_star)
     etas = [0.5 * rep.eta_opt, 0.8 * rep.eta_opt, rep.eta_opt]
     bundle = run_experiment("sphere", {"m": 15, "n": 10, "gamma": -0.5}, etas, 17)

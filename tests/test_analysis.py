@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from pgdlab import analysis, verify
 from pgdlab.applications import analyze_problem
 from pgdlab.constraints import AffineConstraint, Linearization, SphereConstraint
-from pgdlab.empirics import make_instance, make_lcls_instance, make_sphere_instance
+from pgdlab.empirics import make_instance
 from pgdlab.engine import Problem
 from pgdlab.errors import ConstraintDomainError, NoCertificateError, StationarityError
 
@@ -49,7 +49,7 @@ class TestIterationMatrix:
         np.testing.assert_allclose(H, expected, atol=1e-12)
 
     def test_vanishing_step_gives_tangent_projector(self):
-        prob, x_star = make_lcls_instance(8, 6, 2, 2)
+        prob, x_star = make_instance("lcls", {"m": 8, "n": 6, "p": 2}, 2)
         H = verify.iteration_matrix(prob, x_star, 1e-15)
         assert verify.spectral_radius(H) == pytest.approx(1.0, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestEigendecompose:
         assert eig.symmetric
 
     def test_application_matrix_is_symmetric_path(self):
-        prob, x_star = make_sphere_instance(9, 5, -0.5, 3)
+        prob, x_star = make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 3)
         H = verify.iteration_matrix(prob, x_star, 0.1)
         eig = analysis.eigendecompose(H, H)
         assert eig.symmetric
@@ -318,7 +318,7 @@ class TestCompressedRateAndOptimalStep:
 
 class TestFixedPointReport:
     def test_lcls_global_region(self):
-        prob, _ = make_lcls_instance(10, 7, 2, 5)
+        prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 5)
         report = analyze_problem(prob)
         conv = analysis.analyze_fixed_point(report, 0.8 * report.eta_opt)
         assert conv.certified
@@ -327,7 +327,7 @@ class TestFixedPointReport:
         assert conv.eigvec_condition == 1.0
 
     def test_uncertified_above_threshold(self):
-        prob, _ = make_lcls_instance(10, 7, 2, 5)
+        prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 5)
         report = analyze_problem(prob)
         conv = analysis.analyze_fixed_point(report, 1.05 * report.eta_max)
         assert not conv.certified
@@ -336,7 +336,7 @@ class TestFixedPointReport:
             conv.bound(1e-4, initial_error=1.0)
 
     def test_bound_with_initial_error(self):
-        prob, x_star = make_sphere_instance(9, 5, -0.5, 6)
+        prob, x_star = make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.9 * report.eta_opt
         conv = analysis.analyze_fixed_point(report, eta)
@@ -351,7 +351,7 @@ class TestFixedPointReport:
         )
 
     def test_report_rate_is_the_dense_spectral_radius(self):
-        prob, x_star = make_sphere_instance(9, 5, -0.5, 6)
+        prob, x_star = make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.8 * report.eta_opt
         conv = analysis.analyze_fixed_point(report, eta)
@@ -379,7 +379,7 @@ class TestFixedPointReport:
             analysis.analyze_fixed_point(report, 1e308)
 
     def test_json_encodes_infinity(self):
-        prob, _ = make_lcls_instance(10, 7, 2, 5)
+        prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 5)
         report = analyze_problem(prob)
         conv = analysis.analyze_fixed_point(report, 0.5 * report.eta_opt)
         doc = conv.to_json()
@@ -463,7 +463,7 @@ class TestCompressedCertificate:
         # Off a fixed point span B_z != span B_x, and H's eigenbasis is not
         # given by C's: the certificate starts from a point the sphere
         # analysis accepted, and that analysis refuses this one.
-        prob, _ = make_sphere_instance(9, 5, -0.5, 6)
+        prob, _ = make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 6)
         x = prob.constraint.random_member(np.random.default_rng(0))
         with pytest.raises(StationarityError, match="not a stationary point"):
             analyze_problem(prob, x)

@@ -20,10 +20,7 @@ from pgdlab.constraints import (
 from pgdlab.cli import main
 from pgdlab.empirics import (
     default_etas,
-    make_iht_instance,
-    make_lcls_instance,
-    make_mcp_instance,
-    make_sphere_instance,
+    make_instance,
     run_experiment,
 )
 from pgdlab.engine import Problem
@@ -47,13 +44,13 @@ class TestLcls:
         assert np.isinf(report.region(0.5))
 
     def test_rho_opt_from_condition_number(self):
-        prob, _ = make_lcls_instance(14, 9, 3, 0)
+        prob, _ = make_instance("lcls", {"m": 14, "n": 9, "p": 3}, 0)
         report = analyze_problem(prob)
         kappa = report.lam_max / report.lam_min
         assert report.rho_opt == pytest.approx(1.0 - 2.0 / (kappa + 1.0))
 
     def test_solution_satisfies_reduced_normal_equations(self):
-        prob, x_star = make_lcls_instance(14, 9, 3, 1)
+        prob, x_star = make_instance("lcls", {"m": 14, "n": 9, "p": 3}, 1)
         basis = prob.constraint.null_basis
         grad = prob.gradient(x_star)
         assert np.linalg.norm(basis.T @ grad) <= 1e-10
@@ -62,7 +59,7 @@ class TestLcls:
 
 class TestIht:
     def test_exact_recovery_interval(self):
-        prob, x_star = make_iht_instance(20, 40, 4, 2)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4}, 2)
         report = analyze_problem(prob, x_star)
         assert np.isinf(report.fixed_point_eta_max)
         assert report.eta_max == pytest.approx(2.0 / report.lam_max)
@@ -73,7 +70,7 @@ class TestIht:
         )
 
     def test_residual_instance_has_finite_cap(self):
-        prob, x_star = make_iht_instance(20, 40, 4, 2, residual=True)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4, "residual": True}, 2)
         report = analyze_problem(prob, x_star)
         assert np.isfinite(report.fixed_point_eta_max)
         v = prob.gradient(x_star)
@@ -92,7 +89,7 @@ class TestIht:
     def test_rejects_more_nonzeros_than_s(self):
         # A fixed point of hard thresholding is s-sparse: a stationary point
         # with four nonzeros is no certificate for s = 3.
-        prob, x_star = make_iht_instance(20, 40, 4, 0)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4}, 0)
         analyze_problem(prob, x_star)
         with pytest.raises(StationarityError, match="s=3"):
             analyze_problem(Problem(prob.A, prob.b, SparsityConstraint(3, 40)), x_star)
@@ -102,13 +99,13 @@ class TestIht:
         # Four nonzeros under s = 6: the top-6 support ties at zero, so hard
         # thresholding has no derivative at x_star; with a residual, x_star is
         # not even a fixed point (P(x* - eta grad) != x*).
-        prob, x_star = make_iht_instance(20, 40, 4, 0, residual=residual)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4, "residual": residual}, 0)
         with pytest.raises(ConstraintDomainError, match="rank s"):
             analyze_problem(Problem(prob.A, prob.b, SparsityConstraint(6, 40)), x_star)
 
     @pytest.mark.parametrize("etas", [[], ["--eta", "0.02"]])
     def test_analyze_of_an_under_sparse_file_exits_1(self, etas, tmp_path, capsys):
-        prob, x_star = make_iht_instance(20, 40, 4, 0, residual=True)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4, "residual": True}, 0)
         path = tmp_path / "problem.json"
         save_problem(path, Problem(prob.A, prob.b, SparsityConstraint(6, 40)), x_star=x_star)
         assert main(["analyze", str(path), *etas]) == 1
@@ -117,7 +114,7 @@ class TestIht:
         assert "rank s" in captured.err
 
     def test_local_minimum_on_support(self):
-        prob, x_star = make_iht_instance(20, 40, 4, 5)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4}, 5)
         report = analyze_problem(prob, x_star)
         rng = np.random.default_rng(6)
         eta = 0.5 * report.eta_max
@@ -145,7 +142,7 @@ class TestSphere:
         assert np.isinf(report.eta_max)  # gamma <= -lam_max
 
     def test_optimal_step_matches_grid_minimum(self):
-        prob, x_star = make_sphere_instance(12, 7, -0.5, 7)
+        prob, x_star = make_instance("sphere", {"m": 12, "n": 7, "gamma": -0.5}, 7)
         report = analyze_problem(prob, x_star)
         lo, hi = 1e-9, min(report.eta_max * (1 - 1e-12), 50.0)
         for _ in range(200):  # ternary search on the unimodal rate
@@ -160,7 +157,7 @@ class TestSphere:
         assert abs(eta_grid - report.eta_opt) <= 1e-6 * (1.0 + report.eta_opt)
 
     def test_zero_multiplier_reduces_to_tangent_compression(self):
-        prob, x_star = make_sphere_instance(12, 7, 0.0, 8)
+        prob, x_star = make_instance("sphere", {"m": 12, "n": 7, "gamma": 0.0}, 8)
         report = analyze_problem(prob, x_star)
         assert report.gamma == pytest.approx(0.0, abs=1e-12)
         eta = 0.8 * report.eta_opt
@@ -196,7 +193,7 @@ class TestSphere:
             report.region(0.1)
 
     def test_quad_coefficient_refused_past_the_fixed_point_step(self):
-        prob, x_star = make_sphere_instance(12, 6, 0.3, 0)
+        prob, x_star = make_instance("sphere", {"m": 12, "n": 6, "gamma": 0.3}, 0)
         report = analyze_problem(prob, x_star)
         for factor in (1.0, 3.0):  # 1 - eta*gamma is zero, then negative
             with pytest.raises(NoCertificateError, match="not a fixed point"):
@@ -274,8 +271,8 @@ class TestMcp:
 
     def test_eigenvalues_within_unit_interval(self):
         for seed in range(5):
-            prob, X_star = make_mcp_instance(6, 5, 2, 22, seed)
-            report = analyze_problem(prob, X_star.reshape(-1, order="F"))
+            prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 22}, seed)
+            report = analyze_problem(prob, x_star)
             assert report.lam_max <= 1.0 + 1e-10
             assert report.lam_min >= -1e-12
 
@@ -292,15 +289,14 @@ class TestMcp:
             analyze_mcp(mcp_problem(xl[omega] + 1.0, omega, low.shape, 2), xl)
 
     def test_tiny_off_diagonal_entry_refused(self):
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 16)
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 16)
         A = prob.A.copy()
         A[0, 1] = 1e-13
         with pytest.raises(ValueError, match="completion-structured"):
-            analyze_problem(Problem(A, prob.b, prob.constraint), X_star.reshape(-1, order="F"))
+            analyze_problem(Problem(A, prob.b, prob.constraint), x_star)
 
     def test_region_matches_generic_constant_below_two(self):
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 16)
-        x_star = X_star.reshape(-1, order="F")
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 16)
         report = analyze_problem(prob, x_star)
         eta = min(1.5, 0.9 * report.eta_max)
         rho = report.rate(eta)
@@ -314,12 +310,11 @@ class TestDualPath:
     def test_rate_and_region_agree(self, seed):
         rng = np.random.default_rng(200 + seed)
         cases = [
-            make_lcls_instance(12, 8, 3, seed),
-            make_iht_instance(16, 32, 4, seed, residual=bool(seed % 2)),
-            make_sphere_instance(12, 6, -0.4, seed),
+            make_instance("lcls", {"m": 12, "n": 8, "p": 3}, seed),
+            make_instance("iht", {"m": 16, "n": 32, "s": 4, "residual": bool(seed % 2)}, seed),
+            make_instance("sphere", {"m": 12, "n": 6, "gamma": -0.4}, seed),
+            make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, seed),
         ]
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, seed)
-        cases.append((prob, X_star.reshape(-1, order="F")))
         for prob, x_star in cases:
             x_star = np.asarray(x_star, dtype=float).reshape(-1)
             report = analyze_problem(prob, x_star)
@@ -334,9 +329,8 @@ class TestDualPath:
                 assert abs(r1 - r2) <= 1e-12 * (1.0 + r1)
 
     def test_mcp_problem_round_trip(self):
-        prob, X_star = make_mcp_instance(5, 4, 2, 16, 17)
+        prob, x_star = make_instance("mcp", {"m": 5, "n": 4, "r": 2, "s": 16}, 17)
         assert prob.constraint.kind == "lowrank"
-        x_star = X_star.reshape(-1, order="F")
         assert prob.objective(x_star) <= 1e-20
         report = analyze_problem(prob, x_star)
         assert report.kind == "mcp"
@@ -420,18 +414,18 @@ def _outcome(fn, eta):
         return type(exc)
 
 
-def _mcp_vector_instance(seed):
-    prob, X_star = make_mcp_instance(6, 5, 2, 24, seed)
-    return prob, X_star.reshape(-1, order="F")
+def _instance(kind, **params):
+    """A seed -> (problem, x_star) drawer of one family and size."""
+    return lambda seed: make_instance(kind, params, seed)
 
 
 RECIPE_INSTANCES = {
-    "lcls": lambda seed: make_lcls_instance(12, 8, 3, seed),
-    "iht": lambda seed: make_iht_instance(16, 32, 4, seed),
-    "iht_residual": lambda seed: make_iht_instance(16, 32, 4, seed, residual=True),
-    "sphere": lambda seed: make_sphere_instance(12, 6, -0.4, seed),
-    "sphere_positive_gamma": lambda seed: make_sphere_instance(12, 6, 0.3, seed),
-    "mcp": _mcp_vector_instance,
+    "lcls": _instance("lcls", m=12, n=8, p=3),
+    "iht": _instance("iht", m=16, n=32, s=4),
+    "iht_residual": _instance("iht", m=16, n=32, s=4, residual=True),
+    "sphere": _instance("sphere", m=12, n=6, gamma=-0.4),
+    "sphere_positive_gamma": _instance("sphere", m=12, n=6, gamma=0.3),
+    "mcp": _instance("mcp", m=6, n=5, r=2, s=24),
 }
 
 

@@ -9,13 +9,7 @@ import pytest
 from pgdlab.analysis import iterations_to_accuracy
 from pgdlab.applications import analyze_problem
 from pgdlab.cli import main
-from pgdlab.empirics import (
-    make_iht_instance,
-    make_instance,
-    make_lcls_instance,
-    make_mcp_instance,
-    make_sphere_instance,
-)
+from pgdlab.empirics import make_instance
 from pgdlab.constraints import (
     AffineConstraint,
     LowRankConstraint,
@@ -29,7 +23,7 @@ from pgdlab.problem_io import load_problem, save_problem
 
 @pytest.fixture
 def lcls_file(tmp_path):
-    prob, x_star = make_lcls_instance(10, 7, 2, 1)
+    prob, x_star = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 1)
     path = tmp_path / "lcls.json"
     save_problem(path, prob, x_star=x_star)
     return path, prob, x_star
@@ -37,7 +31,7 @@ def lcls_file(tmp_path):
 
 @pytest.fixture
 def nan_x_star_file(tmp_path):
-    prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
+    prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 4)
     x_star[0] = np.nan
     path = tmp_path / "nan.json"
     save_problem(path, prob, x_star=x_star)
@@ -75,6 +69,14 @@ class TestProblemIo:
             load_problem(path)
         assert "constraint" in str(info.value)
 
+    def test_unreadable_and_invalid_files_refused_at_the_root(self, tmp_path):
+        with pytest.raises(ProblemFileError, match=r"^\$: cannot read"):
+            load_problem(tmp_path / "absent.json")
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ProblemFileError, match=r"^\$: invalid JSON"):
+            load_problem(path)
+
     @pytest.mark.parametrize("field", ["b", "x_star", "x0"])
     def test_non_finite_vector_names_json_path(self, tmp_path, field):
         doc = {
@@ -93,11 +95,11 @@ class TestProblemIo:
     def test_nested_lowrank_x_star_is_read_column_major(self, tmp_path, capsys):
         # Written as X.tolist(), the rows of X: it was read transposed, and
         # analyze refused the file as "numerical rank 5".
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 0)
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 0)
         flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
-        save_problem(flat, prob, x_star=X_star.reshape(-1, order="F"))
+        save_problem(flat, prob, x_star=x_star)
         doc = json.loads(flat.read_text())
-        doc["x_star"] = X_star.tolist()
+        doc["x_star"] = prob.constraint.to_matrix(x_star).tolist()
         nested.write_text(json.dumps(doc))
         outputs = []
         for path in (flat, nested):
@@ -109,7 +111,8 @@ class TestProblemIo:
         assert float(error) <= 1e-10
 
     def test_save_writes_a_matrix_x_star_column_major(self, tmp_path):
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 0)
+        prob, x_vec = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 0)
+        X_star = prob.constraint.to_matrix(x_vec)
         save_problem(tmp_path / "p.json", prob, x_star=X_star, x0=X_star)
         _, x_star, x0 = load_problem(tmp_path / "p.json")
         assert np.array_equal(x_star, X_star.reshape(-1, order="F"))
@@ -117,11 +120,11 @@ class TestProblemIo:
 
     @pytest.mark.parametrize("field", ["x_star", "x0"])
     def test_nested_point_of_the_wrong_shape_exit_one(self, tmp_path, capsys, field):
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 0)
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 0)
         path = tmp_path / "bad.json"
         save_problem(path, prob)
         doc = json.loads(path.read_text())
-        doc[field] = X_star.T.tolist()  # 5 x 6
+        doc[field] = prob.constraint.to_matrix(x_star).T.tolist()  # 5 x 6
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path), "--eta", "1"]) == 1
         assert re.search(rf"^error: {field}: .*\(6, 5\) matrix, got shape \(5, 6\)",
@@ -355,10 +358,10 @@ class TestDiagonalForm:
         path = tmp_path / "mcp.json"
         tracemalloc.start()
         try:
-            prob, X_star = make_instance("mcp", {"m": 100, "n": 80, "r": 2, "s": 1600}, 0)
-            save_problem(path, prob, x_star=X_star.reshape(-1, order="F"))
+            prob, x_star = make_instance("mcp", {"m": 100, "n": 80, "r": 2, "s": 1600}, 0)
+            save_problem(path, prob, x_star=x_star)
             loaded, _, _ = load_problem(path)
-            # --seed 1: the start drawn at the instance seed would be X_star itself.
+            # --seed 1: the start drawn at the instance seed would be x_star itself.
             code = main(["solve", str(path), "--eta", "1.0", "--max-iters", "50", "--seed", "1",
                          "--tol", "1e-300"])
             peak = tracemalloc.get_traced_memory()[1]
@@ -400,7 +403,7 @@ class TestSolveCommand:
         assert f"error: {name}:" in capsys.readouterr().err
 
     def test_tol_without_x_star_exit_one(self, tmp_path, capsys):
-        prob, _ = make_lcls_instance(10, 7, 2, 1)
+        prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 1)
         path = tmp_path / "no_x_star.json"
         save_problem(path, prob)
         code = main(["solve", str(path), "--eta", "0.02", "--tol", "1e-8"])
@@ -413,7 +416,7 @@ class TestSolveCommand:
         assert "error: x_star:" in capsys.readouterr().err
 
     def test_infeasible_start_notice(self, tmp_path, capsys):
-        prob, x_star = make_iht_instance(12, 24, 3, 2)
+        prob, x_star = make_instance("iht", {"m": 12, "n": 24, "s": 3}, 2)
         path = tmp_path / "iht.json"
         save_problem(path, prob, x_star=x_star, x0=np.ones(24))
         # Globally safe step: the unconstrained map is then non-expansive.
@@ -421,6 +424,18 @@ class TestSolveCommand:
         code = main(["solve", str(path), "--eta", f"{eta}", "--max-iters", "2000"])
         assert code == 0
         assert "notice" in capsys.readouterr().out
+
+    def test_run_warning_printed_once_as_notice(self, tmp_path, capsys):
+        # Tied singular values of the start: every rank-1 truncation of the
+        # run warns. The warning leaked to stderr quoting this package's source.
+        prob, x_star = make_instance("mcp", {"m": 4, "n": 4, "r": 1, "s": 10}, 0)
+        path = tmp_path / "mcp.json"
+        save_problem(path, prob, x_star=x_star, x0=np.eye(4).reshape(-1))
+        code = main(["solve", str(path), "--eta", "1", "--max-iters", "20"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("notice: rank-r truncation is not unique") == 1
 
     def test_divergence_exit_two(self, lcls_file, capsys):
         path, _, _ = lcls_file
@@ -433,12 +448,12 @@ class TestSolveCommand:
         assert code == 1
 
     def test_default_start_is_not_the_generated_solution(self, tmp_path, capsys, monkeypatch):
-        # make_mcp_instance draws its x* from default_rng(seed), and so did the
+        # make_instance draws its x* from default_rng(seed), and so did the
         # default start: solve stopped after one step at error 4.6e-15.
         monkeypatch.delenv("PGDLAB_SEED", raising=False)
-        prob, X_star = make_mcp_instance(12, 10, 2, 80, 0)
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
         path, out = tmp_path / "mcp.json", tmp_path / "trace.csv"
-        save_problem(path, prob, x_star=X_star)
+        save_problem(path, prob, x_star=x_star)
         assert main(["solve", str(path), "--eta", "1.0", "--out", str(out)]) == 0
         assert "iterations: 1\n" not in capsys.readouterr().out
         first_error = float(out.read_text().splitlines()[1].split(",")[1])
@@ -479,7 +494,7 @@ class TestAnalyzeCommand:
         assert entry["convergence"] is None or not entry["convergence"]["certified"]
 
     def test_optimal_rate_formula(self, tmp_path, capsys):
-        prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
+        prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 4)
         path = tmp_path / "sphere.json"
         save_problem(path, prob, x_star=x_star)
         code = main(["analyze", str(path)])
@@ -492,11 +507,9 @@ class TestAnalyzeCommand:
         )
 
     def test_completion_file_reports_optimal_rate(self, tmp_path, capsys):
-        from pgdlab.empirics import make_mcp_instance
-
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 5)
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 5)
         path = tmp_path / "mcp.json"
-        save_problem(path, prob, x_star=X_star.reshape(-1, order="F"))
+        save_problem(path, prob, x_star=x_star)
         code = main(["analyze", str(path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -511,9 +524,9 @@ class TestAnalyzeCommand:
     def test_completion_file_linearizes_x_star_once(self, tmp_path, capsys, monkeypatch):
         # One linearization at x* for the whole command, then one at the
         # gradient step of each eta.
-        prob, X_star = make_mcp_instance(12, 10, 2, 80, 0)
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
         path = tmp_path / "mcp.json"
-        save_problem(path, prob, x_star=X_star)
+        save_problem(path, prob, x_star=x_star)
         calls = []
         linearize = LowRankConstraint.linearize
 
@@ -539,7 +552,7 @@ class TestAnalyzeCommand:
             ]
 
     def test_sphere_bounds_start_at_half_the_region(self, tmp_path, capsys):
-        prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
+        prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 4)
         path = tmp_path / "sphere.json"
         save_problem(path, prob, x_star=x_star)
         code = main(["analyze", str(path), "--eps", "1e-4"])
@@ -650,7 +663,7 @@ class TestAnalyzeCommand:
 
     def test_x_star_denser_than_s_exit_one(self, tmp_path, capsys):
         # Four nonzeros under s = 3: not a fixed point of hard thresholding.
-        prob, x_star = make_iht_instance(20, 40, 4, 0)
+        prob, x_star = make_instance("iht", {"m": 20, "n": 40, "s": 4}, 0)
         path = tmp_path / "iht.json"
         save_problem(path, Problem(prob.A, prob.b, SparsityConstraint(3, 40)), x_star=x_star)
         code = main(["analyze", str(path), "--eta", "0.01"])
@@ -683,7 +696,7 @@ class TestAnalyzeCommand:
         assert captured.out == ""
 
     def test_missing_x_star_exit_one(self, tmp_path, capsys):
-        prob, x_star = make_sphere_instance(10, 6, -0.5, 4)
+        prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 4)
         path = tmp_path / "sphere.json"
         save_problem(path, prob)
         code = main(["analyze", str(path)])
@@ -704,7 +717,7 @@ class TestExperimentCommand:
         assert m1 == m2
 
     def test_inadmissible_eta_flagged_exit_zero(self, tmp_path, capsys):
-        prob, _ = make_lcls_instance(12, 8, 3, 10)
+        prob, _ = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 10)
         report = analyze_problem(prob)
         code = main([
             "experiment", "lcls", "--m", "12", "--n", "8", "--p", "3",
@@ -773,6 +786,14 @@ class TestExperimentCommand:
         assert code == 1
         assert "needs" in capsys.readouterr().err
 
+    def test_missing_sparsity_named(self, tmp_path, capsys):
+        outdir = tmp_path / "bundle"
+        code = main(["experiment", "iht", "--m", "50", "--n", "100", "--outdir", str(outdir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: iht needs s\n" and captured.out == ""
+        assert not outdir.exists()
+
 
 class TestVerifyCommand:
     def test_projections_suite_passes(self, capsys):
@@ -816,7 +837,7 @@ class TestVerifyCommand:
 
     def test_outputs_are_machine_readable(self, tmp_path):
         # Round-trip: analyze JSON and solve CSV parse back cleanly.
-        prob, x_star = make_lcls_instance(10, 7, 2, 11)
+        prob, x_star = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 11)
         path = tmp_path / "p.json"
         save_problem(path, prob, x_star=x_star)
         report_path = tmp_path / "report.json"

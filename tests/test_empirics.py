@@ -14,11 +14,7 @@ from pgdlab.constraints import (
 from pgdlab.empirics import (
     default_etas,
     estimate_rate,
-    make_iht_instance,
     make_instance,
-    make_lcls_instance,
-    make_mcp_instance,
-    make_sphere_instance,
     run_experiment,
 )
 from pgdlab.engine import Problem, Trace
@@ -79,75 +75,84 @@ class TestEstimateRate:
 
 class TestGenerators:
     def test_same_seed_same_instance(self):
-        a1, x1 = make_mcp_instance(8, 6, 2, 30, 42)
-        a2, x2 = make_mcp_instance(8, 6, 2, 30, 42)
+        a1, x1 = make_instance("mcp", {"m": 8, "n": 6, "r": 2, "s": 30}, 42)
+        a2, x2 = make_instance("mcp", {"m": 8, "n": 6, "r": 2, "s": 30}, 42)
         np.testing.assert_array_equal(a1.A, a2.A)
         np.testing.assert_array_equal(a1.b, a2.b)
         np.testing.assert_array_equal(x1, x2)
 
     def test_mcp_rank_exact(self):
-        _, X_star = make_mcp_instance(10, 8, 3, 40, 1)
-        sig = np.linalg.svd(X_star, compute_uv=False)
+        prob, x_star = make_instance("mcp", {"m": 10, "n": 8, "r": 3, "s": 40}, 1)
+        sig = np.linalg.svd(prob.constraint.to_matrix(x_star), compute_uv=False)
         assert sig[2] / sig[0] > 1e-8
         assert sig[3] / sig[0] < 1e-12
 
     def test_paper_scale_instance(self):
-        prob, X_star = make_mcp_instance(50, 40, 3, 800, 7)
+        prob, x_star = make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
         assert prob.A.shape == (2000, 2000)
-        assert X_star.shape == (50, 40)
-        report = analyze_problem(prob, X_star.reshape(-1, order="F"))
+        assert prob.constraint.to_matrix(x_star).shape == (50, 40)
+        report = analyze_problem(prob, x_star)
         assert report.linearization.basis.shape == (2000, 3 * (50 + 40 - 3))
 
     def test_iht_exact_and_residual(self):
-        prob, x_star = make_iht_instance(18, 36, 4, 2)
+        prob, x_star = make_instance("iht", {"m": 18, "n": 36, "s": 4}, 2)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
-        prob, x_star = make_iht_instance(18, 36, 4, 2, residual=True)
+        prob, x_star = make_instance("iht", {"m": 18, "n": 36, "s": 4, "residual": True}, 2)
         v = prob.gradient(x_star)
         support = np.flatnonzero(x_star)
         assert np.linalg.norm(v[support]) <= 1e-10
         assert np.max(np.abs(v)) > 1e-6
 
     @pytest.mark.parametrize(
-        "make, args, kwargs, name",
+        "kind, params, name",
         [
-            (make_iht_instance, (10, 20, 25, 0), {}, "s"),
-            (make_iht_instance, (10, 20, 0, 0), {}, "s"),
-            (make_iht_instance, (10, 20, 12, 0), {"residual": True}, "m"),
-            (make_sphere_instance, (3, 6, -0.5, 0), {}, "m"),
-            (make_lcls_instance, (0, 5, 2, 0), {}, "m"),
-            (make_lcls_instance, (5, 0, 2, 0), {}, "n"),
-            (make_iht_instance, (0, 20, 2, 0), {}, "m"),
-            (make_sphere_instance, (5, 0, -0.5, 0), {}, "n"),
-            (make_sphere_instance, (5, 1, -0.5, 0), {}, "n"),
-            (make_sphere_instance, (5, 4, np.nan, 0), {}, "gamma"),
-            (make_mcp_instance, (0, 4, 1, 2, 0), {}, "m"),
-            (make_mcp_instance, (5, 4, 0, 10, 0), {}, "r"),
-            (make_lcls_instance, (5, 3, -1, 0), {}, "p"),
-            (make_lcls_instance, (5, 3, 4, 0), {}, "p"),
-            (make_mcp_instance, (5, 4, 2, 20, 0), {}, "s"),
-            (make_mcp_instance, (5, 4, 5, 10, 0), {}, "r"),
+            ("iht", {"m": 10, "n": 20, "s": 25}, "s"),
+            ("iht", {"m": 10, "n": 20, "s": 0}, "s"),
+            ("iht", {"m": 10, "n": 20, "s": 12, "residual": True}, "m"),
+            ("sphere", {"m": 3, "n": 6, "gamma": -0.5}, "m"),
+            ("lcls", {"m": 0, "n": 5, "p": 2}, "m"),
+            ("lcls", {"m": 5, "n": 0, "p": 2}, "n"),
+            ("iht", {"m": 0, "n": 20, "s": 2}, "m"),
+            ("sphere", {"m": 5, "n": 0, "gamma": -0.5}, "n"),
+            ("sphere", {"m": 5, "n": 1, "gamma": -0.5}, "n"),
+            ("sphere", {"m": 5, "n": 4, "gamma": np.nan}, "gamma"),
+            ("mcp", {"m": 0, "n": 4, "r": 1, "s": 2}, "m"),
+            ("mcp", {"m": 5, "n": 4, "r": 0, "s": 10}, "r"),
+            ("lcls", {"m": 5, "n": 3, "p": -1}, "p"),
+            ("lcls", {"m": 5, "n": 3, "p": 4}, "p"),
+            ("mcp", {"m": 5, "n": 4, "r": 2, "s": 20}, "s"),
+            ("mcp", {"m": 5, "n": 4, "r": 5, "s": 10}, "r"),
         ],
         ids=["iht_s_above_n", "iht_s_zero", "iht_residual_s_above_m", "sphere_m_below_n",
              "lcls_m_zero", "lcls_n_zero", "iht_m_zero", "sphere_n_zero", "sphere_n_one",
              "sphere_gamma_nan", "mcp_m_zero", "mcp_r_zero", "lcls_p_negative",
              "lcls_p_not_below_n", "mcp_s_not_below_mn", "mcp_r_above_min_mn"],
     )
-    def test_bad_sizes_rejected_before_drawing(self, make, args, kwargs, name):
+    def test_bad_sizes_rejected_before_drawing(self, kind, params, name):
         with pytest.raises(ValueError, match=rf"\b{name}="):
-            make(*args, **kwargs)
+            make_instance(kind, params, 0)
+
+    def test_missing_parameter_rejected_by_name(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^iht needs s$"):
+            make_instance("iht", {"m": 50, "n": 100}, 0)
+        with pytest.raises(ValueError, match=r"^lcls needs n, p$"):
+            make_instance("lcls", {"m": 5}, 0)
+        outdir = tmp_path / "bundle"
+        with pytest.raises(ValueError, match=r"^mcp needs r$"):
+            run_experiment("mcp", {"m": 8, "n": 6, "s": 30}, [1.0], 0, outdir=str(outdir))
+        assert not outdir.exists()
 
     def test_sphere_zero_multiplier(self):
-        prob, x_star = make_sphere_instance(10, 6, 0.0, 3)
+        prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": 0.0}, 3)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
 
     def test_all_generators_certify(self):
         cases = [
-            make_lcls_instance(12, 8, 3, 4),
-            make_iht_instance(16, 32, 4, 4),
-            make_sphere_instance(10, 6, -0.5, 4),
+            make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 4),
+            make_instance("iht", {"m": 16, "n": 32, "s": 4}, 4),
+            make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 4),
         ]
-        prob, X_star = make_mcp_instance(6, 5, 2, 22, 4)
-        cases.append((prob, X_star.reshape(-1, order="F")))
+        cases.append(make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 22}, 4))
         for prob, x_star in cases:
             x_ref = np.asarray(x_star, dtype=float).reshape(-1)
             assert dense_stationarity_residual(prob, x_ref) <= 1e-10 * (1 + np.linalg.norm(x_ref))
@@ -187,7 +192,7 @@ class TestRunExperiment:
         assert all(chk["ok"] for chk in run["bound_checks"])
 
     def test_deterministic_outputs(self, tmp_path):
-        prob, x_star = make_sphere_instance(10, 6, -0.5, 5)
+        prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 5)
         eta = round(0.8 * analyze_problem(prob, x_star).eta_opt, 6)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -197,7 +202,7 @@ class TestRunExperiment:
 
     def test_grid_function_matches_precomputed_grid(self, tmp_path):
         params = {"m": 12, "n": 8, "p": 3}
-        prob, x_star = make_lcls_instance(12, 8, 3, 4)
+        prob, x_star = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 4)
         etas = [0.5, 1.0, analyze_problem(prob, x_star).eta_opt]
         run_experiment("lcls", params, default_etas, 4, outdir=tmp_path / "fn")
         run_experiment("lcls", params, etas, 4, outdir=tmp_path / "list")
@@ -232,7 +237,7 @@ class TestRunExperiment:
         assert len(analyses) == 1
 
     def test_inadmissible_eta_flagged_not_fatal(self):
-        prob, x_star = make_lcls_instance(12, 8, 3, 6)
+        prob, x_star = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 6)
         report = analyze_problem(prob)
         etas = [0.5 * report.eta_opt, 1.02 * report.eta_max]
         bundle = run_experiment("lcls", {"m": 12, "n": 8, "p": 3}, etas, 6)
@@ -242,7 +247,7 @@ class TestRunExperiment:
         assert bad.get("rho_hat") is None or bad["rho_hat"] >= 1.0
 
     def test_optimal_step_has_smallest_measured_rate(self):
-        prob, x_star = make_lcls_instance(12, 8, 3, 7)
+        prob, x_star = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 7)
         report = analyze_problem(prob)
         etas = [0.4 * report.eta_opt, 0.7 * report.eta_opt, report.eta_opt]
         bundle = run_experiment("lcls", {"m": 12, "n": 8, "p": 3}, etas, 7)
@@ -250,7 +255,7 @@ class TestRunExperiment:
         assert measured[-1] == min(measured)
 
     def test_divergent_eta_recorded_not_fatal(self):
-        prob, _ = make_lcls_instance(12, 8, 3, 12)
+        prob, _ = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 12)
         report = analyze_problem(prob)
         etas = [0.5 * report.eta_opt, 5.0 * report.eta_max]
         bundle = run_experiment("lcls", {"m": 12, "n": 8, "p": 3}, etas, 12)
@@ -260,7 +265,7 @@ class TestRunExperiment:
         assert bad["divergence_iteration"] >= 1
 
     def test_certified_start_inside_region(self):
-        prob, x_star = make_sphere_instance(10, 6, -0.5, 8)
+        prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 8)
         eta = 0.8 * analyze_problem(prob, x_star).eta_opt
         bundle = run_experiment("sphere", {"m": 10, "n": 6, "gamma": -0.5}, [eta], 8)
         run = bundle["runs"][0]

@@ -10,12 +10,7 @@ from pgdlab.constraints import (
     SparsityConstraint,
     SphereConstraint,
 )
-from pgdlab.empirics import (
-    make_iht_instance,
-    make_lcls_instance,
-    make_mcp_instance,
-    make_sphere_instance,
-)
+from pgdlab.empirics import make_instance
 from pgdlab.engine import Problem, TraceBlock, run_pgd
 from pgdlab.errors import DivergenceError, InfeasibleStartWarning, StationarityError
 
@@ -175,12 +170,12 @@ class TestRunPgd:
         assert np.isfinite(info.value.norm) and info.value.norm > scale
 
     def test_every_iterate_feasible(self, record_projections):
-        for maker, args in [
-            (make_lcls_instance, (10, 7, 2, 3)),
-            (make_iht_instance, (12, 24, 3, 3)),
-            (make_sphere_instance, (9, 5, -0.5, 3)),
+        for kind, params in [
+            ("lcls", {"m": 10, "n": 7, "p": 2}),
+            ("iht", {"m": 12, "n": 24, "s": 3}),
+            ("sphere", {"m": 9, "n": 5, "gamma": -0.5}),
         ]:
-            prob, x_star = maker(*args)
+            prob, x_star = make_instance(kind, params, 3)
             report = analyze_problem(prob, x_star)
             eta = 0.8 * report.eta_opt
             x0 = prob.constraint.project(
@@ -230,7 +225,7 @@ def fixed_point_residual(prob, x, eta):
 
 class TestCertify:
     def test_lcls_solution_certifies(self):
-        prob, x_star = make_lcls_instance(12, 8, 3, 5)
+        prob, x_star = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 5)
         assert analyze_problem(prob).certified
         assert fixed_point_residual(prob, x_star, 0.05) <= 1e-10
 
@@ -251,20 +246,19 @@ class TestCertify:
             analyze_problem(prob, x)
 
     def test_fixed_point_persistence(self):
-        for maker, args in [
-            (make_lcls_instance, (10, 7, 2, 8)),
-            (make_iht_instance, (12, 24, 3, 8)),
-            (make_sphere_instance, (9, 5, -0.5, 8)),
+        for kind, params in [
+            ("lcls", {"m": 10, "n": 7, "p": 2}),
+            ("iht", {"m": 12, "n": 24, "s": 3}),
+            ("sphere", {"m": 9, "n": 5, "gamma": -0.5}),
         ]:
-            prob, x_star = maker(*args)
+            prob, x_star = make_instance(kind, params, 8)
             report = analyze_problem(prob, x_star)
             trace = run_pgd(prob, 0.9 * report.eta_opt, x_star, max_iters=100,
                             error_floor=0.0, x_ref=x_star)
             assert trace.errors.max() <= 1e-10
 
     def test_mcp_fixed_point_persistence(self):
-        prob, X_star = make_mcp_instance(6, 5, 2, 24, 8)
-        x_star = X_star.reshape(-1, order="F")
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 8)
         report = analyze_problem(prob, x_star)
         trace = run_pgd(prob, 0.9 * report.eta_opt, x_star, max_iters=100,
                         error_floor=0.0, x_ref=x_star)
@@ -275,12 +269,11 @@ def test_error_monotone_inside_region():
     """Symmetric update: the error never increases inside the certified ball."""
     rng = np.random.default_rng(9)
     cases = [
-        make_lcls_instance(10, 7, 2, 9),
-        make_iht_instance(12, 24, 3, 9),
-        make_sphere_instance(9, 5, -0.5, 9),
+        make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 9),
+        make_instance("iht", {"m": 12, "n": 24, "s": 3}, 9),
+        make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 9),
+        make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 9),
     ]
-    prob, X_star = make_mcp_instance(6, 5, 2, 24, 9)
-    cases.append((prob, X_star.reshape(-1, order="F")))
     for prob, x_star in cases:
         x_star = np.asarray(x_star, dtype=float).reshape(-1)
         report = analyze_problem(prob, x_star)
