@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .applications import analyze_problem
-from .empirics import BOUND_ACCURACIES, default_etas, run_experiment
+from .empirics import BOUND_ACCURACIES, FAMILIES, default_etas, run_experiment
 from .engine import run_pgd
 from .errors import (
     ConstraintDomainError,
@@ -232,7 +232,7 @@ def build_parser():
     p_an.set_defaults(func=cmd_analyze)
 
     p_ex = sub.add_parser("experiment", help="seeded random instance, theory vs measurement")
-    p_ex.add_argument("kind", choices=["lcls", "iht", "sphere", "mcp"])
+    p_ex.add_argument("kind", choices=list(FAMILIES))
     p_ex.add_argument("--m", type=int)
     p_ex.add_argument("--n", type=int)
     p_ex.add_argument("--p", type=int)

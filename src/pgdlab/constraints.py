@@ -282,11 +282,7 @@ class SparsityConstraint(Constraint):
         return Linearization(coordinate_basis(self.top_support(x), self.n), radius, 0.0)
 
     def membership_residual(self, x):
-        x = _as_vector(x, self.n)
-        if self.s >= self.n:
-            return 0.0
-        mags = np.sort(np.abs(x))[::-1]
-        return float(mags[self.s])
+        return float(self._magnitude_gap(_as_vector(x, self.n))[1])
 
     def random_member(self, rng):
         out = np.zeros(self.n)

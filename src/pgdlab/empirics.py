@@ -33,13 +33,6 @@ BOUND_ACCURACIES = (1e-2, 1e-4, 1e-6, 1e-8)
 BURN_IN_FRACTION = 0.5
 # Draws _draw_sphere tries before giving up on a multiplier.
 SPHERE_MAX_TRIES = 100
-# The parameters each family's generator cannot do without.
-REQUIRED_PARAMS = {
-    "lcls": ("m", "n", "p"),
-    "iht": ("m", "n", "s"),
-    "sphere": ("m", "n"),
-    "mcp": ("m", "n", "r", "s"),
-}
 
 
 @dataclass(frozen=True)
@@ -93,12 +86,11 @@ def _require_sizes(kind, **sizes):
 def make_instance(kind, params, seed):
     """Draw a seeded instance of ``kind`` and return (problem, x_star).
 
-    ``params`` holds, per family, with the defaults of the optional keys:
-    lcls ``m, n, p``; iht ``m, n, s, residual=False``; sphere ``m, n,
-    gamma=-0.5``; mcp ``m, n, r, s`` (matrix shape, rank, samples). A missing
-    key raises ValueError naming it, before any draw. x_star is a vector that
-    the family analysis accepts, column-major for mcp
-    (``problem.constraint.to_matrix(x_star)`` is the matrix).
+    ``params`` holds the family's parameters that ``FAMILIES`` names (for mcp
+    the matrix shape, rank and sample count). A missing or unknown key raises
+    ValueError naming it, before any draw. x_star is a vector that the family
+    analysis accepts, column-major for mcp (``problem.constraint.to_matrix(x_star)``
+    is the matrix).
     """
     report = _instance_report(kind, params, seed)
     return report.problem, report.x_star
@@ -108,19 +100,16 @@ def _instance_report(kind, params, seed):
     """Draw an instance of ``kind`` and run its family analysis, once: the one
     stationarity test of a draw, whose refusal raises GenerationError. Returns
     the ``ApplicationReport``; its ``x_star`` is column-major for mcp."""
-    if kind not in REQUIRED_PARAMS:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    missing = [key for key in REQUIRED_PARAMS[kind] if key not in params]
+    draw, names = FAMILIES[kind]
+    unknown = [str(key) for key in params if key not in names]
+    if unknown:
+        raise ValueError(f"{kind} does not take " + ", ".join(unknown))
+    missing = [key for key, default in names.items() if default is None and key not in params]
     if missing:
         raise ValueError(f"{kind} needs " + ", ".join(missing))
-    if kind == "lcls":
-        return _draw_lcls(params["m"], params["n"], params["p"], seed)
-    if kind == "iht":
-        return _draw_iht(params["m"], params["n"], params["s"], seed,
-                         params.get("residual", False))
-    if kind == "sphere":
-        return _draw_sphere(params["m"], params["n"], params.get("gamma", -0.5), seed)
-    return _draw_mcp(params["m"], params["n"], params["r"], params["s"], seed)
+    return draw(seed=seed, **{**names, **params})
 
 
 def _analyze_draw(problem, x_star=None):
@@ -130,7 +119,7 @@ def _analyze_draw(problem, x_star=None):
         raise GenerationError(f"generated point refused: {exc}") from exc
 
 
-def _draw_lcls(m, n, p, seed):
+def _draw_lcls(seed, m, n, p):
     _require_sizes("lcls", m=m, n=n)
     if not 1 <= p < n:
         raise ValueError(f"lcls: need 1 <= p < n (p={p}, n={n})")
@@ -142,7 +131,7 @@ def _draw_lcls(m, n, p, seed):
     return _analyze_draw(Problem(A, b, AffineConstraint(C, d)))
 
 
-def _draw_iht(m, n, s, seed, residual):
+def _draw_iht(seed, m, n, s, residual):
     """Random sparse recovery around a stationary s-sparse point. With
     ``residual`` the observation keeps a component in the left null space of
     the support columns, so the gradient at x* is nonzero off the support."""
@@ -167,7 +156,7 @@ def _draw_iht(m, n, s, seed, residual):
     return _analyze_draw(Problem(A, b, SparsityConstraint(s, n)), x_star)
 
 
-def _draw_sphere(m, n, gamma, seed):
+def _draw_sphere(seed, m, n, gamma):
     """Unit-norm least squares whose x* has the multiplier ``gamma``. Retries
     until the multiplier sits below the smallest tangent eigenvalue, which
     certifies x* as a strict local minimum."""
@@ -195,23 +184,33 @@ def _draw_sphere(m, n, gamma, seed):
     )
 
 
-def _draw_mcp(m_mat, n_mat, r, s, seed):
-    _require_sizes("mcp", m=m_mat, n=n_mat, r=r)
-    if not 0 < s < m_mat * n_mat:
-        raise ValueError(f"mcp: need 0 < s < m*n (s={s}, m*n={m_mat * n_mat})")
-    if r > min(m_mat, n_mat):
-        raise ValueError(f"mcp: need r <= min(m, n) (r={r}, min(m, n)={min(m_mat, n_mat)})")
+def _draw_mcp(seed, m, n, r, s):
+    _require_sizes("mcp", m=m, n=n, r=r)
+    if not 0 < s < m * n:
+        raise ValueError(f"mcp: need 0 < s < m*n (s={s}, m*n={m * n})")
+    if r > min(m, n):
+        raise ValueError(f"mcp: need r <= min(m, n) (r={r}, min(m, n)={min(m, n)})")
     rng = np.random.default_rng(seed)
-    F = rng.standard_normal((m_mat, r))
-    G = rng.standard_normal((n_mat, r))
+    F = rng.standard_normal((m, r))
+    G = rng.standard_normal((n, r))
     X_star = F @ G.T
     # Its own cutoff, stricter than linearize's rank test (RANK_RTOL).
     sig = np.linalg.svd(X_star, compute_uv=False)
     if sig[r - 1] / sig[0] <= 1e-8:
         raise GenerationError("generated factors are numerically rank deficient")
-    omega = np.sort(rng.choice(m_mat * n_mat, size=s, replace=False))
+    omega = np.sort(rng.choice(m * n, size=s, replace=False))
     x_star = X_star.reshape(-1, order="F")
-    return _analyze_draw(mcp_problem(x_star[omega], omega, (m_mat, n_mat), r), x_star)
+    return _analyze_draw(mcp_problem(x_star[omega], omega, (m, n), r), x_star)
+
+
+# Each family's draw and parameters: None marks a required parameter, any other
+# value is the default of an optional one. _instance_report refuses other keys.
+FAMILIES = {
+    "lcls": (_draw_lcls, {"m": None, "n": None, "p": None}),
+    "iht": (_draw_iht, {"m": None, "n": None, "s": None, "residual": False}),
+    "sphere": (_draw_sphere, {"m": None, "n": None, "gamma": -0.5}),
+    "mcp": (_draw_mcp, {"m": None, "n": None, "r": None, "s": None}),
+}
 
 
 def _start_point(problem, x_star, region, rng, offset=None):
@@ -262,7 +261,8 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
         os.makedirs(outdir, exist_ok=True)
 
     # Every start is drawn first, in grid order, and the grid runs as one block.
-    samples = report.sample(etas)
+    application = report.to_json(etas)
+    samples = application["rate_table"]
     scale = 1e-3 * (1.0 + np.linalg.norm(x_star))
     starts = [
         # float() decodes the "inf" of a global certificate.
@@ -328,7 +328,7 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
         "params": dict(params),
         "seed": int(seed),
         "etas": [float(e) for e in etas],
-        "application": report.to_json(etas),
+        "application": application,
         "runs": runs,
     }
     if outdir is not None:

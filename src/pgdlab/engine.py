@@ -128,7 +128,6 @@ class Trace:
     objectives: np.ndarray
     errors: np.ndarray | None
     stop_reason: str
-    x0_projected: bool = False
     error_floor: float | None = None
     divergence: DivergenceError | None = None
 
@@ -214,7 +213,6 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             objectives=objectives[: iterations + 1, row].copy(),
             errors=None if errors is None else errors[: iterations + 1, row].copy(),
             stop_reason=stop_reason,
-            x0_projected=bool(projected[run]),
             error_floor=None if floors is None else float(floors[run]),
             divergence=divergence,
         )

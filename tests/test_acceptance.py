@@ -175,7 +175,7 @@ def test_criterion_4_sphere_rates_and_optimal_step(bundles):
 
 
 def test_criterion_5_projection_property_suite():
-    idem = check_idempotence(seed=0, trials=1000, rtol=1e-12)
+    idem = check_idempotence(seed=0)
     idem_ok = all(r.ok for r in idem)
 
     rng = np.random.default_rng(0)
@@ -234,18 +234,18 @@ def test_criterion_5_projection_property_suite():
 
 
 def test_criterion_6_scalar_inequality_grid():
-    results = check_scalar_inequality(grid=200)
+    results = check_scalar_inequality()
     report(6, all(r.ok for r in results), results[0].detail + " (tol -1e-12, 200x200)")
 
 
 def test_criterion_7_support_stability_and_sharpness():
-    results = check_support_stability(seed=0, trials=1000)
+    results = check_support_stability(seed=0)
     detail = "; ".join(r.detail for r in results)
     report(7, all(r.ok for r in results), detail + " (radius tol 1e-2)")
 
 
 def test_criterion_8_dual_path_rate_agreement():
-    results = check_rate_agreement(seed=0, instances=20, tol=1e-10)
+    results = check_rate_agreement(seed=0)
     rate_results = [r for r in results if r.name.startswith("rate_agreement")]
     ok = all(r.ok for r in rate_results)
     detail = ", ".join(f"{r.name.split('.')[1]}: {r.detail.split('= ')[1]}"
@@ -254,7 +254,7 @@ def test_criterion_8_dual_path_rate_agreement():
 
 
 def test_criterion_9_interlacing(bundles):
-    results = check_interlacing(seed=0, instances=10)
+    results = check_interlacing(seed=0)
     small_ok = all(r.ok for r in results)
 
     worst = -np.inf

@@ -794,6 +794,16 @@ class TestExperimentCommand:
         assert captured.err == "error: iht needs s\n" and captured.out == ""
         assert not outdir.exists()
 
+    def test_parameters_of_another_family_refused(self, tmp_path, capsys):
+        outdir = tmp_path / "bundle"
+        code = main(["experiment", "lcls", "--m", "12", "--n", "8", "--p", "3", "--gamma", "0.3",
+                     "--residual", "--seed", "0", "--outdir", str(outdir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: lcls does not take gamma, residual\n"
+        assert captured.out == ""
+        assert not outdir.exists()
+
 
 class TestVerifyCommand:
     def test_projections_suite_passes(self, capsys):

@@ -142,6 +142,19 @@ class TestGenerators:
             run_experiment("mcp", {"m": 8, "n": 6, "s": 30}, [1.0], 0, outdir=str(outdir))
         assert not outdir.exists()
 
+    def test_unknown_parameter_rejected_before_drawing(self, tmp_path, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=r"^sphere does not take gama$"):
+            make_instance("sphere", {"m": 12, "n": 6, "gama": 0.3}, 0)
+        outdir = tmp_path / "bundle"
+        params = {"m": 12, "n": 8, "p": 3, "gamma": 0.3, "residual": True}
+        with pytest.raises(ValueError, match=r"^lcls does not take gamma, residual$"):
+            run_experiment("lcls", params, [1.0], 0, outdir=str(outdir))
+        assert not outdir.exists()
+
     def test_sphere_zero_multiplier(self):
         prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": 0.0}, 3)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10

@@ -151,7 +151,7 @@ class TestRunPgd:
         prob = Problem(np.eye(2), np.zeros(2), SphereConstraint(2))
         with pytest.warns(InfeasibleStartWarning):
             trace = run_pgd(prob, 0.1, [3.0, 4.0], max_iters=5, x_ref=[0.6, 0.8])
-        assert trace.x0_projected
+        # The run starts from the projection [0.6, 0.8], not from [3, 4].
         assert trace.errors[0] <= 1e-15
 
     def test_divergence_raises_with_diagnostics(self):
@@ -321,7 +321,6 @@ def _block_problems():
 def _assert_same_run(row, alone):
     assert row.stop_reason == alone.stop_reason
     assert row.error_floor == alone.error_floor
-    assert row.x0_projected == alone.x0_projected
     for field in ("errors", "objectives", "final"):
         assert np.array_equal(getattr(row, field), getattr(alone, field)), field
 
@@ -381,7 +380,9 @@ class TestBlock:
         starts = np.array([[0.0, 1.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.warns(InfeasibleStartWarning):
             block = run_pgd(prob, 0.5, starts, max_iters=50, x_ref=[1.0, 0.0, 0.0])
-        assert [trace.x0_projected for trace in block] == [False, True, False]
+        # The feasible rows keep their start, at distance sqrt(2) from x_ref;
+        # the infeasible row starts from its projection (checked below).
+        assert block[0].errors[0] == block[2].errors[0] == np.sqrt(2.0)
         with pytest.warns(InfeasibleStartWarning):
             alone = run_pgd(prob, 0.5, starts[1], max_iters=50, x_ref=[1.0, 0.0, 0.0])
         _assert_same_run(block[1], alone)
