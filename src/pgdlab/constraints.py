@@ -257,8 +257,10 @@ class SparsityConstraint(Constraint):
 
     def _project(self, x):
         keep = self._top(x)
+        if x.ndim == 2:
+            keep = (np.arange(len(x))[:, None], keep)
         out = np.zeros_like(x)
-        np.put_along_axis(out, keep, np.take_along_axis(x, keep, axis=-1), axis=-1)
+        out[keep] = x[keep]
         return out
 
     def _magnitude_gap(self, x):

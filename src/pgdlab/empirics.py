@@ -10,6 +10,7 @@ against the closed-form predictions.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -87,10 +88,10 @@ def make_instance(kind, params, seed):
     """Draw a seeded instance of ``kind`` and return (problem, x_star).
 
     ``params`` holds the family's parameters that ``FAMILIES`` names (for mcp
-    the matrix shape, rank and sample count). A missing or unknown key raises
-    ValueError naming it, before any draw. x_star is a vector that the family
-    analysis accepts, column-major for mcp (``problem.constraint.to_matrix(x_star)``
-    is the matrix).
+    the matrix shape, rank and sample count). A missing or unknown key, or a
+    value of the wrong type, raises ValueError naming it, before any draw.
+    x_star is a vector that the family analysis accepts, column-major for mcp
+    (``problem.constraint.to_matrix(x_star)`` is the matrix).
     """
     report = _instance_report(kind, params, seed)
     return report.problem, report.x_star
@@ -106,10 +107,23 @@ def _instance_report(kind, params, seed):
     unknown = [str(key) for key in params if key not in names]
     if unknown:
         raise ValueError(f"{kind} does not take " + ", ".join(unknown))
-    missing = [key for key, default in names.items() if default is None and key not in params]
+    for key, value in params.items():
+        expected = names[key][0]
+        admitted, type_name = _ADMITTED[expected]
+        if not isinstance(value, admitted) or isinstance(value, _BOOLS) != (expected is bool):
+            raise ValueError(f"{kind}: {key} must be {type_name} ({key}={value!r})")
+    missing = [key for key, (_, default) in names.items() if default is None and key not in params]
     if missing:
         raise ValueError(f"{kind} needs " + ", ".join(missing))
-    return draw(seed=seed, **{**names, **params})
+    defaults = {key: default for key, (_, default) in names.items()}
+    return draw(seed=seed, **{**defaults, **params})
+
+
+# The values that a parameter of each type in FAMILIES takes, and the type's
+# name. A bool is an int to Python, so it is taken only where one is expected.
+_BOOLS = (bool, np.bool_)
+_ADMITTED = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+             bool: (_BOOLS, "true or false")}
 
 
 def _analyze_draw(problem, x_star=None):
@@ -203,13 +217,14 @@ def _draw_mcp(seed, m, n, r, s):
     return _analyze_draw(mcp_problem(x_star[omega], omega, (m, n), r), x_star)
 
 
-# Each family's draw and parameters: None marks a required parameter, any other
-# value is the default of an optional one. _instance_report refuses other keys.
+# Each family's draw and its parameters' (type, default): a default of None
+# marks a required parameter. _instance_report refuses other keys and types.
 FAMILIES = {
-    "lcls": (_draw_lcls, {"m": None, "n": None, "p": None}),
-    "iht": (_draw_iht, {"m": None, "n": None, "s": None, "residual": False}),
-    "sphere": (_draw_sphere, {"m": None, "n": None, "gamma": -0.5}),
-    "mcp": (_draw_mcp, {"m": None, "n": None, "r": None, "s": None}),
+    "lcls": (_draw_lcls, {"m": (int, None), "n": (int, None), "p": (int, None)}),
+    "iht": (_draw_iht, {"m": (int, None), "n": (int, None), "s": (int, None),
+                        "residual": (bool, False)}),
+    "sphere": (_draw_sphere, {"m": (int, None), "n": (int, None), "gamma": (float, -0.5)}),
+    "mcp": (_draw_mcp, {"m": (int, None), "n": (int, None), "r": (int, None), "s": (int, None)}),
 }
 
 

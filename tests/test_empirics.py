@@ -155,6 +155,28 @@ class TestGenerators:
             run_experiment("lcls", params, [1.0], 0, outdir=str(outdir))
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            # A truthy string used to draw the residual instance.
+            ("iht", {"m": 16, "n": 32, "s": 4, "residual": "no"},
+             "iht: residual must be true or false (residual='no')"),
+            # These two used to fail inside numpy with a TypeError.
+            ("sphere", {"m": 12, "n": 6, "gamma": "0.3"},
+             "sphere: gamma must be a real number (gamma='0.3')"),
+            ("lcls", {"m": 12.5, "n": 8, "p": 3}, "lcls: m must be an integer (m=12.5)"),
+        ],
+        ids=["iht_residual_string", "sphere_gamma_string", "lcls_m_float"],
+    )
+    def test_wrong_type_rejected_before_drawing(self, kind, params, message, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError) as info:
+            make_instance(kind, params, 0)
+        assert str(info.value) == message
+
     def test_sphere_zero_multiplier(self):
         prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": 0.0}, 3)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10

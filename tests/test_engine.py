@@ -11,7 +11,15 @@ from pgdlab.constraints import (
     SphereConstraint,
 )
 from pgdlab.empirics import make_instance
-from pgdlab.engine import Problem, TraceBlock, run_pgd
+from pgdlab.engine import (
+    ERROR_FLOOR_SCALE,
+    STAGNATION_RTOL,
+    STAGNATION_RUN,
+    Problem,
+    Trace,
+    TraceBlock,
+    run_pgd,
+)
 from pgdlab.errors import DivergenceError, InfeasibleStartWarning, StationarityError
 
 
@@ -217,6 +225,23 @@ class TestRunPgd:
         assert float(obj) == pytest.approx(trace.objectives[0])
         assert len(rows) == trace.errors.size + 1
 
+    @pytest.mark.parametrize("with_errors", [True, False], ids=["errors", "no_errors"])
+    def test_csv_bytes_are_those_of_one_line_per_entry(self, tmp_path, with_errors):
+        rng = np.random.default_rng(5)
+        # Longer than two of the blocks that write_csv formats at a time.
+        values = np.concatenate((rng.standard_normal(600) * 10.0 ** rng.integers(-300, 300, 600),
+                                 [0.0, -0.0, 1e-320, np.inf, np.nan]))
+        trace = Trace(final=np.zeros(2), objectives=values,
+                      errors=np.abs(values[::-1]) if with_errors else None, stop_reason="max_iters")
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        # Each entry formatted on its own, as repr of a Python float.
+        expected = "k,error,objective\n"
+        for k in range(values.size):
+            err = "" if trace.errors is None else repr(float(trace.errors[k]))
+            expected += f"{k},{err},{float(trace.objectives[k])!r}\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
 
 def fixed_point_residual(prob, x, eta):
     """||x - P(x - eta * gradient(x))||, the move of one PGD step from x."""
@@ -392,3 +417,128 @@ class TestBlock:
         prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
         with pytest.raises(ValueError, match="x0 has rows of length 2, expected 3"):
             run_pgd(prob, 0.5, np.ones((2, 2)))
+
+
+def _reference_run(prob, eta, x, max_iters, error_floor=None, x_ref=None):
+    """``run_pgd`` of one start as a plain loop that decides every stop and
+    records every entry of the trace at each iteration. Returns the trace's
+    fields, with ``divergence`` the iteration of a divergence or None, and
+    the stall flag of each iteration (a step within the stagnation tolerance)."""
+    x, b = np.array(x, dtype=float), prob.b
+    if x_ref is not None and error_floor is None:
+        error_floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_ref))
+    r = prob.apply(x) - b
+    objectives = [0.5 * float(r @ r)]
+    errors = None if x_ref is None else [np.linalg.norm(x - x_ref)]
+    stalls, stagnant, divergence, stop_reason = [], 0, None, "max_iters"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            descent = x - eta * prob.apply_t(prob.apply(x) - b)
+            x_next = prob.constraint.project(descent) if np.all(np.isfinite(descent)) else None
+            if x_next is None or not np.all(np.isfinite(x_next)):
+                stop_reason, divergence = "diverged", it
+                break
+            step, norm = np.linalg.norm(x_next - x), np.linalg.norm(x_next)
+            x = x_next
+            r = prob.apply(x) - b
+            objectives.append(0.5 * float(r @ r))
+            stall = STAGNATION_RTOL * (1.0 + norm)
+            stalls.append(bool(step <= stall and np.isfinite(stall)))
+            stagnant = stagnant + 1 if stalls[-1] else 0
+            if errors is not None:
+                errors.append(np.linalg.norm(x - x_ref))
+                if errors[-1] < error_floor:
+                    stop_reason = "error_floor"
+                    break
+            if stagnant >= STAGNATION_RUN:
+                stop_reason = "stagnation"
+                break
+    return {
+        "objectives": np.array(objectives),
+        "errors": None if errors is None else np.array(errors),
+        "final": x,
+        "stop_reason": stop_reason,
+        "error_floor": error_floor,
+        "divergence": divergence,
+        "stalls": stalls,
+    }
+
+
+def _assert_matches_reference(trace, ref):
+    assert trace.stop_reason == ref["stop_reason"]
+    assert trace.error_floor == ref["error_floor"]
+    divergence = None if trace.divergence is None else trace.divergence.iteration
+    assert divergence == ref["divergence"]
+    for field in ("objectives", "errors", "final"):
+        got, expected = getattr(trace, field), ref[field]
+        assert (got is None) == (expected is None), field
+        assert expected is None or np.array_equal(got, expected), field
+
+
+def _affine_problem(seed):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((2, 6))
+    prob = Problem(rng.standard_normal((8, 6)), rng.standard_normal(8),
+                   AffineConstraint(C, C @ rng.standard_normal(6)))
+    report = analyze_problem(prob)
+    return prob, report.eta_opt, report.x_star, prob.constraint.random_member(rng)
+
+
+class TestWindows:
+    """``run_pgd`` decides its stops at every iteration but computes the
+    objectives and stall counts once per window of iterations; every field
+    of each trace equals that of the per-iteration loop ``_reference_run``."""
+
+    def test_stall_run_across_two_windows_without_x_ref(self):
+        prob, eta_opt, _, x0 = _affine_problem(1)
+        etas = [0.6 * eta_opt, eta_opt, 0.3 * eta_opt]
+        refs = [_reference_run(prob, eta, x0, 2000) for eta in etas]
+        # The first run stalls, moves once and then stalls ten times in a row,
+        # ending at an iteration that no window of ten would end at.
+        stalls = refs[0]["stalls"]
+        assert refs[0]["stop_reason"] == "stagnation"
+        assert stalls[-12:] == [True, False] + [True] * STAGNATION_RUN
+        assert len(stalls) % STAGNATION_RUN != 0
+        _assert_matches_reference(run_pgd(prob, etas[0], x0, max_iters=2000), refs[0])
+        block = run_pgd(prob, etas, np.array([x0] * 3), max_iters=2000)
+        for trace, ref in zip(block, refs):
+            _assert_matches_reference(trace, ref)
+
+    def test_floor_reached_mid_window(self):
+        prob, eta_opt, x_star, x0 = _affine_problem(1)
+        etas, floors = [eta_opt, eta_opt, 0.3 * eta_opt], [1e-6, 1e-9, 1e-12]
+        block = run_pgd(prob, etas, np.array([x0] * 3), max_iters=2000, error_floor=floors,
+                        x_ref=x_star)
+        refs = [_reference_run(prob, eta, x0, 2000, floor, x_star)
+                for eta, floor in zip(etas, floors)]
+        # Each row reaches its floor at its own iteration (254, 381 and 1,703
+        # here), none a multiple of the window, while the later rows go on.
+        assert [ref["stop_reason"] for ref in refs] == ["error_floor"] * 3
+        stops = [trace.n_iterations for trace in block]
+        assert stops == sorted(set(stops)) and all(n % STAGNATION_RUN for n in stops)
+        for trace, ref in zip(block, refs):
+            _assert_matches_reference(trace, ref)
+
+    def test_divergence_mid_window(self):
+        prob, eta_opt, x_star, x0 = _affine_problem(1)
+        etas = [1e12, 1e6, eta_opt]
+        block = run_pgd(prob, etas, np.array([x0] * 3), max_iters=100, x_ref=x_star)
+        assert [trace.stop_reason for trace in block] == ["diverged", "diverged", "max_iters"]
+        # Iterations 24 and 43 here: mid-window, and apart.
+        stops = [trace.divergence.iteration for trace in block[:2]]
+        assert stops[0] < stops[1] and all(n % STAGNATION_RUN for n in stops)
+        for trace, eta in zip(block, etas):
+            _assert_matches_reference(trace, _reference_run(prob, eta, x0, 100, x_ref=x_star))
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 23])
+    @pytest.mark.parametrize("with_x_ref", [True, False], ids=["x_ref", "no_x_ref"])
+    def test_iteration_budget(self, max_iters, with_x_ref):
+        prob, eta_opt, x_star, x0 = _affine_problem(1)
+        x_ref = x_star if with_x_ref else None
+        etas = [0.5 * eta_opt, eta_opt]
+        block = run_pgd(prob, etas, np.array([x0] * 2), max_iters=max_iters, x_ref=x_ref)
+        for trace, eta in zip(block, etas):
+            assert trace.n_iterations == max_iters
+            _assert_matches_reference(trace, _reference_run(prob, eta, x0, max_iters, x_ref=x_ref))
+        alone = run_pgd(prob, etas[1], x0, max_iters=max_iters, x_ref=x_ref)
+        _assert_matches_reference(alone, _reference_run(prob, etas[1], x0, max_iters, x_ref=x_ref))
