@@ -10,7 +10,8 @@ compression of H onto the tangent space of dimension k; together with the
 linearization constants of the projection at x* and z it yields the radius of
 the ball around x* inside which linear convergence is certified, and an
 explicit bound on the number of iterations needed to reach a relative
-accuracy.
+accuracy. The recipe holds for any constraint that can linearize, wherever x*
+is a fixed point: P(z) = x* to within ``FIXED_POINT_RTOL``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintDomainError, NoCertificateError
+from .errors import NoCertificateError
 
 SYMMETRY_RTOL = 1e-12
+
+# Bound on ||P(z) - x*|| / (1 + ||x*||) for x* to count as a fixed point at a
+# step. Accepted fixed points of every family, exact or within a family's
+# stationarity tolerance, stay below 1e-10; steps at which x* is not a fixed
+# point (an iht step past its cap, a flipped sphere) give 0.1 or more.
+FIXED_POINT_RTOL = 1e-8
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -57,24 +64,6 @@ def gradient_contraction(A, eta):
     if eta <= 0:
         raise ValueError("eta must be positive")
     return contraction_factor(*ata_extremes(A), eta)
-
-
-def _gradient_step_linearization(report, eta):
-    """The projection derivative at the gradient step z = x* - eta * gradient(x*).
-
-    A step at which the gradient step overflows has no certificate; on the
-    sphere a step with 1 - eta*gamma <= 0 leaves the fixed-point domain.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = report.x_star - eta * report.problem.gradient(report.x_star)
-    if not np.all(np.isfinite(z)):
-        raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
-    if report.gamma is not None and 1.0 - eta * report.gamma <= 0.0:
-        raise ConstraintDomainError(
-            "sphere: fixed-point condition violated "
-            f"(1 - eta*gamma = {1.0 - eta * report.gamma:.3e} <= 0)"
-        )
-    return report.problem.constraint.linearize(z)
 
 
 def _compressed_update(problem, lin_x, lin_z, eta):
@@ -325,49 +314,47 @@ def json_float(v):
     return "inf" if np.isinf(v) else v
 
 
-def analyze_fixed_point(report, eta):
-    """Full convergence report for PGD with step ``eta`` at the fixed point of
-    ``report``, an ``applications.ApplicationReport``.
+def analyze_fixed_point(problem, x_star, linearization, eta):
+    """Full convergence report for PGD with step ``eta`` at the fixed point
+    ``x_star`` of ``problem``, whose projection has ``linearization`` there.
 
     The rate and the constant kappa come from the k x k compressed update C
     and the factor sM of H's powers (``eigendecompose``). At a fixed point
     span B_z = span B_x, so C is symmetric and its rate is H's spectral
     radius. Near one (x* within a family's stationarity tolerance) C is nearly
-    symmetric, and the rate is a norm bound within ||K|| of it.
+    symmetric, and the rate is a norm bound within ||K|| of it. A step at
+    which P(z) = x* fails by more than ``FIXED_POINT_RTOL`` has no
+    certificate, nor one at which the gradient step z overflows.
     """
-    if eta <= 0:
+    if not eta > 0:  # also true for NaN
         raise ValueError("eta must be positive")
     eta = float(eta)
-    contraction = report.contraction(eta)
+    contraction = contraction_factor(*problem.ata_extremes(), eta)
     if not np.isfinite(contraction):
         raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")
-    lin_x = report.linearization
-    lin_z = _gradient_step_linearization(report, eta)
-    eig = eigendecompose(*_compressed_update(report.problem, lin_x, lin_z, eta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x_star - eta * problem.gradient(x_star)
+    if not np.all(np.isfinite(z)):
+        raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
+    lin_z = problem.constraint.linearize(z)
+    eig = eigendecompose(*_compressed_update(problem, linearization, lin_z, eta))
+    gap = float(np.linalg.norm(problem.constraint.project(z) - x_star)
+                / (1.0 + np.linalg.norm(x_star)))
+    if not gap <= FIXED_POINT_RTOL:
+        raise NoCertificateError(
+            f"x* is not a fixed point at eta={eta:g}: the gap "
+            f"||P(z) - x*|| / (1 + ||x*||) = {gap:.3e} exceeds {FIXED_POINT_RTOL:g}"
+        )
+    rate, kappa = eig.spectral_radius, eig.eigvec_condition
     quad = quadratic_coefficient(
-        eig.eigvec_condition,
-        contraction,
-        lin_z.curvature,
-        lin_z.operator_norm(),
-        lin_x.curvature,
+        kappa, contraction, lin_z.curvature, lin_z.operator_norm(), linearization.curvature
     )
-    certified = eig.spectral_radius < 1.0
     region = None
-    if certified:
+    if rate < 1.0:
         region = convergence_radius(
-            lin_x.radius,
-            lin_z.radius,
-            eig.eigvec_condition,
-            contraction,
-            eig.spectral_radius,
-            quad,
+            linearization.radius, lin_z.radius, kappa, contraction, rate, quad
         )
     return ConvergenceReport(
-        rate=eig.spectral_radius,
-        eigvec_condition=eig.eigvec_condition,
-        contraction=contraction,
-        quad_coeff=quad,
-        region_radius=region,
-        certified=certified,
-        symmetric=eig.symmetric,
+        rate=rate, eigvec_condition=kappa, contraction=contraction, quad_coeff=quad,
+        region_radius=region, certified=rate < 1.0, symmetric=eig.symmetric,
     )

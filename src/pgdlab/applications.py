@@ -33,8 +33,9 @@ class ApplicationReport:
     ``gamma`` (read as 0 when ``None``), the ``curvature`` of the projection and
     the fixed-point step cap. ``rate(eta)`` and ``region(eta)`` evaluate the
     closed forms from them; ``region`` raises NoCertificateError outside the
-    admissible step range. ``problem`` and ``linearization`` are kept for
-    ``analysis.analyze_fixed_point``.
+    admissible step range. ``problem``, ``x_star`` and ``linearization`` are
+    what ``analysis.analyze_fixed_point`` takes; it certifies a step only where
+    x* is a fixed point, P(z) = x* within ``analysis.FIXED_POINT_RTOL``.
     """
 
     def __init__(self, kind, problem, linearization, lam_max, lam_min, x_star, *,

@@ -112,7 +112,8 @@ def cmd_analyze(args):
     for eta in etas:
         entry = {"eta": float(eta)}
         try:
-            conv = analysis.analyze_fixed_point(report, eta)
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, eta)
             entry["convergence"] = conv.to_json()
             if conv.certified and args.eps:
                 # Bounds need an initial error: half the certified radius. An

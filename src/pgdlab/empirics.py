@@ -264,12 +264,16 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     ``etas`` is a list of step sizes, or a function of the instance's
     :class:`ApplicationReport` returning one (for example :func:`default_etas`).
     Returns the bundle dictionary; when ``outdir`` is given also writes
-    ``manifest.json`` plus one ``trace_eta_<value>.csv`` per step size.
+    ``manifest.json`` plus one ``trace_eta_<value>.csv`` per step size. A step
+    that is not finite and positive raises ValueError before anything is written.
     """
     report = _instance_report(kind, params, seed)
     problem, x_star = report.problem, report.x_star
     if callable(etas):
         etas = etas(report)
+    bad = [eta for eta in etas if not 0 < eta < np.inf]  # also true for NaN
+    if bad:
+        raise ValueError(f"step sizes must be finite and positive, got {bad}")
     rng = np.random.default_rng(seed + 1)
 
     if outdir is not None:

@@ -345,7 +345,8 @@ def check_rate_agreement(seed=0):
             cap = report.eta_max if np.isfinite(report.eta_max) else 4.0
             eta = float(rng.uniform(0.15, 0.95)) * cap
             rho_recipe = report.rate(eta)
-            conv = analysis.analyze_fixed_point(report, eta)
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, eta)
             kind = report.kind
             worst[kind] = max(worst[kind], abs(rho_recipe - conv.rate))
             H = iteration_matrix(report.problem, report.x_star, eta)
@@ -403,7 +404,8 @@ def check_interlacing(seed=0):
                 continue
             eta = float(rng.uniform(0.1, 0.95)) * 2.0 / report.ata_extremes[0]
             contraction = report.contraction(eta)
-            conv = analysis.analyze_fixed_point(report, eta)
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, eta)
             worst_rate = max(worst_rate, conv.rate - contraction)
             worst_contraction = max(worst_contraction, contraction - 1.0)
     return [

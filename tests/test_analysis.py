@@ -6,10 +6,15 @@ from scipy.integrate import quad
 
 from pgdlab import analysis, verify
 from pgdlab.applications import analyze_problem
-from pgdlab.constraints import AffineConstraint, Linearization, SphereConstraint
+from pgdlab.constraints import (
+    AffineConstraint,
+    Linearization,
+    SparsityConstraint,
+    SphereConstraint,
+)
 from pgdlab.empirics import make_instance
-from pgdlab.engine import Problem
-from pgdlab.errors import ConstraintDomainError, NoCertificateError, StationarityError
+from pgdlab.engine import Problem, run_pgd
+from pgdlab.errors import NoCertificateError, StationarityError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -62,8 +67,8 @@ class TestIterationMatrix:
         # gamma = 1 at this stationary point: eta = 2 flips the projection.
         prob = Problem(np.eye(2), np.zeros(2), SphereConstraint(2))
         report = analyze_problem(prob, [1.0, 0.0])
-        with pytest.raises(ConstraintDomainError, match="fixed-point"):
-            analysis.analyze_fixed_point(report, 2.0)
+        with pytest.raises(NoCertificateError, match="not a fixed point"):
+            analysis.analyze_fixed_point(report.problem, report.x_star, report.linearization, 2.0)
 
     @pytest.mark.parametrize("kind", ["affine", "sphere"])
     def test_diagonal_a_matches_dense_product(self, kind):
@@ -320,7 +325,8 @@ class TestFixedPointReport:
     def test_lcls_global_region(self):
         prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(report, 0.8 * report.eta_opt)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, 0.8 * report.eta_opt)
         assert conv.certified
         assert np.isinf(conv.region_radius)
         assert conv.quad_coeff == 0.0
@@ -329,7 +335,8 @@ class TestFixedPointReport:
     def test_uncertified_above_threshold(self):
         prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(report, 1.05 * report.eta_max)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, 1.05 * report.eta_max)
         assert not conv.certified
         assert conv.region_radius is None
         with pytest.raises(NoCertificateError):
@@ -339,7 +346,8 @@ class TestFixedPointReport:
         prob, x_star = make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.9 * report.eta_opt
-        conv = analysis.analyze_fixed_point(report, eta)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, eta)
         initial = 0.5 * report.region(eta)
         assert conv.certified
         assert 0 < conv.quad_coeff * initial / (1.0 - conv.rate) < 1  # the error fraction
@@ -354,7 +362,8 @@ class TestFixedPointReport:
         prob, x_star = make_instance("sphere", {"m": 9, "n": 5, "gamma": -0.5}, 6)
         report = analyze_problem(prob, x_star)
         eta = 0.8 * report.eta_opt
-        conv = analysis.analyze_fixed_point(report, eta)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, eta)
         H = verify.iteration_matrix(prob, x_star, eta)
         # The report's rate comes from the compressed k x k update: the same
         # spectrum as H, computed in another order.
@@ -376,12 +385,39 @@ class TestFixedPointReport:
         assert np.isfinite(np.linalg.norm(verify.iteration_matrix(prob, x_star, 1e308)))
         report = analyze_problem(prob, x_star)
         with pytest.raises(NoCertificateError, match="contraction factor overflows"):
-            analysis.analyze_fixed_point(report, 1e308)
+            analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, 1e308)
+
+    @staticmethod
+    def _iht_e1_report():
+        # A = I, b = (1, 0.9, 0), s = 1: x* = e1, and the gradient step
+        # (1, 0.9 eta, 0) keeps e1's support only below eta = 1/0.9.
+        prob = Problem(np.eye(3), np.array([1.0, 0.9, 0.0]), SparsityConstraint(1, 3))
+        return analyze_problem(prob, [1.0, 0.0, 0.0])
+
+    def test_step_past_the_fixed_point_cap_is_refused(self):
+        report = self._iht_e1_report()
+        assert report.fixed_point_eta_max == pytest.approx(1.0 / 0.9)
+        with pytest.raises(NoCertificateError, match=r"not a fixed point at eta=1\.5: the gap .* = "
+                                                     r"8\.400e-01 exceeds 1e-08"):
+            analysis.analyze_fixed_point(report.problem, report.x_star, report.linearization, 1.5)
+        # A run started at x* itself leaves it: x* is no fixed point of this step.
+        trace = run_pgd(report.problem, 1.5, report.x_star, max_iters=50, x_ref=report.x_star)
+        assert trace.errors[-1] == pytest.approx(0.5)
+
+    def test_step_below_the_fixed_point_cap_is_certified(self):
+        report = self._iht_e1_report()
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, 0.5)
+        assert conv.certified
+        assert conv.rate == pytest.approx(0.5)
+        assert conv.region_radius == pytest.approx(1.0 / SQRT2)
 
     def test_json_encodes_infinity(self):
         prob, _ = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, 5)
         report = analyze_problem(prob)
-        conv = analysis.analyze_fixed_point(report, 0.5 * report.eta_opt)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, 0.5 * report.eta_opt)
         doc = conv.to_json()
         assert doc["region_radius"] == "inf"
         assert None not in doc.values()
@@ -439,7 +475,8 @@ class TestCompressedCertificate:
 
         calls = eigensolves(report.linearization.basis.shape[1])
         for eta, rho in zip(etas, dense):
-            conv = analysis.analyze_fixed_point(report, eta)
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, eta)
             assert conv.symmetric and conv.eigvec_condition == 1.0
             assert abs(conv.rate - rho) <= 1e-12 * (1.0 + rho)
         assert [width for width, _ in calls] == [report.linearization.basis.shape[1]] * 2
@@ -478,9 +515,13 @@ class TestCompressedCertificate:
         exact_report = analyze_problem(exact, x_star)
         eta = fraction * exact_report.eta_opt
         prob = moved_observations(exact)
-        conv = analysis.analyze_fixed_point(analyze_problem(prob, x_star), eta)
+        report = analyze_problem(prob, x_star)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, eta)
         assert conv.certified and conv.eigvec_condition == 1.0
-        exact_region = analysis.analyze_fixed_point(exact_report, eta).region_radius
+        exact_region = analysis.analyze_fixed_point(
+            exact_report.problem, exact_report.x_star, exact_report.linearization, eta
+        ).region_radius
         assert conv.region_radius == pytest.approx(exact_region, rel=1e-6)
         H = verify.iteration_matrix(prob, x_star, eta)
         assert abs(conv.rate - verify.spectral_radius(H)) <= 1e-10
@@ -492,7 +533,8 @@ class TestCompressedCertificate:
         report = analyze_problem(prob, x_star)
         assert report.linearization.basis.shape[1] == 261
         calls = eigensolves(261)
-        conv = analysis.analyze_fixed_point(report, report.eta_opt)
+        conv = analysis.analyze_fixed_point(
+            report.problem, report.x_star, report.linearization, report.eta_opt)
         assert [width for width, _ in calls] == [261]
         assert conv.certified and conv.eigvec_condition < 1.01
 

@@ -320,7 +320,8 @@ class TestDualPath:
             report = analyze_problem(prob, x_star)
             cap = report.eta_max if np.isfinite(report.eta_max) else 4.0
             eta = float(rng.uniform(0.2, 0.95)) * cap
-            conv = analysis.analyze_fixed_point(report, eta)
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, eta)
             assert abs(report.rate(eta) - conv.rate) <= 1e-10
             r1, r2 = report.region(eta), conv.region_radius
             if np.isinf(r1):

@@ -631,6 +631,21 @@ class TestAnalyzeCommand:
         assert overflowing["convergence"] is None and "overflows" in overflowing["no_certificate"]
         assert doc["application"]["rate_table"][0] == alone["application"]["rate_table"][0]
 
+    def test_step_past_the_fixed_point_cap_gets_no_certificate(self, tmp_path, capsys):
+        # x* = e1 is no fixed point of a step past eta = 1/0.9: the gradient
+        # step (1, 1.35, 0) projects to (0, 1.35, 0).
+        path = tmp_path / "iht.json"
+        path.write_text(json.dumps({
+            "A": np.eye(3).tolist(), "b": [1.0, 0.9, 0.0],
+            "constraint": {"type": "sparse", "s": 1}, "x_star": [1.0, 0.0, 0.0]}))
+        code = main(["analyze", str(path), "--eta", "1.5", "--eps", "1e-8"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        [refused] = json.loads(out)["etas"]
+        assert refused["convergence"] is None and "iteration_bounds" not in refused
+        assert re.search(r"not a fixed point at eta=1\.5: the gap .* = 8\.400e-01",
+                         refused["no_certificate"])
+
     def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
         code = main(["analyze", str(nan_x_star_file)])
         assert code == 1

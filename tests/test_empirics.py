@@ -271,6 +271,23 @@ class TestRunExperiment:
         assert sum(np.array_equal(x, x_star) for x in points) == 1
         assert len(analyses) == 1
 
+    @pytest.mark.parametrize("etas, shown", [([0.01, np.nan], "nan"), ([np.inf], "inf"),
+                                              ([0.01, -1.0], "-1.0")],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_step_rejected_before_writing(self, tmp_path, etas, shown):
+        outdir = tmp_path / "bundle"
+        with pytest.raises(ValueError, match=rf"^step sizes must be finite and positive, "
+                                             rf"got \[{shown}\]$"):
+            run_experiment("lcls", {"m": 12, "n": 8, "p": 3}, etas, 0, outdir=str(outdir))
+        assert not outdir.exists()
+
+    def test_bad_step_from_a_grid_function_rejected(self, tmp_path):
+        outdir = tmp_path / "bundle"
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_experiment("lcls", {"m": 12, "n": 8, "p": 3},
+                           lambda report: [report.eta_opt, np.nan], 0, outdir=str(outdir))
+        assert not outdir.exists()
+
     def test_inadmissible_eta_flagged_not_fatal(self):
         prob, x_star = make_instance("lcls", {"m": 12, "n": 8, "p": 3}, 6)
         report = analyze_problem(prob)
