@@ -17,11 +17,7 @@ from .analysis import (
 )
 from .applications import (
     ApplicationReport,
-    analyze_iht,
-    analyze_lcls,
-    analyze_mcp,
     analyze_problem,
-    analyze_sphere,
     mcp_problem,
 )
 from .constraints import (
@@ -31,7 +27,6 @@ from .constraints import (
     LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
-    constraint_from_json,
     finite_difference_check,
     quadratic_bound_margin,
     rank_tangent_basis,

@@ -58,7 +58,6 @@ class ApplicationReport:
             "fixed_point_ok": bool(fixed_point_ok),
         }
         self.x_star = x_star
-        self.ata_extremes = problem.ata_extremes()
         self.details = dict(details or {})
 
         self.eta_opt = None
@@ -83,7 +82,7 @@ class ApplicationReport:
 
     def contraction(self, eta):
         """Unconstrained gradient-descent contraction factor at step ``eta``."""
-        return contraction_factor(*self.ata_extremes, eta)
+        return contraction_factor(*self.problem.ata_extremes(), eta)
 
     def _fixed_point_scale(self, eta):
         """1 - eta*gamma: the gradient step at x* is this multiple of x* plus a
@@ -188,7 +187,7 @@ def _relative_residual(part, v):
         return float(np.linalg.norm(part / top) / (1.0 / top + np.linalg.norm(v / top)))
 
 
-def analyze_lcls(problem):
+def _analyze_lcls(problem):
     """Equality-constrained least squares: min 0.5||Ax-b||^2 s.t. Cx = d.
 
     Also computes the constrained solution by solving the normal equations in
@@ -216,7 +215,7 @@ def analyze_lcls(problem):
     )
 
 
-def analyze_iht(problem, x_star):
+def _analyze_iht(problem, x_star):
     """Sparse recovery by hard thresholding around a stationary s-sparse point."""
     support = np.flatnonzero(x_star)
     if support.size == 0:
@@ -251,7 +250,7 @@ def analyze_iht(problem, x_star):
     )
 
 
-def analyze_sphere(problem, x_star):
+def _analyze_sphere(problem, x_star):
     """Least squares on the unit sphere around a stationary unit vector.
 
     The gradient at a stationary point is collinear with the point; its signed
@@ -281,7 +280,7 @@ def analyze_sphere(problem, x_star):
     )
 
 
-def analyze_mcp(problem, x_star):
+def _analyze_mcp(problem, x_star):
     """Low-rank matrix completion around an exactly consistent rank-r solution.
 
     A must be a 0/1 diagonal sampling mask with at least one sample and b must
@@ -331,18 +330,19 @@ def mcp_problem(observed, omega, shape, r):
     return Problem.from_diagonal(sampling, b, LowRankConstraint(r, shape))
 
 
+# The family analysis of each constraint kind.
+_ANALYSES = {"affine": lambda problem, _: _analyze_lcls(problem), "sparse": _analyze_iht,
+             "sphere": _analyze_sphere, "lowrank": _analyze_mcp}
+
+
 def analyze_problem(problem, x_star=None):
-    """Dispatch a problem to its family analysis; x_star is read as a column-major vector."""
+    """The family analysis of a problem, by its constraint's kind; every kind but
+    affine (lcls solves for it) needs x_star, read as a column-major vector."""
     kind = problem.constraint.kind
-    if kind == "affine":
-        return analyze_lcls(problem)
-    if x_star is None:
-        raise ValueError(f"analysis of a {kind} problem needs x_star")
-    x_star = np.asarray(x_star, dtype=float).reshape(-1, order="F")
-    if kind == "sparse":
-        return analyze_iht(problem, x_star)
-    if kind == "sphere":
-        return analyze_sphere(problem, x_star)
-    if kind == "lowrank":
-        return analyze_mcp(problem, x_star)
-    raise ValueError(f"unknown constraint kind {kind!r}")
+    if kind not in _ANALYSES:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    if kind != "affine":
+        if x_star is None:
+            raise ValueError(f"analysis of a {kind} problem needs x_star")
+        x_star = np.asarray(x_star, dtype=float).reshape(-1, order="F")
+    return _ANALYSES[kind](problem, x_star)

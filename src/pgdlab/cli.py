@@ -142,16 +142,15 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _parameter_types():
+    """The flags of ``experiment``: each parameter in ``FAMILIES`` and its type, by name."""
+    types = {key: spec[0] for _, names in FAMILIES.values() for key, spec in names.items()}
+    return dict(sorted(types.items()))
+
+
 def cmd_experiment(args):
-    params = {}
-    for key in ("m", "n", "p", "r", "s"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.gamma is not None:
-        params["gamma"] = args.gamma
-    if args.residual:
-        params["residual"] = True
+    given = vars(args)
+    params = {key: given[key] for key in _parameter_types() if given[key] is not None}
     _require_positive("--etas", *(args.etas or ()))
     _require_positive("--max-iters", args.max_iters)
     _require_seed(args.seed)
@@ -234,14 +233,9 @@ def build_parser():
 
     p_ex = sub.add_parser("experiment", help="seeded random instance, theory vs measurement")
     p_ex.add_argument("kind", choices=list(FAMILIES))
-    p_ex.add_argument("--m", type=int)
-    p_ex.add_argument("--n", type=int)
-    p_ex.add_argument("--p", type=int)
-    p_ex.add_argument("--r", type=int)
-    p_ex.add_argument("--s", type=int)
-    p_ex.add_argument("--gamma", type=float)
-    p_ex.add_argument("--residual", action="store_true",
-                      help="iht: keep a gradient component off the support")
+    for key, kind in _parameter_types().items():  # a bool is a switch
+        options = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
+        p_ex.add_argument(f"--{key}", **options)
     p_ex.add_argument("--etas", type=float, nargs="*", default=None)
     p_ex.add_argument("--seed", type=int, default=_default_seed())
     p_ex.add_argument("--outdir", default=None)

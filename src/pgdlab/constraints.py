@@ -37,12 +37,18 @@ RANK_CURVATURE = 4.0 * (1.0 + SQRT2)
 SAMPLE_BLOCK = 250
 
 
+def row_dots(x):
+    """x_i @ x_i for each row x_i of a block (a scalar for a vector), with the
+    bits of the 1-D dot."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 @np.errstate(over="ignore")  # cheaper per call than a with-block
 def row_norms(x):
     """The 2-norm of each row of x, shape (..., 1). Each gives the bits of
     ``np.linalg.norm`` of that row, and like it no overflow warning (both are
     one BLAS dot); ``norm(x, axis=1)`` does not give the same bits."""
-    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+    return np.sqrt(row_dots(x))[..., None]
 
 
 def _sphere_norm(x):
@@ -168,9 +174,6 @@ class Constraint:
         """Sample some point of the constraint set (used by the check suites)."""
         raise NotImplementedError
 
-    def to_json(self):
-        raise NotImplementedError
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
 
@@ -226,9 +229,6 @@ class AffineConstraint(Constraint):
 
     def random_member(self, rng):
         return self.null_basis @ rng.standard_normal(self.n - self.p) + self.offset
-
-    def to_json(self):
-        return {"type": "affine", "C": self.C.tolist(), "d": self.d.tolist()}
 
 
 class SparsityConstraint(Constraint):
@@ -292,9 +292,6 @@ class SparsityConstraint(Constraint):
         out[support] = rng.standard_normal(self.s)
         return out
 
-    def to_json(self):
-        return {"type": "sparse", "s": self.s}
-
 
 class SphereConstraint(Constraint):
     """Unit sphere {x : ||x|| = 1} in R^n, n >= 2.
@@ -345,9 +342,6 @@ class SphereConstraint(Constraint):
     def random_member(self, rng):
         v = rng.standard_normal(self.n)
         return v / np.linalg.norm(v)
-
-    def to_json(self):
-        return {"type": "sphere"}
 
 
 class LowRankConstraint(Constraint):
@@ -431,30 +425,6 @@ class LowRankConstraint(Constraint):
         F = rng.standard_normal((m_mat, self.r))
         G = rng.standard_normal((n_mat, self.r))
         return self.to_vector(F @ G.T)
-
-    def to_json(self):
-        return {"type": "lowrank", "r": self.r, "shape": list(self.shape)}
-
-
-def constraint_from_json(obj, ambient_dim):
-    """Build a constraint from its JSON form; ``ambient_dim`` is the dimension
-    of the variants that do not carry their own (sparse, sphere)."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("constraint JSON must be an object with a 'type' field")
-    kind = obj["type"]
-    if kind == "affine":
-        spec = AffineConstraint(obj["C"], obj["d"])
-    elif kind == "sparse":
-        spec = SparsityConstraint(obj["s"], ambient_dim)
-    elif kind == "sphere":
-        spec = SphereConstraint(ambient_dim)
-    elif kind == "lowrank":
-        spec = LowRankConstraint(obj["r"], obj["shape"])
-    else:
-        raise ValueError(f"unknown constraint type {kind!r}")
-    if spec.n != ambient_dim:
-        raise ValueError(f"constraint dimension {spec.n} does not match ambient {ambient_dim}")
-    return spec
 
 
 def sample_blocks(count):

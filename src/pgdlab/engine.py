@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .constraints import Constraint
+from .constraints import Constraint, row_dots
 from .errors import DivergenceError, InfeasibleStartWarning, ProblemFileError
 
 MEMBERSHIP_TOL = 1e-10
@@ -31,6 +31,7 @@ class Problem:
     constraint: Constraint
     diagonal: np.ndarray | None = field(repr=False)
     _matrix: np.ndarray | None = field(repr=False)
+    _ata_extremes: tuple | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, A, b, constraint):
         A = np.asarray(A, dtype=float)
@@ -98,11 +99,16 @@ class Problem:
         return self.diagonal * r if np.ndim(r) < 2 else self.diagonal[:, None] * r
 
     def ata_extremes(self):
-        """Largest and smallest eigenvalues of A^T A (see analysis.ata_extremes)."""
-        if self.diagonal is None:
-            return analysis.ata_extremes(self._matrix)
-        squares = self.diagonal**2
-        return float(squares.max()), float(squares.min())
+        """Largest and smallest eigenvalues of A^T A (see analysis.ata_extremes),
+        computed on the first call: a problem does not change."""
+        if self._ata_extremes is None:
+            if self.diagonal is None:
+                pair = analysis.ata_extremes(self._matrix)
+            else:
+                squares = self.diagonal**2
+                pair = float(squares.max()), float(squares.min())
+            object.__setattr__(self, "_ata_extremes", pair)
+        return self._ata_extremes
 
     def objective(self, x):
         r = self.apply(x) - self.b
@@ -238,9 +244,9 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     # checks rather than surfacing as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = problem.apply_rows(x) - b
-        objectives[0] = 0.5 * _row_dots(residual)
+        objectives[0] = 0.5 * row_dots(residual)
         if errors is not None:
-            errors[0] = np.sqrt(_row_dots(x - x_ref))
+            errors[0] = np.sqrt(row_dots(x - x_ref))
         it = 0
         while runs.size and it < max_iters:
             # No row can stall STAGNATION_RUN times in a row before the last
@@ -262,7 +268,7 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
                 x = iterates[j] = x_next
                 residual = residuals[j - 1] = problem.apply_rows(x) - b
                 if errors is not None:
-                    error = errors[it + j] = np.sqrt(_row_dots(x - x_ref))
+                    error = errors[it + j] = np.sqrt(row_dots(x - x_ref))
                     reached = error < floor
                     if np.count_nonzero(reached):
                         break
@@ -271,10 +277,10 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             it += j
             # The window's objectives, and the norms of its steps and iterates
             # as one stacked dot.
-            objectives[it - j + 1 : it + 1] = 0.5 * _row_dots(
+            objectives[it - j + 1 : it + 1] = 0.5 * row_dots(
                 residuals[:j].reshape(-1, residual.shape[1])).reshape(j, -1)
             steps = np.concatenate((iterates[1 : j + 1] - iterates[:j], iterates[1 : j + 1]))
-            norms = np.sqrt(_row_dots(steps.reshape(-1, x.shape[1]))).reshape(2, j, -1)
+            norms = np.sqrt(row_dots(steps.reshape(-1, x.shape[1]))).reshape(2, j, -1)
             stall = STAGNATION_RTOL * (1.0 + norms[1])
             stalled = (norms[0] <= stall) & np.isfinite(stall)
             # Stalls in a row at the window's end: all j added to the count,
@@ -324,8 +330,3 @@ def _diverging(spec, x, descent):
     diverged |= ~np.all(np.isfinite(x_next), axis=1)
     x_next[diverged] = x[diverged]
     return x_next, diverged
-
-
-def _row_dots(r):
-    """r_i @ r_i for each row r_i of a block, with the bits of the 1-D dot."""
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]

@@ -31,7 +31,7 @@ import json
 
 import numpy as np
 
-from .constraints import constraint_from_json
+from .constraints import AffineConstraint, LowRankConstraint, SparsityConstraint, SphereConstraint
 from .engine import Problem
 from .errors import ProblemFileError
 
@@ -52,20 +52,6 @@ def _shape_from_json(obj, path):
             path, f"shape must be two positive whole numbers, got {json.dumps(obj)}"
         )
     return tuple(dims)
-
-
-def _check_constraint_sizes(doc):
-    """Check the whole-number fields of a constraint object, which its
-    constructors would otherwise truncate."""
-    if not isinstance(doc, dict):
-        return
-    for key in ("s", "r"):
-        if key in doc and _whole(doc[key]) is None:
-            raise ProblemFileError(
-                "constraint", f"{key} must be a whole number, got {json.dumps(doc[key])}"
-            )
-    if "shape" in doc:
-        _shape_from_json(doc["shape"], "constraint")
 
 
 def _matrix_from_json(obj, path):
@@ -140,6 +126,57 @@ def _diagonal_from_json(obj, path):
     return _vector_from_json(entries, path)
 
 
+# Each constraint type's fields besides "type", which save_problem writes from
+# the constraint's attributes of the same names, and its constructor, which
+# takes the fields and then n, the number of columns of A.
+_CONSTRAINTS = {
+    "affine": (("C", "d"), lambda C, d, n: AffineConstraint(C, d)),
+    "sparse": (("s",), SparsityConstraint),
+    "sphere": ((), SphereConstraint),
+    "lowrank": (("r", "shape"), lambda r, shape, n: LowRankConstraint(r, shape)),
+}
+
+
+def _constraint_from_json(doc, n):
+    """The ``constraint`` object as a constraint on R^n. Its ``s``, ``r`` and
+    ``shape``, which a constructor would truncate, must be whole numbers
+    whatever the type; an object-form ``C`` is read as a matrix."""
+    if isinstance(doc, dict):
+        for key in ("s", "r"):
+            if key in doc and _whole(doc[key]) is None:
+                raise ProblemFileError(
+                    "constraint", f"{key} must be a whole number, got {json.dumps(doc[key])}"
+                )
+        if "shape" in doc:
+            _shape_from_json(doc["shape"], "constraint")
+        if isinstance(doc.get("C"), dict):
+            C = _matrix_from_json(doc["C"], "constraint.C")
+            if not np.all(np.isfinite(C)):
+                raise ProblemFileError("constraint.C", "entries must be finite")
+            doc = {**doc, "C": C}
+    if not isinstance(doc, dict) or "type" not in doc:
+        raise ProblemFileError("constraint", "constraint JSON must be an object with a 'type' field")
+    kind = doc["type"]
+    if not isinstance(kind, str) or kind not in _CONSTRAINTS:
+        raise ProblemFileError("constraint", f"unknown constraint type {kind!r}")
+    fields, build = _CONSTRAINTS[kind]
+    try:
+        spec = build(*(doc[key] for key in fields), n)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProblemFileError("constraint", str(exc)) from exc
+    if spec.n != n:
+        raise ProblemFileError(
+            "constraint", f"constraint dimension {spec.n} does not match ambient {n}"
+        )
+    return spec
+
+
+def _constraint_to_json(spec):
+    """The ``constraint`` object of a problem file, as lists and numbers."""
+    fields, _ = _CONSTRAINTS[spec.kind]
+    return {"type": spec.kind, **{key: np.asarray(getattr(spec, key)).tolist() for key in fields}}
+
+
 def load_problem(path):
     """Read a problem file; returns (Problem, x_star or None, x0 or None)."""
     try:
@@ -161,18 +198,7 @@ def load_problem(path):
     else:
         A, build = _matrix_from_json(doc["A"], "A"), Problem
     b = _vector_from_json(doc["b"], "b")
-    constraint_doc = doc["constraint"]
-    _check_constraint_sizes(constraint_doc)
-    if isinstance(constraint_doc, dict) and isinstance(constraint_doc.get("C"), dict):
-        constraint_doc = dict(constraint_doc)
-        C = _matrix_from_json(constraint_doc["C"], "constraint.C")
-        if not np.all(np.isfinite(C)):
-            raise ProblemFileError("constraint.C", "entries must be finite")
-        constraint_doc["C"] = C.tolist()
-    try:
-        constraint = constraint_from_json(constraint_doc, ambient_dim=A.shape[-1])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFileError("constraint", str(exc)) from exc
+    constraint = _constraint_from_json(doc["constraint"], A.shape[-1])
     try:
         problem = build(A, b, constraint)  # checks that a dense A is finite, naming path A
     except ProblemFileError:
@@ -196,7 +222,7 @@ def save_problem(path, problem, x_star=None, x0=None):
     doc = {
         "A": A,
         "b": problem.b.tolist(),
-        "constraint": problem.constraint.to_json(),
+        "constraint": _constraint_to_json(problem.constraint),
     }
     for key, point in (("x_star", x_star), ("x0", x0)):
         if point is not None:

@@ -73,14 +73,11 @@ def iteration_matrix(problem, x_star, eta):
     """H = dP(z) (I - eta A^T A) dP(x*) with z = x* - eta * gradient(x*), n x n."""
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     spec = problem.constraint
+    identity = np.eye(spec.n)
     with np.errstate(over="ignore", invalid="ignore"):
         dP_x = derivative_matrix(spec.linearize(x_star))
         dP_z = derivative_matrix(spec.linearize(x_star - eta * problem.gradient(x_star)))
-        if problem.diagonal is None:
-            return dP_z @ (np.eye(spec.n) - eta * (problem.A.T @ problem.A)) @ dP_x
-        # Scaling the columns of dP(z) by the diagonal of I - eta A^T A gives
-        # the bits of the dense product dP(z) (I - eta A^T A).
-        return (dP_z * (1.0 - eta * problem.diagonal**2)) @ dP_x
+        return dP_z @ (identity - eta * problem.apply_t(problem.apply(identity))) @ dP_x
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +399,7 @@ def check_interlacing(seed=0):
         for report in _rate_instances(seed + 300 + k):
             if report.gamma is not None and report.gamma > 0:
                 continue
-            eta = float(rng.uniform(0.1, 0.95)) * 2.0 / report.ata_extremes[0]
+            eta = float(rng.uniform(0.1, 0.95)) * 2.0 / report.problem.ata_extremes()[0]
             contraction = report.contraction(eta)
             conv = analysis.analyze_fixed_point(
                 report.problem, report.x_star, report.linearization, eta)

@@ -429,7 +429,8 @@ class TestFixedPointReport:
 
 def moved_observations(prob, delta=1e-11):
     """The completion problem with every observation moved by ``delta``: its
-    x* still fits them within the stationarity tolerance of ``analyze_mcp``."""
+    x* still fits them within the stationarity tolerance of the completion
+    analysis."""
     b = prob.b + delta * prob.diagonal
     return Problem.from_diagonal(prob.diagonal, b, prob.constraint)
 

@@ -3,11 +3,7 @@ import pytest
 
 from pgdlab import analysis
 from pgdlab.applications import (
-    analyze_iht,
-    analyze_lcls,
-    analyze_mcp,
     analyze_problem,
-    analyze_sphere,
     mcp_problem,
     rank_tangent_basis,
 )
@@ -34,7 +30,7 @@ SQRT2 = np.sqrt(2.0)
 class TestLcls:
     def test_one_dimensional_reduction(self):
         prob = Problem(np.eye(2), np.zeros(2), AffineConstraint([[1.0, 1.0]], [np.sqrt(2.0)]))
-        report = analyze_lcls(prob)
+        report = analyze_problem(prob)
         basis = report.linearization.basis.ravel()
         np.testing.assert_allclose(np.abs(basis), np.ones(2) / SQRT2, atol=1e-12)
         assert report.lam_max == pytest.approx(1.0)
@@ -84,7 +80,7 @@ class TestIht:
         x = np.zeros(20)
         x[:3] = 1.0
         with pytest.raises(StationarityError):
-            analyze_iht(Problem(A, rng.standard_normal(10), SparsityConstraint(3, 20)), x)
+            analyze_problem(Problem(A, rng.standard_normal(10), SparsityConstraint(3, 20)), x)
 
     def test_rejects_more_nonzeros_than_s(self):
         # A fixed point of hard thresholding is s-sparse: a stationary point
@@ -134,7 +130,7 @@ class TestSphere:
         n = 4
         b = np.zeros(n)
         b[0] = 2.0
-        report = analyze_sphere(Problem(np.eye(n), b, SphereConstraint(n)), np.eye(n)[0])
+        report = analyze_problem(Problem(np.eye(n), b, SphereConstraint(n)), np.eye(n)[0])
         assert report.gamma == pytest.approx(-1.0)
         assert report.lam_max == report.lam_min == pytest.approx(1.0)
         assert report.rate(1.0) == pytest.approx(0.0)
@@ -170,11 +166,11 @@ class TestSphere:
         rng = np.random.default_rng(9)
         A = rng.standard_normal((8, 5))
         with pytest.raises(StationarityError, match="unit sphere"):
-            analyze_sphere(Problem(A, rng.standard_normal(8), SphereConstraint(5)), np.ones(5))
+            analyze_problem(Problem(A, rng.standard_normal(8), SphereConstraint(5)), np.ones(5))
         x = rng.standard_normal(5)
         x /= np.linalg.norm(x)
         with pytest.raises(StationarityError, match="stationary"):
-            analyze_sphere(Problem(A, rng.standard_normal(8), SphereConstraint(5)), x)
+            analyze_problem(Problem(A, rng.standard_normal(8), SphereConstraint(5)), x)
 
     def test_supercritical_multiplier_not_certified(self):
         # gamma above the smallest tangent eigenvalue: saddle, no certificate.
@@ -186,7 +182,7 @@ class TestSphere:
         lam = np.linalg.eigvalsh((A @ q[:, 1:]).T @ (A @ q[:, 1:]))
         gamma = lam[-1] + 1.0
         b = A @ x_star - gamma * (A @ np.linalg.solve(A.T @ A, x_star))
-        report = analyze_sphere(Problem(A, b, SphereConstraint(5)), x_star)
+        report = analyze_problem(Problem(A, b, SphereConstraint(5)), x_star)
         assert not report.certified
         assert report.eta_opt is None
         with pytest.raises(NoCertificateError):
@@ -264,7 +260,7 @@ class TestMcp:
         X = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
         x = X.reshape(-1, order="F")
         omega = np.arange(12)
-        report = analyze_mcp(mcp_problem(x[omega], omega, X.shape, 2), x)
+        report = analyze_problem(mcp_problem(x[omega], omega, X.shape, 2), x)
         assert report.lam_max == pytest.approx(1.0)
         assert report.lam_min == pytest.approx(1.0)
         assert report.rate(1.0) == pytest.approx(0.0, abs=1e-12)
@@ -282,11 +278,11 @@ class TestMcp:
         omega = np.arange(10)
         x = X.reshape(-1, order="F")
         with pytest.raises(ConstraintDomainError, match="rank"):
-            analyze_mcp(mcp_problem(x[omega], omega, X.shape, 2), x)
+            analyze_problem(mcp_problem(x[omega], omega, X.shape, 2), x)
         low = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
         xl = low.reshape(-1, order="F")
         with pytest.raises(StationarityError, match="observations"):
-            analyze_mcp(mcp_problem(xl[omega] + 1.0, omega, low.shape, 2), xl)
+            analyze_problem(mcp_problem(xl[omega] + 1.0, omega, low.shape, 2), xl)
 
     def test_tiny_off_diagonal_entry_refused(self):
         prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 16)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import tracemalloc
@@ -8,8 +9,9 @@ import pytest
 
 from pgdlab.analysis import iterations_to_accuracy
 from pgdlab.applications import analyze_problem
-from pgdlab.cli import main
-from pgdlab.empirics import make_instance
+from pgdlab import cli
+from pgdlab.cli import build_parser, main
+from pgdlab.empirics import FAMILIES, make_instance
 from pgdlab.constraints import (
     AffineConstraint,
     LowRankConstraint,
@@ -189,9 +191,10 @@ class TestProblemIo:
             {"type": "lowrank", "r": 1, "shape": [2.5, 1]},
             {"type": "lowrank", "r": 1, "shape": [2, True]},
             {"type": "lowrank", "r": 1, "shape": [2]},
+            {"type": "sphere", "s": 1.5},
         ],
         ids=["s_fractional", "s_bool", "s_string", "r_fractional", "shape_fractional",
-             "shape_bool", "shape_one_dim"],
+             "shape_bool", "shape_one_dim", "s_unread_by_sphere"],
     )
     def test_bad_constraint_size_exit_one(self, tmp_path, capsys, constraint):
         doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0], "constraint": constraint}
@@ -818,6 +821,32 @@ class TestExperimentCommand:
         assert captured.err == "error: lcls does not take gamma, residual\n"
         assert captured.out == ""
         assert not outdir.exists()
+
+
+    @staticmethod
+    def _parameter_flags():
+        """Each flag of ``experiment`` that is not one of its own options, and its type."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        own = {"help", "kind", "etas", "seed", "outdir", "max_iters"}
+        return {
+            action.dest: bool if isinstance(action, argparse._StoreTrueAction) else action.type
+            for action in sub.choices["experiment"]._actions
+            if action.dest not in own
+        }
+
+    def test_flags_are_the_parameters_of_families(self):
+        declared = {key: spec[0] for _, names in FAMILIES.values() for key, spec in names.items()}
+        assert self._parameter_flags() == declared
+        assert list(self._parameter_flags()) == sorted(declared)
+
+    def test_a_parameter_added_to_families_is_a_flag(self, monkeypatch):
+        monkeypatch.setitem(FAMILIES["sphere"][1], "t", (float, 1.0))
+        assert self._parameter_flags()["t"] is float
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda kind, params, *args, **kwargs: seen.append(params) or {"runs": []})
+        assert main(["experiment", "sphere", "--m", "5", "--n", "4", "--t", "2.5"]) == 0
+        assert seen == [{"m": 5, "n": 4, "t": 2.5}]
 
 
 class TestVerifyCommand:

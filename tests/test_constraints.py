@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -9,12 +10,12 @@ from pgdlab.constraints import (
     LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
-    constraint_from_json,
     finite_difference_check,
     quadratic_bound_margin,
 )
 from pgdlab.engine import Problem, run_pgd
-from pgdlab.errors import ConstraintDomainError, NonUniqueProjectionWarning
+from pgdlab.errors import ConstraintDomainError, NonUniqueProjectionWarning, ProblemFileError
+from pgdlab.problem_io import load_problem, save_problem
 from pgdlab.verify import derivative_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -298,21 +299,33 @@ class TestInvariantsAndJson:
                 y = spec.random_member(rng)
                 assert dist <= np.linalg.norm(y - x) + 1e-12
 
-    def test_json_round_trip(self):
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [("affine", ["C", "d"]), ("sparse", ["s"]), ("sphere", []), ("lowrank", ["r", "shape"])],
+    )
+    def test_problem_file_round_trip(self, tmp_path, kind, fields):
         rng = np.random.default_rng(8)
         C = rng.standard_normal((2, 5))
-        specs = [
-            AffineConstraint(C, C @ rng.standard_normal(5)),
-            SparsityConstraint(2, 5),
-            SphereConstraint(5),
-            LowRankConstraint(1, (5, 1)),
-        ]
-        for spec in specs:
-            clone = constraint_from_json(spec.to_json(), ambient_dim=spec.n)
-            assert clone.kind == spec.kind
-            x = rng.standard_normal(spec.n)
-            np.testing.assert_allclose(clone.project(x), spec.project(x), atol=1e-12)
+        spec = {
+            "affine": AffineConstraint(C, C @ rng.standard_normal(5)),
+            "sparse": SparsityConstraint(2, 5),
+            "sphere": SphereConstraint(5),
+            "lowrank": LowRankConstraint(1, (5, 1)),
+        }[kind]
+        path = tmp_path / "problem.json"
+        save_problem(path, Problem(rng.standard_normal((4, 5)), rng.standard_normal(4), spec))
+        assert sorted(json.loads(path.read_text())["constraint"]) == sorted(["type", *fields])
+        clone = load_problem(path)[0].constraint
+        assert type(clone) is type(spec) and clone.n == spec.n
+        for key in fields:
+            assert np.array_equal(getattr(clone, key), getattr(spec, key))
+        x = rng.standard_normal(spec.n)
+        assert np.array_equal(clone.project(x), spec.project(x))
 
-    def test_json_rejects_unknown_type(self):
-        with pytest.raises(ValueError):
-            constraint_from_json({"type": "simplex"}, ambient_dim=3)
+    def test_problem_file_refuses_unknown_type(self, tmp_path):
+        path = tmp_path / "problem.json"
+        doc = {"A": [[1.0, 0.0, 0.0]], "b": [1.0], "constraint": {"type": "simplex"}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError, match="unknown constraint type 'simplex'") as info:
+            load_problem(path)
+        assert info.value.path == "constraint"
