@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import contraction_factor, gram_extremes, json_float, optimal_step
-from .constraints import RANK_CURVATURE, SQRT2, LowRankConstraint
+from .constraints import RANK_CURVATURE, SQRT2, LowRankConstraint, relative_residuals
 from .constraints import rank_tangent_basis  # noqa: F401  (perfbench traces it here)
 from .engine import Problem
 from .errors import NoCertificateError, StationarityError
@@ -179,14 +179,6 @@ def _full_rank(lam_max, lam_min):
     return lam_min > FULL_RANK_RTOL * max(lam_max, 1e-300)
 
 
-def _relative_residual(part, v):
-    """||part|| / (1 + ||v||) for a gradient v, with both divided by max(1, max|v|)
-    first so that neither sum of squares overflows; NaN when v is not finite."""
-    top = max(float(np.max(np.abs(v))), 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(part / top) / (1.0 / top + np.linalg.norm(v / top)))
-
-
 def _analyze_lcls(problem):
     """Equality-constrained least squares: min 0.5||Ax-b||^2 s.t. Cx = d.
 
@@ -227,7 +219,7 @@ def _analyze_iht(problem, x_star):
         )
 
     v = problem.gradient(x_star)
-    residual = _relative_residual(v[support], v)
+    residual = float(relative_residuals(v[support], v))
     if not residual <= STATIONARITY_TOL:
         raise StationarityError(
             f"x_star is not stationary: gradient on the support has residual {residual:.3e}"
@@ -263,7 +255,7 @@ def _analyze_sphere(problem, x_star):
 
     v = problem.gradient(x_star)
     gamma = float(x_star @ v)
-    residual = _relative_residual(v - gamma * x_star, v)
+    residual = float(relative_residuals(v - gamma * x_star, v))
     if not residual <= STATIONARITY_TOL:
         raise StationarityError(
             f"x_star is not a stationary point: tangential gradient residual {residual:.3e}"

@@ -222,14 +222,14 @@ def build_parser():
                          help="stop when the error to x_star falls below this")
     p_solve.add_argument("--out", default=None, help="trace CSV path")
     p_solve.add_argument("--seed", type=int, default=_default_seed())
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, output="--out")
 
     p_an = sub.add_parser("analyze", help="convergence certificates for a problem file")
     p_an.add_argument("problem", help="problem JSON file")
     p_an.add_argument("--eta", type=float, nargs="*", default=None)
     p_an.add_argument("--eps", type=float, nargs="*", default=BOUND_ACCURACIES)
     p_an.add_argument("--out", default=None, help="report JSON path")
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(func=cmd_analyze, output="--out")
 
     p_ex = sub.add_parser("experiment", help="seeded random instance, theory vs measurement")
     p_ex.add_argument("kind", choices=list(FAMILIES))
@@ -240,7 +240,7 @@ def build_parser():
     p_ex.add_argument("--seed", type=int, default=_default_seed())
     p_ex.add_argument("--outdir", default=None)
     p_ex.add_argument("--max-iters", type=int, default=20_000, dest="max_iters")
-    p_ex.set_defaults(func=cmd_experiment)
+    p_ex.set_defaults(func=cmd_experiment, output="--outdir")
 
     p_ver = sub.add_parser("verify", help="run the property suites")
     p_ver.add_argument("--suite", choices=["projections", "rates", "bounds", "all"],
@@ -261,6 +261,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:  # writing the output: an unreadable problem file is a ProblemFileError
+        print(f"error: {args.output}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

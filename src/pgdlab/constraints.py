@@ -1,16 +1,16 @@
 """Projection operators for the four supported constraint families.
 
-Each constraint set C comes with three pieces of local geometry:
+Each constraint set C comes with two pieces of local geometry:
 
 * ``project(x)``        -- a closest point to x in C (deterministic tie-break),
 * ``linearize(x)``      -- the derivative of the projection at x (a scaled
   orthogonal projector onto a tangent basis) together with the pair
   (radius, curvature): inside a ball of ``radius`` around x the projection
-  deviates from its linearization by at most ``curvature * ||step||^2``,
-* ``membership_residual(x)`` -- how far x is from satisfying the constraint.
+  deviates from its linearization by at most ``curvature * ||step||^2``.
 
-The four families are an affine subspace {Cx = d}, the s-sparse vectors, the
-unit sphere, and the matrices of rank at most r (flattened column-major).
+A point is in C when it is its own projection (``relative_residuals``). The
+four families are an affine subspace {Cx = d}, the s-sparse vectors, the unit
+sphere, and the matrices of rank at most r (flattened column-major).
 """
 
 from __future__ import annotations
@@ -49,6 +49,15 @@ def row_norms(x):
     ``np.linalg.norm`` of that row, and like it no overflow warning (both are
     one BLAS dot); ``norm(x, axis=1)`` does not give the same bits."""
     return np.sqrt(row_dots(x))[..., None]
+
+
+def relative_residuals(part, v):
+    """||part|| / (1 + ||v||) for each row of a block (a scalar for vectors),
+    with both divided by max(1, max|v|) first so that neither sum of squares
+    overflows; NaN where v is not finite."""
+    top = np.maximum(np.max(np.abs(v), axis=-1, keepdims=True), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (row_norms(part / top) / (1.0 / top + row_norms(v / top)))[..., 0]
 
 
 def _sphere_norm(x):
@@ -167,9 +176,6 @@ class Constraint:
     def linearize(self, x):
         raise NotImplementedError
 
-    def membership_residual(self, x):
-        raise NotImplementedError
-
     def random_member(self, rng):
         """Sample some point of the constraint set (used by the check suites)."""
         raise NotImplementedError
@@ -223,10 +229,6 @@ class AffineConstraint(Constraint):
         _as_vector(x, self.n)
         return Linearization(self.null_basis, np.inf, 0.0)
 
-    def membership_residual(self, x):
-        x = _as_vector(x, self.n)
-        return float(np.linalg.norm(self.C @ x - self.d) / (1.0 + np.linalg.norm(self.d)))
-
     def random_member(self, rng):
         return self.null_basis @ rng.standard_normal(self.n - self.p) + self.offset
 
@@ -263,16 +265,11 @@ class SparsityConstraint(Constraint):
         out[keep] = x[keep]
         return out
 
-    def _magnitude_gap(self, x):
-        """(kept magnitudes boundary, dropped magnitudes boundary) at rank s."""
+    def linearize(self, x):
+        x = _as_vector(x, self.n)
         mags = np.sort(np.abs(x))[::-1]
         smallest_kept = mags[self.s - 1]
         largest_dropped = mags[self.s] if self.s < self.n else 0.0
-        return smallest_kept, largest_dropped
-
-    def linearize(self, x):
-        x = _as_vector(x, self.n)
-        smallest_kept, largest_dropped = self._magnitude_gap(x)
         if smallest_kept <= largest_dropped or smallest_kept == 0.0:
             raise ConstraintDomainError(
                 "sparse: derivative needs a strict magnitude gap at rank s "
@@ -282,9 +279,6 @@ class SparsityConstraint(Constraint):
         # the dropped boundary is zero and the radius reduces to |x_[s]|/sqrt(2).
         radius = (smallest_kept - largest_dropped) / SQRT2
         return Linearization(coordinate_basis(self.top_support(x), self.n), radius, 0.0)
-
-    def membership_residual(self, x):
-        return float(self._magnitude_gap(_as_vector(x, self.n))[1])
 
     def random_member(self, rng):
         out = np.zeros(self.n)
@@ -333,11 +327,6 @@ class SphereConstraint(Constraint):
         # A complete QR of x: the columns after the first span the tangent space x^perp.
         q, _ = np.linalg.qr(x.reshape(-1, 1), mode="complete")
         return Linearization(q[:, 1:], np.inf, curvature, scale=1.0 / norm)
-
-    def membership_residual(self, x):
-        x = _as_vector(x, self.n)
-        _, top, norm = _sphere_norm(x)
-        return float(abs((top * norm)[0] - 1.0))
 
     def random_member(self, rng):
         v = rng.standard_normal(self.n)
@@ -411,14 +400,6 @@ class LowRankConstraint(Constraint):
     def linearize(self, x):
         U, V = self._rank_r_factors(x)
         return Linearization(rank_tangent_basis(U, V), np.inf, RANK_CURVATURE)
-
-    def membership_residual(self, x):
-        X = self.to_matrix(x)
-        sig = np.linalg.svd(X, compute_uv=False)
-        if self.r >= sig.size:
-            return 0.0
-        scale = sig[0] if sig[0] > 0 else 1.0
-        return float(sig[self.r] / scale)
 
     def random_member(self, rng):
         m_mat, n_mat = self.shape

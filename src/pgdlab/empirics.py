@@ -264,7 +264,8 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     ``etas`` is a list of step sizes, or a function of the instance's
     :class:`ApplicationReport` returning one (for example :func:`default_etas`).
     Returns the bundle dictionary; when ``outdir`` is given also writes
-    ``manifest.json`` plus one ``trace_eta_<value>.csv`` per step size. A step
+    ``manifest.json`` plus one ``trace_eta_<value>.csv`` per step size
+    (``trace_eta_<value>_<index>.csv`` where two steps print alike). A step
     that is not finite and positive raises ValueError before anything is written.
     """
     report = _instance_report(kind, params, seed)
@@ -304,8 +305,10 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
         x_ref=x_star,
     )
 
+    # A trace is named by its step, and by its grid index where steps print alike.
+    labels = [f"{sample['eta']:g}" for sample in samples]
     runs = []
-    for sample, (_, initial_error), trace in zip(samples, starts, traces):
+    for index, (sample, (_, initial_error), trace) in enumerate(zip(samples, starts, traces)):
         eta = sample["eta"]
         row = {
             "eta": eta,
@@ -338,7 +341,8 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
             row["bound_checks"] = _bound_checks(report, eta, trace, initial_error)
 
         if outdir is not None:
-            name = f"trace_eta_{eta:g}.csv"
+            label = labels[index] + ("" if labels.count(labels[index]) == 1 else f"_{index}")
+            name = f"trace_eta_{label}.csv"
             trace.write_csv(os.path.join(outdir, name))
             row["csv"] = name
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .constraints import Constraint, row_dots
+from .constraints import Constraint, _as_points, relative_residuals, row_dots
 from .errors import DivergenceError, InfeasibleStartWarning, ProblemFileError
 
 MEMBERSHIP_TOL = 1e-10
@@ -171,7 +171,8 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     Stops at ``max_iters``, when the distance to ``x_ref`` falls below
     ``error_floor``, or when the iterate stagnates at machine precision
     (``STAGNATION_RUN`` steps in a row within ``STAGNATION_RTOL`` of its
-    norm). An infeasible x0 is projected once before iterating.
+    norm). x0 is feasible when ||P(x0) - x0|| / (1 + ||x0||) <= ``MEMBERSHIP_TOL``;
+    a row that is not starts from P(x0), with an ``InfeasibleStartWarning``.
 
     x0 is one start, or a (k, n) block of starts run side by side, with
     ``eta`` and ``error_floor`` a scalar or one value per row; a block gives
@@ -201,10 +202,12 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         raise ValueError("eta must be positive")
     max_iters = max(int(max_iters), 0)
 
-    # not <=, so that a NaN residual is projected too
-    projected = np.array([not spec.membership_residual(r) <= MEMBERSHIP_TOL for r in x], bool)
+    # The checks of project, but the frames of the loop's _project calls, so
+    # that a warning names the caller; not <=, so a NaN residual is projected.
+    start = spec._project(_as_points(x, spec.n))
+    projected = ~(relative_residuals(start - x, x) <= MEMBERSHIP_TOL)
     if np.count_nonzero(projected):
-        x[projected] = spec._project(x[projected])
+        x[projected] = start[projected]
         warnings.warn(
             "starting point was not feasible; projected onto the constraint set",
             InfeasibleStartWarning,

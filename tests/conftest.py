@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pgdlab.engine import Problem
@@ -9,9 +10,9 @@ def record_projections(monkeypatch):
     that every point it returns is kept.
 
     ``run_pgd`` stores no iterates; a test that checks each one records them
-    here instead: the projected start (if any), then one point per iteration.
-    ``run_pgd`` projects a block of rows, one start as a one-row block; each
-    row is kept as a point.
+    here instead: the projection of the start, which ``run_pgd`` tests the
+    start against, then one point per iteration. ``run_pgd`` projects a block
+    of rows, one start as a one-row block; each row is kept as a point.
     """
 
     def record(spec):
@@ -28,6 +29,27 @@ def record_projections(monkeypatch):
         return points
 
     return record
+
+
+@pytest.fixture
+def membership_gap():
+    """How far a point is from a constraint set, computed without the
+    projection: ||Cx - d|| / (1 + ||d||) for an affine set, the (s+1)-th
+    largest magnitude for the s-sparse vectors, | ||x|| - 1 | for the sphere
+    (a norm that does not overflow) and sigma_{r+1} / sigma_1 for rank r."""
+
+    def gap(spec, x):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if spec.kind == "affine":
+            return np.linalg.norm(spec.C @ x - spec.d) / (1.0 + np.linalg.norm(spec.d))
+        if spec.kind == "sparse":
+            return np.sort(np.abs(x))[::-1][spec.s] if spec.s < spec.n else 0.0
+        if spec.kind == "sphere":
+            return abs(np.hypot.reduce(x) - 1.0)
+        sig = np.linalg.svd(x.reshape(spec.shape, order="F"), compute_uv=False)
+        return sig[spec.r] / sig[0] if spec.r < sig.size and sig[0] > 0 else 0.0
+
+    return gap
 
 
 @pytest.fixture

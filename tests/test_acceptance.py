@@ -133,7 +133,7 @@ def test_criterion_3_iht_rates_and_support(bundles, record_projections):
     spec = prob.constraint
     iterates = record_projections(spec)
     trace = run_pgd(prob, eta, x0, max_iters=5000, x_ref=x_star)
-    assert len(iterates) == trace.n_iterations
+    assert len(iterates) == trace.n_iterations + 1
     supports_ok = all(
         np.array_equal(spec.top_support(it), support) for it in [x0, *iterates]
     )

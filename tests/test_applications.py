@@ -45,12 +45,12 @@ class TestLcls:
         kappa = report.lam_max / report.lam_min
         assert report.rho_opt == pytest.approx(1.0 - 2.0 / (kappa + 1.0))
 
-    def test_solution_satisfies_reduced_normal_equations(self):
+    def test_solution_satisfies_reduced_normal_equations(self, membership_gap):
         prob, x_star = make_instance("lcls", {"m": 14, "n": 9, "p": 3}, 1)
         basis = prob.constraint.null_basis
         grad = prob.gradient(x_star)
         assert np.linalg.norm(basis.T @ grad) <= 1e-10
-        assert prob.constraint.membership_residual(x_star) <= 1e-12
+        assert membership_gap(prob.constraint, x_star) <= 1e-12
 
 
 class TestIht:

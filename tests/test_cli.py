@@ -255,6 +255,23 @@ class TestProblemIo:
         assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["solve", "{problem}", "--eta", "0.02", "--out", "{missing}/trace.csv"], "--out"),
+     (["analyze", "{problem}", "--out", "{missing}/report.json"], "--out"),
+     (["experiment", "lcls", "--m", "12", "--n", "8", "--p", "3", "--etas", "0.01",
+       "--outdir", "{problem}/bundle"], "--outdir")],
+    ids=["solve", "analyze", "experiment"],
+)
+def test_unwritable_output_exit_one_naming_the_path(lcls_file, tmp_path, capsys, argv, flag):
+    # Each command let FileNotFoundError or NotADirectoryError out of main.
+    names = {"problem": lcls_file[0], "missing": tmp_path / "no" / "such" / "dir"}
+    argv = [arg.format(**names) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and argv[-1] in err
+
+
 def _signed_diagonal(kind, seed=0):
     """An lcls or sphere problem whose A is square, diagonal and of both signs,
     with a point to store as x_star."""

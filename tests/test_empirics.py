@@ -17,7 +17,7 @@ from pgdlab.empirics import (
     make_instance,
     run_experiment,
 )
-from pgdlab.engine import Problem, Trace
+from pgdlab.engine import Problem, Trace, run_pgd
 from pgdlab.errors import GenerationError, RateEstimationError
 from pgdlab.verify import derivative_matrix
 
@@ -225,6 +225,26 @@ class TestRunExperiment:
         assert (tmp_path / run["csv"]).exists()
         assert run["relative_gap"] <= 0.05
         assert all(chk["ok"] for chk in run["bound_checks"])
+
+    def test_steps_that_print_alike_get_a_trace_each(self, tmp_path, monkeypatch):
+        # 0.01 and 0.0100000001 both print as 0.01: the second trace overwrote
+        # the first, and the manifest named one file for both runs.
+        traces = []
+
+        def recording(*args, **kwargs):
+            block = run_pgd(*args, **kwargs)
+            traces.extend(block)
+            return block
+
+        monkeypatch.setattr(empirics, "run_pgd", recording)
+        etas = [0.01, 0.0100000001, 0.02, 0.01]
+        bundle = run_experiment("lcls", {"m": 12, "n": 8, "p": 3}, etas, 0, outdir=tmp_path)
+        names = [run["csv"] for run in bundle["runs"]]
+        assert names == ["trace_eta_0.01_0.csv", "trace_eta_0.01_1.csv",
+                         "trace_eta_0.02.csv", "trace_eta_0.01_3.csv"]
+        for name, trace in zip(names, traces):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert len(lines) == trace.n_iterations + 2
 
     def test_deterministic_outputs(self, tmp_path):
         prob, x_star = make_instance("sphere", {"m": 10, "n": 6, "gamma": -0.5}, 5)

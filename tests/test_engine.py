@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from pgdlab.engine import (
     TraceBlock,
     run_pgd,
 )
-from pgdlab.errors import DivergenceError, InfeasibleStartWarning, StationarityError
+from pgdlab.errors import (
+    DivergenceError,
+    InfeasibleStartWarning,
+    NonUniqueProjectionWarning,
+    StationarityError,
+)
 
 
 def test_gradient_identity():
@@ -133,7 +139,7 @@ class TestDiagonal:
             objectives.append(0.5 * float((A @ x - b) @ (A @ x - b)))
         assert trace.n_iterations == iters
         assert np.array_equal(trace.objectives, objectives)
-        assert np.array_equal(recorded, iterates)
+        assert np.array_equal(recorded[1:], iterates)
         assert np.array_equal(trace.final, x)
 
 
@@ -155,12 +161,46 @@ class TestRunPgd:
         trace = run_pgd(prob, 0.01, x_star, max_iters=100, error_floor=0.0, x_ref=x_star)
         assert trace.errors.max() <= 1e-10
 
-    def test_infeasible_start_projected_with_notice(self):
+    # At 1e200 both ||x0||^2 and ||P(x0) - x0||^2 overflow; their ratio must not.
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["ordinary", "huge"])
+    def test_infeasible_start_projected_with_notice(self, scale):
         prob = Problem(np.eye(2), np.zeros(2), SphereConstraint(2))
         with pytest.warns(InfeasibleStartWarning):
-            trace = run_pgd(prob, 0.1, [3.0, 4.0], max_iters=5, x_ref=[0.6, 0.8])
-        # The run starts from the projection [0.6, 0.8], not from [3, 4].
+            trace = run_pgd(prob, 0.1, [3.0 * scale, 4.0 * scale], max_iters=5, x_ref=[0.6, 0.8])
+        # The run starts from the projection [0.6, 0.8], not from x0.
         assert trace.errors[0] <= 1e-15
+
+    def test_start_warnings_name_the_caller(self):
+        # Tied singular values: the rank-1 truncation of the start is not unique.
+        prob = Problem(np.eye(16), np.zeros(16), LowRankConstraint(1, (4, 4)))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_pgd(prob, 1.0, np.eye(4).reshape(-1), max_iters=2)
+        assert {w.category for w in record} == {NonUniqueProjectionWarning, InfeasibleStartWarning}
+        assert {w.filename for w in record} == {__file__}
+
+    def test_non_finite_start_refused_before_any_iteration(self, record_projections):
+        prob = Problem(np.eye(2), np.zeros(2), SphereConstraint(2))
+        points = record_projections(prob.constraint)
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            run_pgd(prob, 0.1, [np.nan, 1.0], max_iters=5)
+        assert points == []
+
+    @pytest.mark.parametrize(
+        "spec, x0",
+        [(SparsityConstraint(1, 3), [1e300, 0.0, 0.0]),
+         (LowRankConstraint(1, (2, 2)), np.outer([1e200, 2e200], [1.0, 3.0]).reshape(-1, order="F")),
+         (LowRankConstraint(2, (5, 4)),
+          LowRankConstraint(2, (5, 4)).random_member(np.random.default_rng(6)))],
+        ids=["sparse_huge", "rank_one_huge", "rank_two"],
+    )
+    def test_feasible_start_keeps_its_bits_without_notice(self, spec, x0):
+        x0 = np.array(x0)
+        prob = Problem(np.eye(spec.n), np.zeros(spec.n), spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_pgd(prob, 0.1, x0, max_iters=0)
+        assert np.array_equal(trace.final, x0)
 
     def test_divergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(2)
@@ -177,7 +217,7 @@ class TestRunPgd:
         assert info.value.norm == pytest.approx(scale * np.linalg.norm(previous / scale))
         assert np.isfinite(info.value.norm) and info.value.norm > scale
 
-    def test_every_iterate_feasible(self, record_projections):
+    def test_every_iterate_feasible(self, record_projections, membership_gap):
         for kind, params in [
             ("lcls", {"m": 10, "n": 7, "p": 2}),
             ("iht", {"m": 12, "n": 24, "s": 3}),
@@ -191,9 +231,9 @@ class TestRunPgd:
             )
             iterates = record_projections(prob.constraint)
             trace = run_pgd(prob, eta, x0, max_iters=300, x_ref=x_star)
-            assert len(iterates) == trace.n_iterations
+            assert len(iterates) == trace.n_iterations + 1
             for it in [x0, *iterates]:
-                assert prob.constraint.membership_residual(it) <= 1e-10
+                assert membership_gap(prob.constraint, it) <= 1e-10
 
     def test_stagnation_stop(self):
         # Exact fixed point with no reference: stops on stagnation.

@@ -2,11 +2,12 @@
 squares, min 0.5 ||Ax - b||^2 over x >= 0 (Lawson & Hanson, *Solving Least
 Squares Problems*, 1974), the subproblem of nonnegative matrix factorization.
 
-The constraint gives only what every family gives: ``_project``,
-``linearize`` and ``membership_residual``. With them the generic certificate
+The constraint gives only what every family gives: ``_project`` and
+``linearize``. With them the generic certificate
 ``analysis.analyze_fixed_point`` must agree with the dense update matrix and
-with the closed form, and runs started inside its region must converge at its
-rate within its iteration bound.
+with the closed form, runs started inside its region must converge at its
+rate within its iteration bound, and ``run_pgd`` must project an infeasible
+start.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from pgdlab import analysis, verify
 from pgdlab.constraints import Constraint, Linearization, coordinate_basis
 from pgdlab.empirics import estimate_rate
 from pgdlab.engine import Problem, run_pgd
-from pgdlab.errors import NoCertificateError
+from pgdlab.errors import InfeasibleStartWarning, NoCertificateError
 
 SQRT2 = np.sqrt(2.0)
 ACCURACIES = (1e-4, 1e-8)
@@ -39,9 +40,6 @@ class OrthantConstraint(Constraint):
         x = np.asarray(x, dtype=float).reshape(-1)
         radius = np.abs(x[x != 0.0]).min() / SQRT2
         return Linearization(coordinate_basis(np.flatnonzero(x > 0.0), self.n), radius, 0.0)
-
-    def membership_residual(self, x):
-        return float(np.linalg.norm(np.minimum(x, 0.0)))
 
 
 def nnls_instance(seed):
@@ -112,3 +110,12 @@ def test_point_off_the_fixed_point_is_refused():
     x[np.argmin(np.where(x > 0.0, x, np.inf))] = 0.0
     with pytest.raises(NoCertificateError, match="not a fixed point"):
         certificate(problem, x, eta)
+
+
+def test_start_with_negative_entries_is_projected_with_notice():
+    problem, x_star, eta, _ = nnls_instance(0)
+    x0 = x_star - 0.5
+    assert x0.min() < 0.0
+    with pytest.warns(InfeasibleStartWarning):
+        trace = run_pgd(problem, eta, x0, max_iters=0)
+    assert np.array_equal(trace.final, np.maximum(x0, 0.0))
