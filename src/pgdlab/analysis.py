@@ -51,6 +51,15 @@ def gram_extremes(M):
     return float(lams[-1]), float(lams[0])
 
 
+def require_steps(eta):
+    """``eta``, a step or one per row, as a float array; ValueError unless
+    every step is finite and positive."""
+    steps = np.asarray(eta, dtype=float)
+    if not np.all((steps > 0) & (steps < np.inf)):  # also false for NaN
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
+    return steps
+
+
 def contraction_factor(lam_max, lam_min, eta):
     """max |1 - eta*lam| over a spectrum in [lam_min, lam_max].
 
@@ -61,9 +70,7 @@ def contraction_factor(lam_max, lam_min, eta):
 
 def gradient_contraction(A, eta):
     """Spectral norm of I - eta A^T A, the plain gradient-descent contraction factor."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return contraction_factor(*ata_extremes(A), eta)
+    return contraction_factor(*ata_extremes(A), float(require_steps(eta)))
 
 
 def _compressed_update(problem, lin_x, lin_z, eta):
@@ -326,9 +333,7 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
     which P(z) = x* fails by more than ``FIXED_POINT_RTOL`` has no
     certificate, nor one at which the gradient step z overflows.
     """
-    if not eta > 0:  # also true for NaN
-        raise ValueError("eta must be positive")
-    eta = float(eta)
+    eta = float(require_steps(eta))
     contraction = contraction_factor(*problem.ata_extremes(), eta)
     if not np.isfinite(contraction):
         raise NoCertificateError(f"the contraction factor overflows at eta={eta:g}")

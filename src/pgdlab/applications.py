@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import contraction_factor, gram_extremes, json_float, optimal_step
+from .analysis import contraction_factor, gram_extremes, json_float, optimal_step, require_steps
 from .constraints import RANK_CURVATURE, SQRT2, LowRankConstraint, relative_residuals
 from .constraints import rank_tangent_basis  # noqa: F401  (perfbench traces it here)
 from .engine import Problem
@@ -99,15 +99,13 @@ class ApplicationReport:
 
     def rate(self, eta):
         """Asymptotic linear rate at step ``eta``."""
-        eta = float(eta)
-        if eta <= 0:
-            raise ValueError("eta must be positive")
+        eta = float(require_steps(eta))
         return float(contraction_factor(self.lam_max, self.lam_min, eta)
                      / self._fixed_point_scale(eta))
 
     def quad_coefficient(self, eta):
         """Coefficient of the squared error in the one-step error recursion."""
-        eta = float(eta)
+        eta = float(require_steps(eta))
         t = self.contraction(eta) / self._fixed_point_scale(eta)
         return float(self.curvature * (t**2 + t))
 
@@ -319,7 +317,7 @@ def mcp_problem(observed, omega, shape, r):
     sampling[omega] = 1.0
     b = np.zeros(n)
     b[omega] = np.asarray(observed, dtype=float).reshape(-1)
-    return Problem.from_diagonal(sampling, b, LowRankConstraint(r, shape))
+    return Problem(sampling, b, LowRankConstraint(r, shape))
 
 
 # The family analysis of each constraint kind.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .applications import analyze_problem
-from .empirics import BOUND_ACCURACIES, FAMILIES, default_etas, run_experiment
+from .empirics import BOUND_ACCURACIES, FAMILIES, certified_etas, default_etas, run_experiment
 from .engine import run_pgd
 from .errors import (
     ConstraintDomainError,
@@ -58,12 +58,23 @@ def _require_positive(flag, *values):
             raise ProblemFileError(flag, f"must be finite and positive, got {value!r}")
 
 
+def _require_writable(path):
+    """Raise before any work the OSError that writing ``path`` would. Opening to
+    append empties no file; a new one is removed, so a later failure leaves none."""
+    if path:
+        new = not os.path.lexists(path)
+        open(path, "a", encoding="ascii").close()
+        if new:
+            os.remove(path)
+
+
 def cmd_solve(args):
     _require_positive("--eta", args.eta)
     _require_positive("--max-iters", args.max_iters)
     if args.tol is not None:
         _require_positive("--tol", args.tol)
     _require_seed(args.seed)
+    _require_writable(args.out)
     problem, x_star, x0 = load_problem(args.problem)
     if args.tol is not None and x_star is None:
         raise ProblemFileError("--tol", "the problem file has no x_star to measure the error to")
@@ -98,12 +109,10 @@ def cmd_analyze(args):
     for eps in args.eps:
         if not 0 < eps < 1:  # also false for NaN
             raise ProblemFileError("--eps", f"must lie in (0, 1), got {eps!r}")
+    _require_writable(args.out)
     problem, x_star, _ = load_problem(args.problem)
     report = analyze_problem(problem, x_star)
-
-    etas = list(args.eta) if args.eta else []
-    if report.eta_opt is not None and not etas:
-        etas = [0.5 * report.eta_opt, report.eta_opt]
+    etas = list(args.eta) if args.eta else certified_etas(report)
 
     out = {
         "application": report.to_json(etas),

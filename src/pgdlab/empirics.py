@@ -42,20 +42,18 @@ class RateEstimate:
 
     rho_hat: float
     window: tuple
-    floor_hit: bool
 
 
-def estimate_rate(trace, floor=None):
+def estimate_rate(trace):
     """Estimate the asymptotic contraction rate from recorded errors.
 
     Uses the geometric mean of consecutive error ratios over the tail window,
-    skipping the early transient and everything at or below the noise floor.
+    skipping the early transient and every error at or below ``error_floor``.
     """
     if trace.errors is None:
         raise RateEstimationError("trace has no error sequence (no reference point)")
     errors = np.asarray(trace.errors, dtype=float)
-    if floor is None:
-        floor = trace.error_floor if trace.error_floor is not None else 0.0
+    floor = trace.error_floor if trace.error_floor is not None else 0.0
     above = np.flatnonzero(errors > floor)
     if above.size == 0:
         raise RateEstimationError("no errors above the floor")
@@ -70,11 +68,7 @@ def estimate_rate(trace, floor=None):
     if np.any(window <= 0):
         raise RateEstimationError("window contains zero errors")
     rho_hat = float(np.exp(np.mean(np.log(window[1:] / window[:-1]))))
-    return RateEstimate(
-        rho_hat=rho_hat,
-        window=(k_start, k_end),
-        floor_hit=bool(errors.min() <= floor),
-    )
+    return RateEstimate(rho_hat=rho_hat, window=(k_start, k_end))
 
 
 def _require_sizes(kind, **sizes):
@@ -228,15 +222,18 @@ FAMILIES = {
 }
 
 
-def _start_point(problem, x_star, region, rng, offset=None):
-    """Pick a feasible start: half the certified radius, or a fixed offset when
-    the certificate is global. Shrinks until the projected point is inside."""
+def _start_point(problem, x_star, region, rng):
+    """Pick a feasible start from the rate table's ``region``: half its radius,
+    1e3 where it is "inf", 1e-3 * (1 + ||x*||) where it is None (no
+    certificate). Shrinks until the projected point is inside the region."""
     spec = problem.constraint
     direction = rng.standard_normal(spec.n)
     direction /= np.linalg.norm(direction)
-    if offset is None:
-        offset = 1e3 if np.isinf(region) else 0.5 * region
-    target = offset
+    if region is None:
+        region, target = np.inf, 1e-3 * (1.0 + np.linalg.norm(x_star))
+    else:
+        region = float(region)  # decodes "inf"
+        target = 1e3 if np.isinf(region) else 0.5 * region
     for _ in range(80):
         x0 = spec.project(x_star + target * direction)
         dist = np.linalg.norm(x0 - x_star)
@@ -248,6 +245,11 @@ def _start_point(problem, x_star, region, rng, offset=None):
             return x0, float(dist)
         target *= 0.5
     raise GenerationError("could not place a feasible start inside the region")
+
+
+def certified_etas(report):
+    """The certified step grid: [eta_opt / 2, eta_opt], or [] without eta_opt."""
+    return [] if report.eta_opt is None else [0.5 * report.eta_opt, report.eta_opt]
 
 
 def default_etas(report):
@@ -283,14 +285,7 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     # Every start is drawn first, in grid order, and the grid runs as one block.
     application = report.to_json(etas)
     samples = application["rate_table"]
-    scale = 1e-3 * (1.0 + np.linalg.norm(x_star))
-    starts = [
-        # float() decodes the "inf" of a global certificate.
-        _start_point(problem, x_star, float(sample["region"]), rng)
-        if sample["region"] is not None
-        else _start_point(problem, x_star, np.inf, rng, scale)
-        for sample in samples
-    ]
+    starts = [_start_point(problem, x_star, sample["region"], rng) for sample in samples]
     floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_star))
     floors = [
         min(floor, initial_error * min(BOUND_ACCURACIES) / 3.0) if sample["admissible"] else floor
@@ -317,11 +312,11 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
             "region_radius": sample["region"],
             "initial_error": initial_error,
             "stop_reason": trace.stop_reason,
-            "diverged": trace.divergence is not None,
+            "diverged": trace.stop_reason == "diverged",
         }
         runs.append(row)
         if row["diverged"]:
-            row["divergence_iteration"] = trace.divergence.iteration
+            row["divergence_iteration"] = trace.n_iterations + 1
             continue
 
         try:

@@ -21,10 +21,11 @@ STAGNATION_RUN = 10
 class Problem:
     """Least-squares objective 0.5 * ||A x - b||^2 over a constraint set.
 
-    A square A with no nonzero entry off its diagonal (a completion sampling
-    mask, for one) is kept as its diagonal only and applied entrywise;
-    ``from_diagonal`` builds such a problem without forming A. ``A`` then
-    builds the dense matrix on each read.
+    A is a matrix, or a vector: the diagonal of a square A, which the problem
+    copies. A square matrix with no nonzero entry off its diagonal (a
+    completion sampling mask, for one) is kept as its diagonal only and
+    applied entrywise; ``A`` then builds the dense matrix on each read. Any
+    other matrix is kept as given, not copied.
     """
 
     b: np.ndarray
@@ -35,33 +36,17 @@ class Problem:
 
     def __init__(self, A, b, constraint):
         A = np.asarray(A, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("A must be a matrix")
+        if A.ndim not in (1, 2):
+            raise ValueError("A must be a matrix or the diagonal of a square one")
         # A ValueError naming the field, which is also its path in a problem
         # file: load_problem passes it on and does not scan A itself.
         if not np.all(np.isfinite(A)):
             raise ProblemFileError("A", "entries must be finite")
-        if A.shape[0] == A.shape[1] and np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
-            self._set(None, np.diagonal(A).copy(), b, constraint)
-        else:
-            self._set(A, None, b, constraint)
-
-    @classmethod
-    def from_diagonal(cls, diagonal, b, constraint):
-        """The problem whose A is the square matrix diag(``diagonal``)."""
-        diagonal = np.array(diagonal, dtype=float)
-        if diagonal.ndim != 1:
-            raise ValueError("the diagonal of A must be a vector")
-        if not np.all(np.isfinite(diagonal)):
-            raise ProblemFileError("A", "entries must be finite")
-        problem = cls.__new__(cls)
-        problem._set(None, diagonal, b, constraint)
-        return problem
-
-    def _set(self, matrix, diagonal, b, constraint):
-        """Keep A as exactly one of ``matrix`` and ``diagonal``; check b and the
-        constraint against its shape."""
-        object.__setattr__(self, "_matrix", matrix)
+        if A.ndim == 2 and A.shape[0] == A.shape[1] and (
+                np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))):
+            A = np.diagonal(A)
+        diagonal = A.copy() if A.ndim == 1 else None
+        object.__setattr__(self, "_matrix", A if diagonal is None else None)
         object.__setattr__(self, "diagonal", diagonal)
         m, n = self.shape
         b = np.asarray(b, dtype=float).reshape(-1)
@@ -128,14 +113,14 @@ class Problem:
 
 @dataclass
 class Trace:
-    """Record of a PGD run: the error and objective of every iterate, and the last iterate."""
+    """Record of a PGD run: the error and objective of every iterate, the last
+    iterate and the stop. A run that diverged at iteration k stops at x_{k-1}."""
 
     final: np.ndarray
     objectives: np.ndarray
     errors: np.ndarray | None
     stop_reason: str
     error_floor: float | None = None
-    divergence: DivergenceError | None = None
 
     @property
     def n_iterations(self):
@@ -177,8 +162,10 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     x0 is one start, or a (k, n) block of starts run side by side, with
     ``eta`` and ``error_floor`` a scalar or one value per row; a block gives
     a ``TraceBlock`` of one ``Trace`` per row. Each row has the bits of its
-    run alone. A row that diverges stops with its ``DivergenceError`` in
-    ``Trace.divergence``; the run of one start raises it.
+    run alone. A row that diverges at iteration k stops as "diverged" at
+    x_{k-1}; the run of one start raises DivergenceError(k, ||x_{k-1}||).
+    A step not finite and positive, an ``error_floor`` without ``x_ref`` or a
+    ``max_iters`` not a whole number >= 0 raises ValueError.
 
     Stops are decided at every iteration, the bookkeeping once per window.
     An iteration computes only what can stop a row there: the step, its
@@ -197,10 +184,12 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         rows = "rows of " if block else ""
         raise ValueError(f"x0 has {rows}length {x.shape[1]}, expected {spec.n}")
     k = len(x)
-    rates = np.broadcast_to(np.asarray(eta, dtype=float), (k,))[:, None]
-    if np.any(rates <= 0):
-        raise ValueError("eta must be positive")
-    max_iters = max(int(max_iters), 0)
+    rates = np.broadcast_to(analysis.require_steps(eta), (k,))[:, None]
+    if not (max_iters >= 0 and float(max_iters).is_integer()):  # also refuses NaN
+        raise ValueError(f"max_iters must be a whole number >= 0, got {max_iters!r}")
+    max_iters = int(max_iters)
+    if error_floor is not None and x_ref is None:
+        raise ValueError("error_floor needs x_ref, the point the error is measured to")
 
     # The checks of project, but the frames of the loop's _project calls, so
     # that a warning names the caller; not <=, so a NaN residual is projected.
@@ -232,7 +221,7 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     stagnant = np.zeros(k, dtype=int)
     b = problem.b
 
-    def finish(row, stop_reason, iterations, divergence=None):
+    def finish(row, stop_reason, iterations):
         run = runs[row]
         traces[run] = Trace(
             final=x[row].copy(),
@@ -240,7 +229,6 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             errors=None if errors is None else errors[: iterations + 1, row].copy(),
             stop_reason=stop_reason,
             error_floor=None if floors is None else float(floors[run]),
-            divergence=divergence,
         )
 
     # Overflow on a diverging run is expected; it is caught by the finiteness
@@ -298,9 +286,7 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
                 continue
             for row in np.flatnonzero(done):
                 if diverged is not None and diverged[row]:
-                    # The row kept x_{k-1}; hypot keeps its norm finite where
-                    # x @ x would overflow.
-                    finish(row, "diverged", it - 1, DivergenceError(it, np.hypot.reduce(x[row])))
+                    finish(row, "diverged", it - 1)  # the row kept x_{k-1}
                 else:
                     hit = reached is not None and reached[row]
                     finish(row, "error_floor" if hit else "stagnation", it)
@@ -315,9 +301,11 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
 
     if block:
         return TraceBlock(traces)
-    if traces[0].divergence is not None:
-        raise traces[0].divergence
-    return traces[0]
+    trace = traces[0]
+    if trace.stop_reason == "diverged":
+        # hypot keeps the norm finite where x @ x would overflow.
+        raise DivergenceError(trace.n_iterations + 1, np.hypot.reduce(trace.final))
+    return trace
 
 
 def _finite(a):

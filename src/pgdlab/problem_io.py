@@ -194,13 +194,13 @@ def load_problem(path):
 
     # A is the matrix or, for the diagonal form, its diagonal.
     if isinstance(doc["A"], dict) and "diagonal" in doc["A"]:
-        A, build = _diagonal_from_json(doc["A"], "A"), Problem.from_diagonal
+        A = _diagonal_from_json(doc["A"], "A")
     else:
-        A, build = _matrix_from_json(doc["A"], "A"), Problem
+        A = _matrix_from_json(doc["A"], "A")
     b = _vector_from_json(doc["b"], "b")
     constraint = _constraint_from_json(doc["constraint"], A.shape[-1])
     try:
-        problem = build(A, b, constraint)  # checks that a dense A is finite, naming path A
+        problem = Problem(A, b, constraint)  # checks that a dense A is finite, naming path A
     except ProblemFileError:
         raise
     except ValueError as exc:

@@ -31,7 +31,7 @@ from .constraints import (
     row_norms,
     sample_blocks,
 )
-from .empirics import _instance_report, make_instance, run_experiment
+from .empirics import _instance_report, certified_etas, make_instance, run_experiment
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -592,7 +592,7 @@ def check_bound_dominance(seed=0):
     ]
     results = []
     for kind, params in configs:
-        bundle = run_experiment(kind, params, _certified_etas, seed)
+        bundle = run_experiment(kind, params, certified_etas, seed)
         ok = True
         detail = []
         for run in bundle["runs"]:
@@ -614,10 +614,6 @@ def check_bound_dominance(seed=0):
             )
         )
     return results
-
-
-def _certified_etas(report):
-    return [0.5 * report.eta_opt, report.eta_opt] if report.eta_opt else [0.5]
 
 
 def bounds_suite(seed=0):

@@ -39,6 +39,40 @@ class TestGradientContraction:
         assert analysis.gradient_contraction(A, eta) == pytest.approx(1.0)
 
 
+@pytest.fixture(scope="module")
+def lcls_report():
+    problem, _ = make_instance("lcls", {"m": 14, "n": 10, "p": 3}, 0)
+    return analyze_problem(problem)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
+class TestStepRefused:
+    """Every function that takes a step refuses one that is not finite and
+    positive with the same ValueError, rather than diverging or returning NaN."""
+
+    MESSAGE = "^eta must be finite and positive"
+
+    def test_run_pgd_refuses_it_alone_and_in_a_block(self, lcls_report, eta):
+        problem, x0 = lcls_report.problem, lcls_report.x_star
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_pgd(problem, eta, x0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_pgd(problem, [lcls_report.eta_opt, eta], np.array([x0, x0]))
+
+    def test_closed_forms_refuse_it(self, lcls_report, eta):
+        for method in (lcls_report.rate, lcls_report.quad_coefficient):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                method(eta)
+        assert lcls_report.to_json([eta])["rate_table"][0]["rate"] is None
+
+    def test_certificate_refuses_it(self, lcls_report, eta):
+        report = lcls_report
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            analysis.analyze_fixed_point(report.problem, report.x_star, report.linearization, eta)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            analysis.gradient_contraction(report.problem.A, eta)
+
+
 class TestIterationMatrix:
     def test_affine_form(self):
         rng = np.random.default_rng(1)
@@ -432,7 +466,7 @@ def moved_observations(prob, delta=1e-11):
     x* still fits them within the stationarity tolerance of the completion
     analysis."""
     b = prob.b + delta * prob.diagonal
-    return Problem.from_diagonal(prob.diagonal, b, prob.constraint)
+    return Problem(prob.diagonal, b, prob.constraint)
 
 
 @pytest.fixture

@@ -263,13 +263,26 @@ class TestProblemIo:
        "--outdir", "{problem}/bundle"], "--outdir")],
     ids=["solve", "analyze", "experiment"],
 )
-def test_unwritable_output_exit_one_naming_the_path(lcls_file, tmp_path, capsys, argv, flag):
-    # Each command let FileNotFoundError or NotADirectoryError out of main.
+def test_unwritable_output_exit_one_naming_the_path(lcls_file, tmp_path, capsys, monkeypatch,
+                                                    argv, flag):
+    # Each command let FileNotFoundError or NotADirectoryError out of main;
+    # solve and analyze must find the path unwritable before any work.
+    calls = []
+
+    def counted(work):
+        def call(*args, **kwargs):
+            calls.append(work.__name__)
+            return work(*args, **kwargs)
+        return call
+
+    for name in ("run_pgd", "analyze_problem"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     names = {"problem": lcls_file[0], "missing": tmp_path / "no" / "such" / "dir"}
     argv = [arg.format(**names) for arg in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag}: ") and argv[-1] in err
+    assert err.startswith(f"error: {flag}: [Errno ") and err.rstrip().endswith(f"'{argv[-1]}'")
+    assert calls == []
 
 
 def _signed_diagonal(kind, seed=0):
@@ -280,10 +293,10 @@ def _signed_diagonal(kind, seed=0):
     d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
     if kind == "lcls":
         C = rng.standard_normal((4, n))
-        problem = Problem.from_diagonal(d, rng.standard_normal(n),
-                                        AffineConstraint(C, C @ rng.standard_normal(n)))
+        problem = Problem(d, rng.standard_normal(n),
+                          AffineConstraint(C, C @ rng.standard_normal(n)))
         return problem, analyze_problem(problem).x_star
-    problem = Problem.from_diagonal(d, rng.standard_normal(n), SphereConstraint(n))
+    problem = Problem(d, rng.standard_normal(n), SphereConstraint(n))
     return problem, problem.constraint.random_member(rng)
 
 
@@ -457,11 +470,17 @@ class TestSolveCommand:
         assert captured.err == ""
         assert captured.out.count("notice: rank-r truncation is not unique") == 1
 
-    def test_divergence_exit_two(self, lcls_file, capsys):
+    @pytest.mark.parametrize("existing", [None, b"k,error,objective\n"], ids=["new", "existing"])
+    def test_divergence_exit_two(self, lcls_file, tmp_path, capsys, existing):
         path, _, _ = lcls_file
-        code = main(["solve", str(path), "--eta", "1e9", "--max-iters", "3000"])
+        out = tmp_path / "trace.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        code = main(["solve", str(path), "--eta", "1e9", "--max-iters", "3000", "--out", str(out)])
         assert code == 2
         assert "diverged" in capsys.readouterr().err
+        # The output is checked before the run, but neither created nor emptied.
+        assert (out.read_bytes() if out.exists() else None) == existing
 
     def test_missing_file_exit_one(self, capsys):
         code = main(["solve", "/nonexistent/prob.json", "--eta", "0.1"])

@@ -1,9 +1,10 @@
 import filecmp
+import json
 
 import numpy as np
 import pytest
 
-from pgdlab import applications, empirics
+from pgdlab import applications, cli, empirics, verify
 from pgdlab.applications import analyze_problem, mcp_problem
 from pgdlab.constraints import (
     AffineConstraint,
@@ -12,6 +13,7 @@ from pgdlab.constraints import (
     SphereConstraint,
 )
 from pgdlab.empirics import (
+    certified_etas,
     default_etas,
     estimate_rate,
     make_instance,
@@ -19,6 +21,7 @@ from pgdlab.empirics import (
 )
 from pgdlab.engine import Problem, Trace, run_pgd
 from pgdlab.errors import GenerationError, RateEstimationError
+from pgdlab.problem_io import save_problem
 from pgdlab.verify import derivative_matrix
 
 
@@ -41,15 +44,14 @@ def synthetic_trace(errors, floor=0.0):
 
 class TestEstimateRate:
     def test_pure_geometric(self):
-        trace = synthetic_trace(0.5 ** np.arange(60))
-        est = estimate_rate(trace, floor=1e-30)
+        trace = synthetic_trace(0.5 ** np.arange(60), floor=1e-30)
+        est = estimate_rate(trace)
         assert est.rho_hat == pytest.approx(0.5, abs=1e-12)
-        assert not est.floor_hit
 
     def test_two_mode_tail(self):
         k = np.arange(400)
-        trace = synthetic_trace(0.9**k + 0.1**k)
-        est = estimate_rate(trace, floor=1e-30)
+        trace = synthetic_trace(0.9**k + 0.1**k, floor=1e-30)
+        est = estimate_rate(trace)
         assert est.rho_hat == pytest.approx(0.9, rel=1e-6)
 
     def test_floor_excludes_noise(self):
@@ -58,19 +60,49 @@ class TestEstimateRate:
         trace = synthetic_trace(errors, floor=1e-12)
         est = estimate_rate(trace)
         assert est.rho_hat == pytest.approx(0.5, abs=1e-9)
-        assert est.floor_hit
         assert errors[est.window[1]] > 1e-12
 
     def test_too_short_rejected(self):
-        trace = synthetic_trace(0.5 ** np.arange(10))
+        trace = synthetic_trace(0.5 ** np.arange(10), floor=1e-30)
         with pytest.raises(RateEstimationError, match="usable"):
-            estimate_rate(trace, floor=1e-30)
+            estimate_rate(trace)
 
     def test_no_reference_rejected(self):
         trace = synthetic_trace(0.5 ** np.arange(60))
         trace.errors = None
         with pytest.raises(RateEstimationError):
             estimate_rate(trace)
+
+
+class TestCertifiedEtas:
+    """``analyze`` without ``--eta`` and verify's bound check take one grid."""
+
+    # Seed 61 of the bound check's completion config has no eta_opt.
+    MCP = ("mcp", {"m": 7, "n": 6, "r": 2, "s": 30}, 61)
+
+    def test_half_and_all_of_eta_opt(self):
+        report = empirics._instance_report("sphere", {"m": 10, "n": 6}, 4)
+        assert certified_etas(report) == [0.5 * report.eta_opt, report.eta_opt]
+        assert certified_etas(empirics._instance_report(*self.MCP)) == []
+
+    def test_analyze_and_the_bound_check_take_it(self, tmp_path, capsys, monkeypatch):
+        grids = []
+
+        def recorded(report):
+            grids.append(certified_etas(report))
+            return grids[-1]
+
+        monkeypatch.setattr(cli, "certified_etas", recorded)
+        monkeypatch.setattr(verify, "certified_etas", recorded)
+        problem, x_star = make_instance(*self.MCP)
+        path = tmp_path / "mcp.json"
+        save_problem(path, problem, x_star=x_star)
+        assert cli.main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["etas"] == [] and grids == [[]]
+        # Without eta_opt the mcp instance gets no run, and the check still passes.
+        results = verify.check_bound_dominance(self.MCP[2])
+        assert len(grids) == 5 and grids[-1] == [] and all(len(grid) == 2 for grid in grids[1:4])
+        assert all(result.ok for result in results)
 
 
 class TestGenerators:

@@ -84,17 +84,29 @@ class TestDiagonal:
         prob = Problem(np.diag(d), np.zeros(3), SphereConstraint(3))
         np.testing.assert_array_equal(prob.diagonal, d)
 
-    def test_from_diagonal_is_the_dense_constructor_without_a(self):
+    def test_a_vector_is_the_diagonal_of_a_square_a(self):
         d = np.array([2.5, -0.3, 0.0])
-        b = np.array([1.0, 2.0, 3.0])
-        dense = Problem(np.diag(d), b, SphereConstraint(3))
-        compact = Problem.from_diagonal(d, b, SphereConstraint(3))
+        b, spec = np.array([1.0, 2.0, 3.0]), SphereConstraint(3)
+        dense, compact = Problem(np.diag(d), b, spec), Problem(d, b, spec)
         for prob in (dense, compact):
             assert np.array_equal(prob.diagonal, d) and np.array_equal(prob.b, b)
             assert prob.shape == (3, 3)
             assert np.array_equal(prob.A, np.diag(d))
+        for field in dataclasses.fields(Problem):
+            got, expected = getattr(compact, field.name), getattr(dense, field.name)
+            assert type(got) is type(expected), field.name
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, expected) and got.dtype == expected.dtype, field.name
+            else:
+                assert got == expected, field.name
+        assert compact.ata_extremes() == dense.ata_extremes()
         d[0] = 7.0  # the problem keeps its own copy
         assert compact.diagonal[0] == 2.5
+
+    @pytest.mark.parametrize("A", [5.0, np.ones((2, 2, 2))], ids=["scalar", "three_dims"])
+    def test_a_neither_vector_nor_matrix_refused(self, A):
+        with pytest.raises(ValueError, match="^A must be a matrix or the diagonal of a square one$"):
+            Problem(A, np.zeros(2), SphereConstraint(2))
 
     @pytest.mark.parametrize(
         "d, b, n, error",
@@ -103,16 +115,14 @@ class TestDiagonal:
             ([1.0, 1.0], [np.nan, 0.0], 2, r"^b: .*finite"),
             ([1.0, 1.0], [0.0, 0.0, 0.0], 2, r"b has length 3, expected 2"),
             ([1.0, 1.0], [0.0, 0.0], 3, r"constraint dimension 3 does not match A columns 2"),
-            ([[1.0, 1.0]], [0.0], 2, r"diagonal of A must be a vector"),
         ],
-        ids=["non_finite_a", "non_finite_b", "b_length", "constraint_dimension", "matrix"],
+        ids=["non_finite_a", "non_finite_b", "b_length", "constraint_dimension"],
     )
-    def test_from_diagonal_runs_the_same_checks(self, d, b, n, error):
+    def test_a_diagonal_runs_the_checks_of_its_matrix(self, d, b, n, error):
         with pytest.raises(ValueError, match=error):
-            Problem.from_diagonal(d, b, SphereConstraint(n))
-        if np.ndim(d) == 1:  # the dense constructor gives the same error
-            with pytest.raises(ValueError, match=error):
-                Problem(np.diag(d), b, SphereConstraint(n))
+            Problem(d, b, SphereConstraint(n))
+        with pytest.raises(ValueError, match=error):
+            Problem(np.diag(d), b, SphereConstraint(n))
 
     def test_off_diagonal_entry_or_rectangle_is_dense(self):
         A = np.diag([1.0, 2.0, 3.0])
@@ -201,6 +211,19 @@ class TestRunPgd:
             warnings.simplefilter("error")
             trace = run_pgd(prob, 0.1, x0, max_iters=0)
         assert np.array_equal(trace.final, x0)
+
+    @pytest.mark.parametrize("max_iters", [-5, 2.9, np.inf, np.nan])
+    def test_iteration_budget_must_be_a_whole_count(self, max_iters):
+        # Refused, not truncated or clamped to another count.
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        with pytest.raises(ValueError, match="^max_iters must be a whole number >= 0"):
+            run_pgd(prob, 0.5, [1.0, 0.0, 0.0], max_iters=max_iters)
+
+    def test_floor_without_reference_refused(self):
+        # Without x_ref there is no error for the floor to stop on.
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        with pytest.raises(ValueError, match="^error_floor needs x_ref"):
+            run_pgd(prob, 0.5, [1.0, 0.0, 0.0], max_iters=50, error_floor=1e-3)
 
     def test_divergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(2)
@@ -377,7 +400,7 @@ def _block_problems():
                 prob = Problem(rng.standard_normal((n + 4, n)), rng.standard_normal(n + 4), spec)
             else:
                 diagonal = rng.uniform(0.5, 1.5, n)
-                prob = Problem.from_diagonal(diagonal, rng.standard_normal(n), spec)
+                prob = Problem(diagonal, rng.standard_normal(n), spec)
             starts = np.array([spec.random_member(rng) for _ in range(4)])
             x_ref = run_pgd(prob, 0.5 / prob.ata_extremes()[0], starts[0], max_iters=2000).final
             yield f"{kind}-{layout}", prob, x_ref, starts
@@ -429,14 +452,13 @@ class TestBlock:
         assert reasons == ["diverged", "error_floor", "stagnation", "max_iters"]
         with pytest.raises(DivergenceError) as info:
             run_pgd(prob, etas[0], x0, max_iters=300, error_floor=floors[0], x_ref=x_star)
-        divergence = block[0].divergence
-        assert (divergence.iteration, divergence.norm) == (info.value.iteration, info.value.norm)
-        assert block[0].n_iterations == divergence.iteration - 1
-        last = run_pgd(prob, etas[0], x0, max_iters=divergence.iteration - 1,
+        diverged = block[0]
+        assert (diverged.n_iterations + 1, np.hypot.reduce(diverged.final)) == (
+            info.value.iteration, info.value.norm)
+        last = run_pgd(prob, etas[0], x0, max_iters=diverged.n_iterations,
                        error_floor=floors[0], x_ref=x_star)
-        _assert_same_run(dataclasses.replace(block[0], stop_reason="max_iters"), last)
+        _assert_same_run(dataclasses.replace(diverged, stop_reason="max_iters"), last)
         for row, eta, x, floor in list(zip(block, etas, starts, floors))[1:]:
-            assert row.divergence is None
             _assert_same_run(row, run_pgd(prob, eta, x, max_iters=300, error_floor=floor,
                                           x_ref=x_star))
 
@@ -507,7 +529,7 @@ def _reference_run(prob, eta, x, max_iters, error_floor=None, x_ref=None):
 def _assert_matches_reference(trace, ref):
     assert trace.stop_reason == ref["stop_reason"]
     assert trace.error_floor == ref["error_floor"]
-    divergence = None if trace.divergence is None else trace.divergence.iteration
+    divergence = trace.n_iterations + 1 if trace.stop_reason == "diverged" else None
     assert divergence == ref["divergence"]
     for field in ("objectives", "errors", "final"):
         got, expected = getattr(trace, field), ref[field]
@@ -565,7 +587,7 @@ class TestWindows:
         block = run_pgd(prob, etas, np.array([x0] * 3), max_iters=100, x_ref=x_star)
         assert [trace.stop_reason for trace in block] == ["diverged", "diverged", "max_iters"]
         # Iterations 24 and 43 here: mid-window, and apart.
-        stops = [trace.divergence.iteration for trace in block[:2]]
+        stops = [trace.n_iterations + 1 for trace in block[:2]]
         assert stops[0] < stops[1] and all(n % STAGNATION_RUN for n in stops)
         for trace, eta in zip(block, etas):
             _assert_matches_reference(trace, _reference_run(prob, eta, x0, 100, x_ref=x_star))

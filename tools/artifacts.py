@@ -354,7 +354,7 @@ def write_set(outdir):
         problem, x_star = empirics.make_instance(kind, params, seed)
         if move:  # completion: b is the sampling mask times the observations
             b = problem.b + move * problem.diagonal
-            problem = Problem.from_diagonal(problem.diagonal, b, problem.constraint)
+            problem = Problem(problem.diagonal, b, problem.constraint)
         problem_io.save_problem(path, problem, x_star=x_star if keep_x_star else None)
         copies = [(name, path)]
         if problem.diagonal is not None:
