@@ -82,11 +82,15 @@ def _compressed_update(problem, lin_x, lin_z, eta):
     ``problem``, so no n x n array is formed. A step at which C overflows has
     no certificate.
     """
-    B_x, B_z = lin_x.basis, lin_z.basis
+    B_x = lin_x.basis
     scale = lin_z.scale * lin_x.scale
     with np.errstate(over="ignore", invalid="ignore"):
         GB_x = B_x - eta * problem.apply_t(problem.apply(B_x))
+        # B_z is read once G's temporaries are gone, and G B_x goes once M is
+        # formed: a basis built on first read (lowrank) adds to neither peak.
+        B_z = lin_z.basis
         M = B_z.T @ GB_x
+        del GB_x
         C = scale * ((B_x.T @ B_z) @ M)
         finite = np.isfinite(np.linalg.norm(C))
     if not finite:

@@ -140,14 +140,14 @@ class ApplicationReport:
         return float(min(radius, (1.0 - self.rate(eta)) / quad))
 
     def sample(self, etas):
-        """Evaluate rate and region on a grid, marking inadmissible steps."""
+        """Evaluate rate and region on a grid, marking inadmissible steps; a
+        step that is not finite and positive raises ValueError before any row."""
         rows = []
-        for eta in etas:
-            eta = float(eta)
+        for eta in require_steps(etas).tolist():
             row = {"eta": eta, "admissible": self.admissible(eta)}
             try:
                 row["rate"] = json_float(self.rate(eta))
-            except (NoCertificateError, ValueError):
+            except NoCertificateError:
                 row["rate"] = None
             try:
                 row["region"] = json_float(self.region(eta))
@@ -167,7 +167,7 @@ class ApplicationReport:
             "rho_opt": self.rho_opt,
             "certified": self.certified,
             "flags": self.flags,
-            "tangent_dimension": int(self.linearization.basis.shape[1]),
+            "tangent_dimension": self.linearization.dimension,
             "rate_table": self.sample(etas),
         }
 
@@ -300,8 +300,8 @@ def _analyze_mcp(problem, x_star):
         )
 
     # The Gram on the sampled rows: B^T D B for the 0/1 mask D, without the
-    # zero rows, whose sums round differently.
-    lam_max, lam_min = gram_extremes(lin.basis[omega, :])
+    # zero rows, whose sums round differently. Only those rows are built.
+    lam_max, lam_min = gram_extremes(lin.rows(omega))
     return ApplicationReport(
         "mcp", problem, lin, lam_max, lam_min, x_star,
         full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,

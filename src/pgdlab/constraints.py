@@ -99,10 +99,14 @@ class Linearization:
     The derivative is ``scale * B B^T``, a scaled orthogonal projector onto the
     span of ``basis`` B (ambient x tangent dimension, orthonormal columns).
     ``radius`` may be ``inf``; ``curvature`` is finite and nonnegative.
+    ``basis`` is the array B, or a function rows -> B[rows] (None for all);
+    a function builds and keeps B on the first read of ``basis``, and until
+    then ``rows`` builds only the rows asked for, and ``dimension`` none.
     """
 
     def __init__(self, basis, radius, curvature, scale=1.0):
-        self.basis = np.asarray(basis, dtype=float)
+        self._build = basis if callable(basis) else None
+        self._basis = None if callable(basis) else np.asarray(basis, dtype=float)
         self.radius = float(radius)
         self.curvature = float(curvature)
         self.scale = float(scale)
@@ -113,6 +117,23 @@ class Linearization:
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be finite and positive")
 
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = self._build(None)
+        return self._basis
+
+    def rows(self, index):
+        """B[index] for an array of row indices, the same bits as ``basis[index, :]``."""
+        if self._basis is None:
+            return self._build(index)
+        return self._basis[index, :]
+
+    @property
+    def dimension(self):
+        """The tangent dimension, B's number of columns."""
+        return self.rows(np.arange(0)).shape[1]
+
     def apply(self, vec):
         """Apply the derivative to a vector or to each row of a (k, n) block."""
         vec = np.asarray(vec, dtype=float)
@@ -122,7 +143,7 @@ class Linearization:
 
     def operator_norm(self):
         """Spectral norm of the derivative."""
-        return self.scale if self.basis.shape[1] else 0.0
+        return self.scale if self.dimension else 0.0
 
 
 def coordinate_basis(support, n):
@@ -132,12 +153,15 @@ def coordinate_basis(support, n):
     return basis
 
 
-def rank_tangent_basis(U, V):
-    """Orthonormal basis of the tangent space to the rank-r matrices at U S V^T.
+def rank_tangent_basis(U, V, rows=None):
+    """Orthonormal basis of the tangent space to the rank-r matrices at U S V^T,
+    or only its ``rows`` (all m*n rows for ``None``).
 
     Columns are Kronecker products pairing the row-space directions with all
     column directions and the row-space complement with the column-space
-    directions; stacking them reproduces the tangent projector.
+    directions; stacking them reproduces the tangent projector. Row p pairs
+    row j, i = divmod(p, m) of the two factors; each entry is their one
+    product, the bits of ``np.kron``.
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -150,12 +174,17 @@ def rank_tangent_basis(U, V):
             raise ValueError(f"{name} columns are not orthonormal (defect {defect:.3e})")
     qu, _ = np.linalg.qr(U, mode="complete")
     qv, _ = np.linalg.qr(V, mode="complete")
-    # Each block is kron(right, left) as one broadcast product: the same products, bit for bit.
-    blocks = [
-        (right[:, None, :, None] * left[None, :, None, :]).reshape(len(right) * len(left), -1)
-        for right, left in ((V, U), (V, qu[:, r:]), (qv[:, r:], U))
-    ]
-    return np.hstack(blocks)
+    m, n = len(U), len(V)
+    rows = np.arange(m * n) if rows is None else np.asarray(rows, dtype=int)
+    j, i = np.divmod(rows, m)
+    out = np.empty((rows.size, r * (m + n - r)))
+    start = 0
+    for right, left in ((V, U), (V, qu[:, r:]), (qv[:, r:], U)):
+        a, b = right.shape[1], left.shape[1]
+        block = out[:, start:start + a * b].reshape(rows.size, a, b)  # a view
+        np.multiply(right[j][:, :, None], left[i][:, None, :], out=block)
+        start += a * b
+    return out
 
 
 class Constraint:
@@ -399,7 +428,8 @@ class LowRankConstraint(Constraint):
 
     def linearize(self, x):
         U, V = self._rank_r_factors(x)
-        return Linearization(rank_tangent_basis(U, V), np.inf, RANK_CURVATURE)
+        # Looked up at each build, so that a wrapper of rank_tangent_basis sees it.
+        return Linearization(lambda rows: rank_tangent_basis(U, V, rows), np.inf, RANK_CURVATURE)
 
     def random_member(self, rng):
         m_mat, n_mat = self.shape

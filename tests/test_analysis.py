@@ -63,7 +63,18 @@ class TestStepRefused:
         for method in (lcls_report.rate, lcls_report.quad_coefficient):
             with pytest.raises(ValueError, match=self.MESSAGE):
                 method(eta)
-        assert lcls_report.to_json([eta])["rate_table"][0]["rate"] is None
+
+    def test_rate_table_refuses_it_before_any_row(self, lcls_report, eta, monkeypatch):
+        # The rate table wrote such a step into its rows, and json.dumps
+        # printed "eta": NaN or Infinity, which is not JSON.
+        evaluated = []
+        monkeypatch.setattr(lcls_report, "admissible", evaluated.append)
+        for grid in ([eta], [lcls_report.eta_opt, eta]):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                lcls_report.to_json(grid)
+        assert evaluated == []
+        monkeypatch.undo()
+        assert lcls_report.to_json([])["rate_table"] == []
 
     def test_certificate_refuses_it(self, lcls_report, eta):
         report = lcls_report

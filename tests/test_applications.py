@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pgdlab import analysis
+from pgdlab import analysis, constraints
 from pgdlab.applications import (
     analyze_problem,
     mcp_problem,
@@ -10,6 +12,7 @@ from pgdlab.applications import (
 from pgdlab.constraints import (
     RANK_CURVATURE,
     AffineConstraint,
+    LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
 )
@@ -252,6 +255,85 @@ class TestRankTangentBasis:
         blocks = [np.kron(V, U), np.kron(V, qu[:, r:]), np.kron(qv[:, r:], U)]
         expected = np.hstack([blk for blk in blocks if blk.shape[1] > 0])
         assert np.array_equal(rank_tangent_basis(U, V), expected)
+
+
+@pytest.fixture
+def full_builds(monkeypatch):
+    """The calls of ``constraints.rank_tangent_basis`` that ask for all rows,
+    where a low-rank linearization builds its basis."""
+    calls = []
+    build = constraints.rank_tangent_basis
+
+    def counting(U, V, rows=None):
+        if rows is None:
+            calls.append((len(U), len(V)))
+        return build(U, V, rows)
+
+    monkeypatch.setattr(constraints, "rank_tangent_basis", counting)
+    return calls
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestObservedRowsOnly:
+    """A completion analysis builds the rows of its tangent basis that it
+    reads; the full basis only where the certificate reads it."""
+
+    # (m, n, r): r = min(m, n) leaves a complement block with no columns.
+    @pytest.mark.parametrize("m, n, r", [(50, 40, 3), (12, 10, 2), (5, 4, 4), (4, 6, 4),
+                                         (1, 7, 1)])
+    def test_rows_are_the_basis_rows_bit_for_bit(self, full_builds, m, n, r):
+        rng = np.random.default_rng(m * 100 + n * 10 + r)
+        spec = LowRankConstraint(r, (m, n))
+        lin = spec.linearize(spec.random_member(rng))
+        omega = np.sort(rng.choice(m * n, size=max(1, m * n // 3), replace=False))
+        rows = lin.rows(omega)
+        assert lin.dimension == r * (m + n - r)
+        assert full_builds == []
+        basis = lin.basis
+        assert full_builds == [(m, n)]
+        assert np.array_equal(rows, basis[omega, :])
+        assert np.array_equal(lin.rows(omega), rows)
+        assert lin.basis is basis and lin.dimension == basis.shape[1]
+        assert full_builds == [(m, n)]
+
+    def test_instance_draw_forms_no_full_basis(self, full_builds):
+        params = {"m": 100, "n": 80, "r": 4, "s": 2000}
+        basis_bytes = 8 * 100 * 80 * 4 * (100 + 80 - 4)
+        peak = _traced_peak(lambda: make_instance("mcp", params, 0))
+        assert full_builds == []
+        assert peak < basis_bytes  # 87 MiB when the draw built the full basis
+
+    def test_experiment_forms_no_full_basis(self, full_builds):
+        bundle = run_experiment("mcp", {"m": 12, "n": 10, "r": 2, "s": 80},
+                                lambda report: [report.eta_opt], 0, max_iters=200)
+        assert bundle["application"]["tangent_dimension"] == 2 * (12 + 10 - 2)
+        assert full_builds == []
+
+    def test_certificate_peak_at_paper_scale(self, full_builds, tmp_path):
+        # The family analysis and the certificate of the paper-scale file, as
+        # `pgdlab analyze` runs them: the certificate builds B_x and B_z, and
+        # B_z only once the temporaries of G B_x are gone.
+        prob, x_star = make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
+        save_problem(tmp_path / "mcp.json", prob, x_star=x_star)
+        prob, x_star, _ = load_problem(tmp_path / "mcp.json")
+        basis_bytes = 8 * 2000 * 3 * (50 + 40 - 3)
+
+        def analyze():
+            report = analyze_problem(prob, x_star)
+            analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, report.eta_opt)
+
+        peak = _traced_peak(analyze)
+        assert full_builds == [(50, 40)] * 2
+        assert peak <= 3.5 * basis_bytes  # 4.0 when the family analysis built the full basis
 
 
 class TestMcp:
