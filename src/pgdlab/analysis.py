@@ -78,20 +78,21 @@ def _compressed_update(problem, lin_x, lin_z, eta):
 
     H = (B_z sM)(B_x^T) and C is the same product taken in the other order,
     so C has the nonzero eigenvalues of H (Horn & Johnson, Matrix Analysis,
-    Thm 1.3.22), and H^j = B_z (sM) C^(j-1) B_x^T. G is applied to B_x through
-    ``problem``, so no n x n array is formed. A step at which C overflows has
-    no certificate.
+    Thm 1.3.22), and H^j = B_z (sM) C^(j-1) B_x^T. B_z^T G B_x is
+    (B_x^T B_z)^T - eta (A B_z)^T (A B_x), with the cross Gram taken from the
+    bases' factors and A applied to the rows of each basis that it reads: no
+    n x n array, and for a diagonal A no full basis. A step at which C
+    overflows has no certificate.
     """
-    B_x = lin_x.basis
     scale = lin_z.scale * lin_x.scale
     with np.errstate(over="ignore", invalid="ignore"):
-        GB_x = B_x - eta * problem.apply_t(problem.apply(B_x))
-        # B_z is read once G's temporaries are gone, and G B_x goes once M is
-        # formed: a basis built on first read (lowrank) adds to neither peak.
-        B_z = lin_z.basis
-        M = B_z.T @ GB_x
-        del GB_x
-        C = scale * ((B_x.T @ B_z) @ M)
+        # The two row blocks, the largest arrays here, are gone before the k x k products.
+        AB_z = problem.apply_read(lin_z.rows)
+        M = AB_z.T @ problem.apply_read(lin_x.rows)
+        del AB_z
+        cross = lin_x.cross_gram(lin_z)
+        M = cross.T - eta * M
+        C = scale * (cross @ M)
         finite = np.isfinite(np.linalg.norm(C))
     if not finite:
         raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
@@ -117,7 +118,7 @@ def eigendecompose(C, sM):
     basis for a repeated eigenvalue, enters.
     """
     symmetric = np.linalg.norm(C - C.T) <= SYMMETRY_RTOL * (1.0 + np.linalg.norm(C))
-    rate = float(np.max(np.abs(np.linalg.eigh(0.5 * (C + C.T))[0])))
+    rate = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (C + C.T)))))
     if symmetric:
         return EigenData(spectral_radius=rate, eigvec_condition=1.0, symmetric=True)
     rate += float(np.linalg.norm(0.5 * (C - C.T), 2))

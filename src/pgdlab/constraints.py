@@ -4,9 +4,10 @@ Each constraint set C comes with two pieces of local geometry:
 
 * ``project(x)``        -- a closest point to x in C (deterministic tie-break),
 * ``linearize(x)``      -- the derivative of the projection at x (a scaled
-  orthogonal projector onto a tangent basis) together with the pair
-  (radius, curvature): inside a ball of ``radius`` around x the projection
-  deviates from its linearization by at most ``curvature * ||step||^2``.
+  orthogonal projector onto a tangent basis, kept as the Kronecker factors
+  of its columns) together with the pair (radius, curvature): inside a ball
+  of ``radius`` around x the projection deviates from its linearization by
+  at most ``curvature * ||step||^2``.
 
 A point is in C when it is its own projection (``relative_residuals``). The
 four families are an affine subspace {Cx = d}, the s-sparse vectors, the unit
@@ -97,16 +98,20 @@ class Linearization:
     """Derivative of a projection at a point, with its quadratic error bound.
 
     The derivative is ``scale * B B^T``, a scaled orthogonal projector onto the
-    span of ``basis`` B (ambient x tangent dimension, orthonormal columns).
+    span of the basis B (ambient x tangent dimension, orthonormal columns).
     ``radius`` may be ``inf``; ``curvature`` is finite and nonnegative.
-    ``basis`` is the array B, or a function rows -> B[rows] (None for all);
-    a function builds and keeps B on the first read of ``basis``, and until
-    then ``rows`` builds only the rows asked for, and ``dimension`` none.
+    ``basis`` is the array B, or the factors (R, L, ia, ib) of its columns:
+    column c is kron(R[:, ia[c]], L[:, ib[c]]), and an array B is the pair
+    R = [[1.0]], L = B. Each entry of B is the one product ``R[j, a] * L[i, b]``.
     """
 
     def __init__(self, basis, radius, curvature, scale=1.0):
-        self._build = basis if callable(basis) else None
-        self._basis = None if callable(basis) else np.asarray(basis, dtype=float)
+        # An array B is read as given: how a product with it rounds depends on its layout.
+        self._array = None if isinstance(basis, tuple) else np.asarray(basis, dtype=float)
+        if self._array is not None:
+            k = self._array.shape[1]
+            basis = (np.ones((1, 1)), self._array, np.zeros(k, dtype=int), np.arange(k))
+        self.right, self.left, self.ia, self.ib = basis
         self.radius = float(radius)
         self.curvature = float(curvature)
         self.scale = float(scale)
@@ -117,29 +122,44 @@ class Linearization:
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be finite and positive")
 
+    def rows(self, index=None):
+        """B[index] for an array of row indices (all rows for ``None``): row p
+        pairs row j of R with row i of L, j, i = divmod(p, len(L))."""
+        m = len(self.left)
+        index = np.arange(m * len(self.right)) if index is None else np.asarray(index, dtype=int)
+        out = np.empty((index.size, self.dimension))
+        step = max(1, 2**14 // max(self.dimension, 1))  # 128 KiB per factor gathered
+        for start in range(0, index.size, step):
+            j, i = np.divmod(index[start:start + step], m)
+            np.multiply(self.right[j].take(self.ia, axis=1), self.left[i].take(self.ib, axis=1),
+                        out=out[start:start + step])
+        return out
+
     @property
     def basis(self):
-        if self._basis is None:
-            self._basis = self._build(None)
-        return self._basis
-
-    def rows(self, index):
-        """B[index] for an array of row indices, the same bits as ``basis[index, :]``."""
-        if self._basis is None:
-            return self._build(index)
-        return self._basis[index, :]
+        """The array B: the one given, or formed from the factors on each read."""
+        return self.rows() if self._array is None else self._array
 
     @property
     def dimension(self):
         """The tangent dimension, B's number of columns."""
-        return self.rows(np.arange(0)).shape[1]
+        return self.ia.size
+
+    def cross_gram(self, other):
+        """B^T B' for the basis B' of ``other``: entry (c, c') is (R^T R')[ia[c],
+        ia'[c']] * (L^T L')[ib[c], ib'[c']] (Van Loan, "The ubiquitous Kronecker
+        product", J. Comput. Appl. Math. 2000); for array bases ``B.T @ B'`` bit for bit."""
+        gram = (self.right.T @ other.right).take(self.ia, 0).take(other.ia, 1)
+        gram *= (self.left.T @ other.left).take(self.ib, 0).take(other.ib, 1)
+        return gram
 
     def apply(self, vec):
         """Apply the derivative to a vector or to each row of a (k, n) block."""
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 2:
             vec = vec.reshape(-1)
-        return self.scale * (self.basis @ (self.basis.T @ vec[..., :, None]))[..., 0]
+        basis = self.basis
+        return self.scale * (basis @ (basis.T @ vec[..., :, None]))[..., 0]
 
     def operator_norm(self):
         """Spectral norm of the derivative."""
@@ -153,15 +173,12 @@ def coordinate_basis(support, n):
     return basis
 
 
-def rank_tangent_basis(U, V, rows=None):
-    """Orthonormal basis of the tangent space to the rank-r matrices at U S V^T,
-    or only its ``rows`` (all m*n rows for ``None``).
-
-    Columns are Kronecker products pairing the row-space directions with all
-    column directions and the row-space complement with the column-space
-    directions; stacking them reproduces the tangent projector. Row p pairs
-    row j, i = divmod(p, m) of the two factors; each entry is their one
-    product, the bits of ``np.kron``.
+def rank_tangent_factors(U, V):
+    """The factors (R, L, ia, ib) (see ``Linearization``), R = [V | V_perp] and
+    L = [U | U_perp], of an orthonormal basis of the tangent space to the rank-r
+    matrices at U S V^T, flattened column-major. Its columns pair the row-space
+    directions with all column directions and the row-space complement with
+    the column-space directions; stacking them reproduces the tangent projector.
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -175,16 +192,15 @@ def rank_tangent_basis(U, V, rows=None):
     qu, _ = np.linalg.qr(U, mode="complete")
     qv, _ = np.linalg.qr(V, mode="complete")
     m, n = len(U), len(V)
-    rows = np.arange(m * n) if rows is None else np.asarray(rows, dtype=int)
-    j, i = np.divmod(rows, m)
-    out = np.empty((rows.size, r * (m + n - r)))
-    start = 0
-    for right, left in ((V, U), (V, qu[:, r:]), (qv[:, r:], U)):
-        a, b = right.shape[1], left.shape[1]
-        block = out[:, start:start + a * b].reshape(rows.size, a, b)  # a view
-        np.multiply(right[j][:, :, None], left[i][:, None, :], out=block)
-        start += a * b
-    return out
+    own, rest_m, rest_n = np.arange(r), np.arange(r, m), np.arange(r, n)
+    ia = np.concatenate([np.repeat(own, r), np.repeat(own, m - r), np.repeat(rest_n, r)])
+    ib = np.concatenate([np.tile(own, r), np.tile(rest_m, r), np.tile(own, n - r)])
+    return np.hstack([V, qv[:, r:]]), np.hstack([U, qu[:, r:]]), ia, ib
+
+
+def rank_tangent_basis(U, V):
+    """The tangent basis of ``rank_tangent_factors`` as an array, with the bits of ``np.kron``."""
+    return Linearization(rank_tangent_factors(U, V), np.inf, 0.0).basis
 
 
 class Constraint:
@@ -410,9 +426,8 @@ class LowRankConstraint(Constraint):
         Y = (U[..., :r] * sig[..., None, :r]) @ Vt[..., :r, :]
         return Y.swapaxes(-1, -2).reshape(x.shape)
 
-    def _rank_r_factors(self, x):
-        X = self.to_matrix(x)
-        U, sig, Vt = np.linalg.svd(X, full_matrices=False)
+    def linearize(self, x):
+        U, sig, Vt = np.linalg.svd(self.to_matrix(x), full_matrices=False)
         tol = RANK_RTOL * (sig[0] if sig[0] > 0 else 1.0)
         if sig[self.r - 1] <= tol:
             raise ConstraintDomainError(
@@ -424,12 +439,8 @@ class LowRankConstraint(Constraint):
                 f"lowrank: derivative needs rank exactly {self.r}, "
                 f"but sigma_{self.r + 1}={sig[self.r]:.3e} is above tolerance"
             )
-        return U[:, : self.r], Vt[: self.r].T
-
-    def linearize(self, x):
-        U, V = self._rank_r_factors(x)
-        # Looked up at each build, so that a wrapper of rank_tangent_basis sees it.
-        return Linearization(lambda rows: rank_tangent_basis(U, V, rows), np.inf, RANK_CURVATURE)
+        factors = rank_tangent_factors(U[:, : self.r], Vt[: self.r].T)
+        return Linearization(factors, np.inf, RANK_CURVATURE)
 
     def random_member(self, rng):
         m_mat, n_mat = self.shape

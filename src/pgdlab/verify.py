@@ -65,8 +65,10 @@ def spectral_radius(H):
 
 
 def derivative_matrix(lin):
-    """The dense derivative ``scale * B B^T`` of a ``Linearization``, n x n."""
-    return lin.scale * (lin.basis @ lin.basis.T)
+    """The dense derivative ``scale * B B^T`` of a ``Linearization``, n x n; one read
+    of B makes the product exactly symmetric (BLAS ``syrk``)."""
+    basis = lin.basis
+    return lin.scale * (basis @ basis.T)
 
 
 def iteration_matrix(problem, x_star, eta):

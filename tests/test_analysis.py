@@ -9,6 +9,7 @@ from pgdlab.applications import analyze_problem
 from pgdlab.constraints import (
     AffineConstraint,
     Linearization,
+    LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
 )
@@ -482,12 +483,13 @@ def moved_observations(prob, delta=1e-11):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Call with a width limit: wrap ``np.linalg.eig`` and ``eigh`` to record
-    the (width, result) of every eigensolve and to fail on a wider matrix."""
+    """Call with a width limit: wrap ``np.linalg.eig``, ``eigh`` and ``eigvalsh``
+    to record the (width, result) of every eigensolve and to fail on a wider
+    matrix."""
 
     def limit(widest):
         calls = []
-        for name in ("eig", "eigh"):
+        for name in ("eig", "eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
 
             def recording(M, *args, _solve=solve, _name=name, **kwargs):
@@ -593,3 +595,46 @@ class TestCompressedCertificate:
             assert np.array_equal(apply(block), np.diag(d) @ block)
             for j in range(3):
                 assert np.array_equal(apply(block)[:, j], apply(block[:, j]))
+
+    def test_apply_read_asks_only_for_the_rows_a_reads(self):
+        rng = np.random.default_rng(9)
+        d = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+        d[[1, 4]] = 0.0
+        block = rng.standard_normal((6, 3))
+        asked = []
+
+        def rows(index):
+            asked.append(index)
+            return block[index]
+
+        diagonal = Problem(d, np.zeros(6), SphereConstraint(6))
+        assert np.array_equal(diagonal.apply_read(rows), (np.diag(d) @ block)[[0, 2, 3, 5]])
+        dense = Problem(rng.standard_normal((4, 6)), np.zeros(4), SphereConstraint(6))
+        assert np.array_equal(dense.apply_read(rows), dense.A @ block)
+        assert [index.tolist() for index in asked] == [[0, 2, 3, 5], list(range(6))]
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0, 4.0])
+    def test_diagonal_a_gives_the_certificate_of_its_dense_copy(self, fraction):
+        # Weights other than 0 and 1, some zero and some negative. The dense
+        # copy permutes the rows of A and b: A stays a matrix and reads every
+        # row of a basis, while A^T A, the gradient and x* keep their bits.
+        rng = np.random.default_rng(10)
+        spec = LowRankConstraint(2, (8, 6))
+        x_star = spec.random_member(rng)
+        d = rng.uniform(0.5, 1.5, spec.n) * rng.choice([-1.0, 1.0], spec.n)
+        d[rng.choice(spec.n, size=spec.n // 4, replace=False)] = 0.0
+        diagonal = Problem(d, d * x_star, spec)
+        perm = np.roll(np.eye(spec.n), 1, axis=0)
+        dense = Problem(perm @ np.diag(d), perm @ (d * x_star), spec)
+        assert diagonal.diagonal is not None and dense.diagonal is None
+        lin = spec.linearize(x_star)
+        eta = fraction / float(np.max(d**2))
+        conv = analysis.analyze_fixed_point(diagonal, x_star, lin, eta)
+        reference = analysis.analyze_fixed_point(dense, x_star, lin, eta)
+        assert conv.certified == reference.certified
+        assert conv.rate == pytest.approx(reference.rate, rel=1e-12, abs=1e-15)
+        assert conv.eigvec_condition == reference.eigvec_condition == 1.0
+        if conv.certified:
+            assert conv.region_radius == pytest.approx(reference.region_radius, rel=1e-12)
+        rho = verify.spectral_radius(verify.iteration_matrix(diagonal, x_star, eta))
+        assert abs(conv.rate - rho) <= 1e-12 * (1.0 + rho)

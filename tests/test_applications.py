@@ -259,17 +259,19 @@ class TestRankTangentBasis:
 
 @pytest.fixture
 def full_builds(monkeypatch):
-    """The calls of ``constraints.rank_tangent_basis`` that ask for all rows,
-    where a low-rank linearization builds its basis."""
+    """The (m, n) of each ``Linearization.rows`` call that forms all m*n rows
+    of a basis with factors R (n rows) and L (m rows): ``basis`` of a low-rank
+    linearization, or ``rank_tangent_basis``."""
     calls = []
-    build = constraints.rank_tangent_basis
+    rows = constraints.Linearization.rows
 
-    def counting(U, V, rows=None):
-        if rows is None:
-            calls.append((len(U), len(V)))
-        return build(U, V, rows)
+    def counting(lin, index=None):
+        size = len(lin.left) * len(lin.right)
+        if index is None or np.size(index) == size:
+            calls.append((len(lin.left), len(lin.right)))
+        return rows(lin, index)
 
-    monkeypatch.setattr(constraints, "rank_tangent_basis", counting)
+    monkeypatch.setattr(constraints.Linearization, "rows", counting)
     return calls
 
 
@@ -301,8 +303,36 @@ class TestObservedRowsOnly:
         assert full_builds == [(m, n)]
         assert np.array_equal(rows, basis[omega, :])
         assert np.array_equal(lin.rows(omega), rows)
-        assert lin.basis is basis and lin.dimension == basis.shape[1]
-        assert full_builds == [(m, n)]
+        # Each read of ``basis`` forms B again, with the same bits.
+        assert np.array_equal(lin.basis, basis) and lin.dimension == basis.shape[1]
+        assert full_builds == [(m, n)] * 2
+
+    @pytest.mark.parametrize("m, n, r", [(50, 40, 3), (12, 10, 2), (5, 4, 4), (4, 6, 4),
+                                         (1, 7, 1)])
+    def test_cross_gram_is_the_gram_of_the_built_bases(self, full_builds, m, n, r):
+        rng = np.random.default_rng(m * 100 + n * 10 + r)
+        spec = LowRankConstraint(r, (m, n))
+        lin_x = spec.linearize(spec.random_member(rng))
+        lin_z = spec.linearize(spec.random_member(rng))
+        cross = lin_x.cross_gram(lin_z)
+        assert full_builds == []
+        expected = lin_x.basis.T @ lin_z.basis
+        assert np.max(np.abs(cross - expected)) <= 1e-14
+        self_gram = lin_x.cross_gram(lin_x)
+        assert np.max(np.abs(self_gram - np.eye(lin_x.dimension))) <= 1e-14
+
+    def test_cross_gram_at_a_gradient_step_off_x_star(self):
+        # The moved-observations file: x* fits b only within the stationarity
+        # tolerance, so the gradient step z is not x*, and neither are its factors.
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
+        prob = Problem(prob.diagonal, prob.b + 1e-11 * prob.diagonal, prob.constraint)
+        report = analyze_problem(prob, x_star)
+        z = report.x_star - report.eta_opt * prob.gradient(report.x_star)
+        assert not np.array_equal(z, report.x_star)
+        lin_x, lin_z = report.linearization, prob.constraint.linearize(z)
+        expected = lin_x.basis.T @ lin_z.basis
+        assert np.max(np.abs(lin_x.cross_gram(lin_z) - expected)) <= 1e-14
+        assert np.max(np.abs(lin_z.cross_gram(lin_x) - expected.T)) <= 1e-14
 
     def test_instance_draw_forms_no_full_basis(self, full_builds):
         params = {"m": 100, "n": 80, "r": 4, "s": 2000}
@@ -319,8 +349,8 @@ class TestObservedRowsOnly:
 
     def test_certificate_peak_at_paper_scale(self, full_builds, tmp_path):
         # The family analysis and the certificate of the paper-scale file, as
-        # `pgdlab analyze` runs them: the certificate builds B_x and B_z, and
-        # B_z only once the temporaries of G B_x are gone.
+        # `pgdlab analyze` runs them: the certificate reads the bases only
+        # through their factors and the observed rows.
         prob, x_star = make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
         save_problem(tmp_path / "mcp.json", prob, x_star=x_star)
         prob, x_star, _ = load_problem(tmp_path / "mcp.json")
@@ -332,8 +362,23 @@ class TestObservedRowsOnly:
                 report.problem, report.x_star, report.linearization, report.eta_opt)
 
         peak = _traced_peak(analyze)
-        assert full_builds == [(50, 40)] * 2
-        assert peak <= 3.5 * basis_bytes  # 4.0 when the family analysis built the full basis
+        assert full_builds == []
+        assert peak < basis_bytes  # 3.28 bases when the certificate built B_x and B_z
+
+    def test_certificate_forms_no_full_basis(self, full_builds):
+        # 100 x 80, r = 4: each full basis is 45 MB, and the certificate built two.
+        prob, x_star = make_instance("mcp", {"m": 100, "n": 80, "r": 4, "s": 2000}, 0)
+        basis_bytes = 8 * 100 * 80 * 4 * (100 + 80 - 4)
+
+        def analyze():
+            report = analyze_problem(prob, x_star)
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, report.eta_opt)
+            assert abs(conv.rate - report.rate(report.eta_opt)) <= 1e-10
+
+        peak = _traced_peak(analyze)
+        assert full_builds == []
+        assert peak < basis_bytes
 
 
 class TestMcp:

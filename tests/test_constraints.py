@@ -227,6 +227,21 @@ class TestTangentBasisContract:
         assert lin.operator_norm() == 0.0
         np.testing.assert_array_equal(lin.apply([2.0]), [0.0])
 
+    @pytest.mark.parametrize("kind", ["affine", "sparse", "sphere"])
+    def test_cross_gram_of_array_bases_is_their_product_bit_for_bit(self, kind):
+        # An array basis is the factor pair R = [[1.0]], L = B: the [[1.0]]
+        # factor must multiply exactly, whatever B's layout.
+        rng = np.random.default_rng(22)
+        spec, x, _ = _tangent_case(kind, rng)
+        B_x = spec.linearize(x).basis
+        B_z = spec.linearize(x + 1e-3 * rng.standard_normal(spec.n)).basis.copy()
+        lin_x, lin_z = Linearization(B_x, np.inf, 0.0), Linearization(B_z, np.inf, 0.0, 2.0)
+        assert np.array_equal(lin_x.cross_gram(lin_z), B_x.T @ B_z)
+        assert np.array_equal(lin_z.cross_gram(lin_x), B_z.T @ B_x)
+        wide = rng.standard_normal((spec.n, 3))
+        assert np.array_equal(lin_x.cross_gram(Linearization(wide, np.inf, 0.0)), B_x.T @ wide)
+        assert np.array_equal(lin_x.rows(), B_x) and lin_x.basis is B_x
+
 
 class TestFiniteDifference:
     def test_sphere(self):
