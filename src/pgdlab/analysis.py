@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCertificateError
+from .errors import ConstraintDomainError, NoCertificateError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -80,16 +80,20 @@ def _compressed_update(problem, lin_x, lin_z, eta):
     so C has the nonzero eigenvalues of H (Horn & Johnson, Matrix Analysis,
     Thm 1.3.22), and H^j = B_z (sM) C^(j-1) B_x^T. B_z^T G B_x is
     (B_x^T B_z)^T - eta (A B_z)^T (A B_x), with the cross Gram taken from the
-    bases' factors and A applied to the rows of each basis that it reads: no
-    n x n array, and for a diagonal A no full basis. A step at which C
-    overflows has no certificate.
+    bases' factors: no n x n array. A matrix A is applied to every row of
+    each basis; for a diagonal A = diag(d), (A B_z)^T (A B_x) = B_z^T diag(d^2)
+    B_x is the weighted cross Gram of the factors, with no array as tall as
+    a basis. A step at which C overflows has no certificate.
     """
     scale = lin_z.scale * lin_x.scale
     with np.errstate(over="ignore", invalid="ignore"):
-        # The two row blocks, the largest arrays here, are gone before the k x k products.
-        AB_z = problem.apply_read(lin_z.rows)
-        M = AB_z.T @ problem.apply_read(lin_x.rows)
-        del AB_z
+        if problem.diagonal is None:
+            # The two row blocks, the largest arrays here, are gone before the k x k products.
+            AB_z = problem.apply(lin_z.rows())
+            M = AB_z.T @ problem.apply(lin_x.rows())
+            del AB_z
+        else:
+            M = lin_z.cross_gram(lin_x, problem.diagonal**2)
         cross = lin_x.cross_gram(lin_z)
         M = cross.T - eta * M
         C = scale * (cross @ M)
@@ -326,6 +330,17 @@ def json_float(v):
     return "inf" if np.isinf(v) else v
 
 
+def _require_fixed_point(problem, x_star, z, eta):
+    """NoCertificateError unless ||P(z) - x*|| / (1 + ||x*||) <= FIXED_POINT_RTOL."""
+    gap = float(np.linalg.norm(problem.constraint.project(z) - x_star)
+                / (1.0 + np.linalg.norm(x_star)))
+    if not gap <= FIXED_POINT_RTOL:
+        raise NoCertificateError(
+            f"x* is not a fixed point at eta={eta:g}: the gap "
+            f"||P(z) - x*|| / (1 + ||x*||) = {gap:.3e} exceeds {FIXED_POINT_RTOL:g}"
+        )
+
+
 def analyze_fixed_point(problem, x_star, linearization, eta):
     """Full convergence report for PGD with step ``eta`` at the fixed point
     ``x_star`` of ``problem``, whose projection has ``linearization`` there.
@@ -336,7 +351,8 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
     radius. Near one (x* within a family's stationarity tolerance) C is nearly
     symmetric, and the rate is a norm bound within ||K|| of it. A step at
     which P(z) = x* fails by more than ``FIXED_POINT_RTOL`` has no
-    certificate, nor one at which the gradient step z overflows.
+    certificate, and says so also where P has no derivative at z; nor has
+    one at which the gradient step z overflows.
     """
     eta = float(require_steps(eta))
     contraction = contraction_factor(*problem.ata_extremes(), eta)
@@ -346,15 +362,13 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
         z = x_star - eta * problem.gradient(x_star)
     if not np.all(np.isfinite(z)):
         raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
-    lin_z = problem.constraint.linearize(z)
+    try:
+        lin_z = problem.constraint.linearize(z)
+    except ConstraintDomainError:
+        _require_fixed_point(problem, x_star, z, eta)
+        raise
     eig = eigendecompose(*_compressed_update(problem, linearization, lin_z, eta))
-    gap = float(np.linalg.norm(problem.constraint.project(z) - x_star)
-                / (1.0 + np.linalg.norm(x_star)))
-    if not gap <= FIXED_POINT_RTOL:
-        raise NoCertificateError(
-            f"x* is not a fixed point at eta={eta:g}: the gap "
-            f"||P(z) - x*|| / (1 + ||x*||) = {gap:.3e} exceeds {FIXED_POINT_RTOL:g}"
-        )
+    _require_fixed_point(problem, x_star, z, eta)
     rate, kappa = eig.spectral_radius, eig.eigvec_condition
     quad = quadratic_coefficient(
         kappa, contraction, lin_z.curvature, lin_z.operator_norm(), linearization.curvature

@@ -145,12 +145,47 @@ class Linearization:
         """The tangent dimension, B's number of columns."""
         return self.ia.size
 
-    def cross_gram(self, other):
+    def _blocks(self):
+        """B's columns as Kronecker blocks (a, b, pos), a a slice of R's columns
+        and b an array of L's: column pos[s, t] is kron(R[:, a][:, s], L[:, b[t]]).
+        A block is a run of columns of R that pair with the same columns of L;
+        a rank-r tangent basis has two, (a < r, every b) and (a >= r, b < r),
+        and an array basis one, a = [0]."""
+        pos = np.full((self.right.shape[1], self.left.shape[1]), -1)
+        pos[self.ia, self.ib] = np.arange(self.dimension)
+        paired = pos >= 0
+        ends = [*((paired[1:] != paired[:-1]).any(1).nonzero()[0] + 1).tolist(), len(pos)]
+        blocks = []
+        for start, stop in zip([0, *ends], ends):
+            b = paired[start].nonzero()[0]
+            if b.size:
+                blocks.append((slice(start, stop), b, pos[start:stop].take(b, 1)))
+        return blocks
+
+    def cross_gram(self, other, weights=None):
         """B^T B' for the basis B' of ``other``: entry (c, c') is (R^T R')[ia[c],
         ia'[c']] * (L^T L')[ib[c], ib'[c']] (Van Loan, "The ubiquitous Kronecker
-        product", J. Comput. Appl. Math. 2000); for array bases ``B.T @ B'`` bit for bit."""
-        gram = (self.right.T @ other.right).take(self.ia, 0).take(other.ia, 1)
-        gram *= (self.left.T @ other.left).take(self.ib, 0).take(other.ib, 1)
+        product", J. Comput. Appl. Math. 2000); for array bases ``B.T @ B'`` bit for bit.
+
+        With ``weights`` w, one per row, it is B^T diag(w) B'. Writing W[j, i]
+        for w at row j * len(L) + i, entry (c, c') is sum_j R[j, a] R'[j, a']
+        (L^T diag(W[j]) L')[b, b'], formed for one of B's ``_blocks`` at a time
+        with two matmuls, contracting over j or over i first, whichever leaves
+        the smaller intermediate, and written into place: no array has as many
+        rows as B."""
+        if weights is None:
+            gram = (self.right.T @ other.right).take(self.ia, 0).take(other.ia, 1)
+            gram *= (self.left.T @ other.left).take(self.ib, 0).take(other.ib, 1)
+            return gram
+        W = np.asarray(weights, dtype=float).reshape(len(self.right), len(self.left))
+        gram = np.empty((self.dimension, other.dimension))
+        for a, b, pos in self._blocks():
+            R, L = self.right[:, a], self.left.take(b, 1)
+            if len(L) * R.shape[1] <= len(R) * b.size:
+                _weighted_rows(R, L, W, other.right, other.left, other.ia, other.ib, pos, gram)
+            else:
+                _weighted_rows(L, R, W.T, other.left, other.right, other.ib, other.ia, pos.T,
+                               gram)
         return gram
 
     def apply(self, vec):
@@ -164,6 +199,15 @@ class Linearization:
     def operator_norm(self):
         """Spectral norm of the derivative."""
         return self.scale if self.dimension else 0.0
+
+
+def _weighted_rows(R, L, W, R2, L2, ia2, ib2, pos, out):
+    """out[pos[s, t]] = sum_j sum_i R[j, s] L[i, t] W[j, i] R2[j, ia2] * L2[i, ib2],
+    contracted over j first: rows of B^T diag(w) B' for one block of B."""
+    Y = (W[:, :, None] * R[:, None, :]).reshape(len(R), -1).T @ R2  # (i, s) x a2
+    Z = Y.reshape(len(L), R.shape[1], -1).take(ia2, axis=2)
+    Z *= L2.take(ib2, axis=1)[:, None, :]  # i x s x c'
+    out[pos.T] = (L.T @ Z.reshape(len(L), -1)).reshape(L.shape[1], R.shape[1], -1)
 
 
 def coordinate_basis(support, n):

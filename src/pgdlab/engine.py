@@ -83,16 +83,6 @@ class Problem:
             return self._matrix.T @ r
         return self.diagonal * r if np.ndim(r) < 2 else self.diagonal[:, None] * r
 
-    def apply_read(self, rows):
-        """A @ X from ``rows(index) -> X[index]``, asking only for the rows that A
-        reads: a diagonal A scales where it is nonzero in place, and leaves out its zero rows."""
-        if self.diagonal is None:
-            return self._matrix @ rows(np.arange(self.shape[1]))
-        read = np.flatnonzero(self.diagonal)
-        block = rows(read)
-        block *= self.diagonal[read, None]
-        return block
-
     def ata_extremes(self):
         """Largest and smallest eigenvalues of A^T A (see analysis.ata_extremes),
         computed on the first call: a problem does not change."""

@@ -228,5 +228,5 @@ def save_problem(path, problem, x_star=None, x0=None):
         if point is not None:
             doc[key] = np.asarray(point, dtype=float).reshape(-1, order="F").tolist()
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # dumps runs the C encoder; dump ran the pure-Python one, to the same bytes.
+        fh.write(json.dumps(doc) + "\n")

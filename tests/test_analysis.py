@@ -596,22 +596,31 @@ class TestCompressedCertificate:
             for j in range(3):
                 assert np.array_equal(apply(block)[:, j], apply(block[:, j]))
 
-    def test_apply_read_asks_only_for_the_rows_a_reads(self):
+    def test_product_reads_rows_only_for_a_dense_a(self, monkeypatch):
+        # (A B_z)^T (A B_x) for a diagonal A is B_z^T diag(d^2) B_x from the
+        # factors, with no row of either basis; a dense A is applied to every
+        # row of each basis, once, and keeps the bits of that row product.
         rng = np.random.default_rng(9)
-        d = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
-        d[[1, 4]] = 0.0
-        block = rng.standard_normal((6, 3))
+        spec = LowRankConstraint(2, (6, 5))
+        x, z = spec.random_member(rng), spec.random_member(rng)
+        lin_x, lin_z = spec.linearize(x), spec.linearize(z)
+        B_x, B_z = lin_x.basis, lin_z.basis
+        d = rng.uniform(0.5, 2.0, spec.n) * rng.choice([-1.0, 1.0], spec.n)
+        d[[1, 4, 17]] = 0.0
+        A = rng.standard_normal((8, spec.n))
+        cross, eta = B_x.T @ B_z, 0.3
         asked = []
+        rows = Linearization.rows
+        monkeypatch.setattr(Linearization, "rows",
+                            lambda lin, index=None: asked.append(index) or rows(lin, index))
 
-        def rows(index):
-            asked.append(index)
-            return block[index]
-
-        diagonal = Problem(d, np.zeros(6), SphereConstraint(6))
-        assert np.array_equal(diagonal.apply_read(rows), (np.diag(d) @ block)[[0, 2, 3, 5]])
-        dense = Problem(rng.standard_normal((4, 6)), np.zeros(4), SphereConstraint(6))
-        assert np.array_equal(dense.apply_read(rows), dense.A @ block)
-        assert [index.tolist() for index in asked] == [[0, 2, 3, 5], list(range(6))]
+        _, sM = analysis._compressed_update(Problem(d, np.zeros(spec.n), spec), lin_x, lin_z, eta)
+        assert asked == []
+        expected = cross.T - eta * (B_z.T @ ((d**2)[:, None] * B_x))
+        assert np.max(np.abs(sM - expected)) <= 1e-14 * np.max(np.abs(expected))
+        _, sM = analysis._compressed_update(Problem(A, np.zeros(8), spec), lin_x, lin_z, eta)
+        assert asked == [None, None]
+        assert np.array_equal(sM, lin_x.cross_gram(lin_z).T - eta * ((A @ B_z).T @ (A @ B_x)))
 
     @pytest.mark.parametrize("fraction", [0.5, 1.0, 4.0])
     def test_diagonal_a_gives_the_certificate_of_its_dense_copy(self, fraction):

@@ -284,6 +284,25 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _weights(kind, rng, n):
+    """Row weights: a 0/1 mask, or values in +-[0.5, 1.5] with a quarter zero."""
+    if kind == "mask":
+        return (rng.random(n) < 0.4).astype(float)
+    w = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    w[rng.choice(n, size=n // 4, replace=False)] = 0.0
+    return w
+
+
+def _assert_weighted_cross_gram(lin_z, lin_x, w):
+    """Both orders of the weighted cross Gram within 1e-14, relative to its
+    largest entry, of B_z^T diag(w) B_x formed from the built bases."""
+    B_z, B_x = lin_z.basis, lin_x.basis
+    expected = B_z.T @ (w[:, None] * B_x)
+    tol = 1e-14 * np.max(np.abs(expected))
+    assert np.max(np.abs(lin_z.cross_gram(lin_x, w) - expected)) <= tol
+    assert np.max(np.abs(lin_x.cross_gram(lin_z, w) - expected.T)) <= tol
+
+
 class TestObservedRowsOnly:
     """A completion analysis builds the rows of its tangent basis that it
     reads; the full basis only where the certificate reads it."""
@@ -333,6 +352,49 @@ class TestObservedRowsOnly:
         expected = lin_x.basis.T @ lin_z.basis
         assert np.max(np.abs(lin_x.cross_gram(lin_z) - expected)) <= 1e-14
         assert np.max(np.abs(lin_z.cross_gram(lin_x) - expected.T)) <= 1e-14
+        # (A B_z)^T (A B_x) for the completion mask A = diag(d): B_z^T diag(d^2) B_x.
+        _assert_weighted_cross_gram(lin_z, lin_x, prob.diagonal**2)
+
+    @pytest.mark.parametrize("weights", ["mask", "signed"])
+    @pytest.mark.parametrize("m, n, r", [(50, 40, 3), (12, 10, 2), (5, 4, 4), (4, 6, 4),
+                                         (1, 7, 1)])
+    def test_weighted_cross_gram_is_the_weighted_gram_of_the_built_bases(
+            self, full_builds, m, n, r, weights):
+        rng = np.random.default_rng(m * 100 + n * 10 + r)
+        spec = LowRankConstraint(r, (m, n))
+        lin_x = spec.linearize(spec.random_member(rng))
+        lin_z = spec.linearize(spec.random_member(rng))
+        w = _weights(weights, rng, spec.n)
+        lin_z.cross_gram(lin_x, w)
+        assert full_builds == []
+        _assert_weighted_cross_gram(lin_z, lin_x, w)
+
+    def test_weighted_cross_gram_peak_is_below_one_observed_row_block(self, full_builds):
+        # 100 x 80, r = 4, s = 2000: the observed rows of one basis are an
+        # 11.3 MB block, and the product formed from them held two (26.5 MB).
+        prob, x_star = make_instance("mcp", {"m": 100, "n": 80, "r": 4, "s": 2000}, 0)
+        report = analyze_problem(prob, x_star)
+        z = report.x_star - report.eta_opt * prob.gradient(report.x_star)
+        lin_x, lin_z = report.linearization, prob.constraint.linearize(z)
+        weights = prob.diagonal**2
+        peak = _traced_peak(lambda: lin_z.cross_gram(lin_x, weights))
+        assert full_builds == []
+        assert peak < 8 * 2000 * lin_x.dimension
+
+    def test_diagonal_certificate_reads_no_rows(self, monkeypatch):
+        # The family analysis reads the observed rows for its Gram; the
+        # certificate reads the bases only through their factors.
+        prob, x_star = make_instance("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7)
+        report = analyze_problem(prob, x_star)
+        asked = []
+        rows = constraints.Linearization.rows
+        monkeypatch.setattr(constraints.Linearization, "rows",
+                            lambda lin, index=None: asked.append(index) or rows(lin, index))
+        for eta in (0.5 * report.eta_opt, report.eta_opt):
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, eta)
+            assert abs(conv.rate - report.rate(eta)) <= 1e-10
+        assert asked == []
 
     def test_instance_draw_forms_no_full_basis(self, full_builds):
         params = {"m": 100, "n": 80, "r": 4, "s": 2000}

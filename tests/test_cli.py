@@ -685,6 +685,30 @@ class TestAnalyzeCommand:
         assert re.search(r"not a fixed point at eta=1\.5: the gap .* = 8\.400e-01",
                          refused["no_certificate"])
 
+    @pytest.mark.parametrize(
+        "doc, eta, refusal",
+        [({"A": np.eye(2).tolist(), "b": [0.3, 0.4], "constraint": {"type": "sphere"},
+           "x_star": [0.6, 0.8]}, "2.0",
+          r"not a fixed point at eta=2: the gap .* = 4\.472e-01"),
+         ({"A": np.eye(3).tolist(), "b": [1.0, 0.9, 0.0],
+           "constraint": {"type": "sparse", "s": 1}, "x_star": [1.0, 0.0, 0.0]},
+          "1.1111111111111112", r"^sparse: derivative needs a strict magnitude gap")],
+        ids=["sphere_origin_no_fixed_point", "iht_tie_fixed_point"],
+    )
+    def test_step_onto_a_kink_names_the_fixed_point_gap_first(
+            self, tmp_path, capsys, doc, eta, refusal):
+        # Both gradient steps land where P has no derivative: z = 0 for the
+        # sphere, whose P(z) = e1 is not x*, and the tie z = (1, 1, 0) for iht,
+        # whose tie-break keeps x* = e1, a true fixed point.
+        path = tmp_path / "kink.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", str(path), "--eta", eta])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        [refused] = json.loads(out)["etas"]
+        assert refused["convergence"] is None
+        assert re.search(refusal, refused["no_certificate"])
+
     def test_non_finite_x_star_exit_one(self, nan_x_star_file, capsys):
         code = main(["analyze", str(nan_x_star_file)])
         assert code == 1

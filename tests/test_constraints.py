@@ -242,6 +242,22 @@ class TestTangentBasisContract:
         assert np.array_equal(lin_x.cross_gram(Linearization(wide, np.inf, 0.0)), B_x.T @ wide)
         assert np.array_equal(lin_x.rows(), B_x) and lin_x.basis is B_x
 
+    @pytest.mark.parametrize("kind", ["affine", "sparse", "sphere"])
+    def test_weighted_cross_gram_of_array_bases(self, kind):
+        # The weights of a diagonal A = diag(d), d^2 with d in +-[0.5, 1.5]
+        # and some zero: B_z^T diag(d^2) B_x within 1e-14 relative, both orders.
+        rng = np.random.default_rng(23)
+        spec, x, _ = _tangent_case(kind, rng)
+        B_x = spec.linearize(x).basis
+        B_z = spec.linearize(x + 1e-3 * rng.standard_normal(spec.n)).basis
+        lin_x, lin_z = Linearization(B_x, np.inf, 0.0), Linearization(B_z, np.inf, 0.0, 2.0)
+        d = rng.uniform(0.5, 1.5, spec.n) * rng.choice([-1.0, 1.0], spec.n)
+        d[rng.choice(spec.n, size=spec.n // 4, replace=False)] = 0.0
+        expected = B_z.T @ ((d**2)[:, None] * B_x)
+        tol = 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(lin_z.cross_gram(lin_x, d**2) - expected)) <= tol
+        assert np.max(np.abs(lin_x.cross_gram(lin_z, d**2) - expected.T)) <= tol
+
 
 class TestFiniteDifference:
     def test_sphere(self):
