@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import relative_residuals
 from .errors import ConstraintDomainError, NoCertificateError
 
 SYMMETRY_RTOL = 1e-12
@@ -332,8 +333,7 @@ def json_float(v):
 
 def _require_fixed_point(problem, x_star, z, eta):
     """NoCertificateError unless ||P(z) - x*|| / (1 + ||x*||) <= FIXED_POINT_RTOL."""
-    gap = float(np.linalg.norm(problem.constraint.project(z) - x_star)
-                / (1.0 + np.linalg.norm(x_star)))
+    gap = float(relative_residuals(problem.constraint.project(z) - x_star, x_star))
     if not gap <= FIXED_POINT_RTOL:
         raise NoCertificateError(
             f"x* is not a fixed point at eta={eta:g}: the gap "

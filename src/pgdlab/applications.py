@@ -293,7 +293,7 @@ def _analyze_mcp(problem, x_star):
 
     omega = np.flatnonzero(sampled)
     observed = problem.b[omega]
-    fit = np.linalg.norm(x_star[omega] - observed) / (1.0 + np.linalg.norm(observed))
+    fit = float(relative_residuals(x_star[omega] - observed, observed))
     if fit > STATIONARITY_TOL:
         raise StationarityError(
             f"X_star does not reproduce the observations (residual {fit:.3e})"

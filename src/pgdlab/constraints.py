@@ -356,9 +356,10 @@ class SparsityConstraint(Constraint):
 
     def linearize(self, x):
         x = _as_vector(x, self.n)
-        mags = np.sort(np.abs(x))[::-1]
-        smallest_kept = mags[self.s - 1]
-        largest_dropped = mags[self.s] if self.s < self.n else 0.0
+        mags = np.abs(x)
+        order = np.argsort(-mags, kind="stable")  # the order that _top cuts at s
+        smallest_kept = mags[order[self.s - 1]]
+        largest_dropped = mags[order[self.s]] if self.s < self.n else 0.0
         if smallest_kept <= largest_dropped or smallest_kept == 0.0:
             raise ConstraintDomainError(
                 "sparse: derivative needs a strict magnitude gap at rank s "
@@ -367,7 +368,7 @@ class SparsityConstraint(Constraint):
         # Support is stable within (gap)/sqrt(2); at an exactly s-sparse point
         # the dropped boundary is zero and the radius reduces to |x_[s]|/sqrt(2).
         radius = (smallest_kept - largest_dropped) / SQRT2
-        return Linearization(coordinate_basis(self.top_support(x), self.n), radius, 0.0)
+        return Linearization(coordinate_basis(np.sort(order[: self.s]), self.n), radius, 0.0)
 
     def random_member(self, rng):
         out = np.zeros(self.n)

@@ -39,7 +39,8 @@ class Problem:
         if A.ndim not in (1, 2):
             raise ValueError("A must be a matrix or the diagonal of a square one")
         # A ValueError naming the field, which is also its path in a problem
-        # file: load_problem passes it on and does not scan A itself.
+        # file; load_problem checks A and b before it builds a problem, so
+        # only a library caller meets these two.
         if not np.all(np.isfinite(A)):
             raise ProblemFileError("A", "entries must be finite")
         if A.ndim == 2 and A.shape[0] == A.shape[1] and (

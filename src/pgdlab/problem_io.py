@@ -5,20 +5,22 @@ A problem file is a JSON object with fields
 * ``A``: matrix, in one of three forms: nested lists (rows);
   ``{"shape": [m, n], "data": [...]}`` with the data flattened row-major and
   m, n positive whole numbers; or ``{"diagonal": [d_1, ..., d_n]}`` for the
-  square matrix diag(d), a flat non-empty array (a completion sampling mask,
+  square matrix diag(d), a non-empty array (a completion sampling mask,
   for one, has d_i = 1 on the observed entries and 0 elsewhere),
 * ``b``: array,
 * ``constraint``: ``{"type": "affine"|"sparse"|"sphere"|"lowrank", ...}`` with
-  the variant fields ``C``/``d``, ``s``, ``r``/``shape`` (``s``, ``r`` and
-  ``shape`` whole numbers),
-* optional ``x_star`` and ``x0``: flat arrays or, for a ``lowrank``
+  the variant fields ``C`` (a matrix in either dense form), ``d`` (an array),
+  ``s``, ``r`` (whole numbers) and ``shape`` (two positive whole numbers),
+* optional ``x_star`` and ``x0``: arrays or, for a ``lowrank``
   constraint, also the m x n matrix as nested rows, which is read
   column-major as the constraint vectorizes it.
 
-A whole number is a JSON integer or a number with no fractional part;
-``true`` and ``false`` are not numbers. The entries of every array must be
-finite and so must its 2-norm. Validation errors carry the JSON path of the
-offending field.
+Every array field is read by one rule: it converts to floats, its entries
+and its 2-norm are finite, and it is flat; only the rows of a dense matrix
+and the matrix form of a ``lowrank`` point are nested. A whole number is a
+JSON integer or a number with no fractional part; ``true`` and ``false`` are
+not numbers. Each constraint field is read whatever the type, and
+validation errors carry the JSON path of the offending field.
 
 :func:`save_problem` writes the diagonal form whenever A is diagonal
 (``Problem.diagonal`` is set) and the ``shape``/``data`` form otherwise; it
@@ -36,95 +38,95 @@ from .engine import Problem
 from .errors import ProblemFileError
 
 
+def _array(obj, path, nested=False):
+    """``obj`` as a float array with finite entries and a finite 2-norm;
+    flat unless ``nested``."""
+    try:
+        arr = np.asarray(obj, dtype=float)  # a ragged list raises ValueError
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(path, f"not a numeric array: {exc}") from exc
+    if arr.ndim == 0:
+        raise ProblemFileError(path, f"expected an array, got {json.dumps(obj)}")
+    if arr.ndim > 1 and not nested:
+        raise ProblemFileError(path, "expected a flat array, got a nested one")
+    if not np.all(np.isfinite(arr)):
+        raise ProblemFileError(path, "entries must be finite")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
+    if not np.isfinite(norm):
+        raise ProblemFileError(path, "the 2-norm overflows")
+    return arr
+
+
 def _whole(value):
-    """``value`` as an int if it is a whole number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if isinstance(value, float) and not value.is_integer():  # also refuses nan, inf
-        return None
-    return int(value)
+    """``value`` as an int if it is a whole number (not nan or inf), else None."""
+    if isinstance(value, float) and value.is_integer() or (
+            isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    return None
 
 
-def _shape_from_json(obj, path):
-    dims = [_whole(v) for v in obj] if isinstance(obj, list) else []
-    if len(dims) != 2 or None in dims or min(dims) < 1:
+def _count(obj, path):
+    value = _whole(obj)
+    if value is None:
+        raise ProblemFileError(path, f"must be a whole number, got {json.dumps(obj)}")
+    return value
+
+
+def _shape(obj, path):
+    dims = [_whole(v) for v in obj] if isinstance(obj, list) and len(obj) == 2 else [None]
+    if None in dims or min(dims) < 1:
         raise ProblemFileError(
             path, f"shape must be two positive whole numbers, got {json.dumps(obj)}"
         )
     return tuple(dims)
 
 
-def _matrix_from_json(obj, path):
-    if isinstance(obj, dict):
-        shape = _shape_from_json(obj.get("shape"), path)
-        try:
-            data = np.asarray(obj["data"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemFileError(path, f"bad matrix object: {exc}") from exc
-        if data.size != shape[0] * shape[1]:
-            raise ProblemFileError(
-                path, f"data length {data.size} does not match shape {shape}"
-            )
-        mat = data.reshape(shape)  # row-major
-    else:
-        try:
-            mat = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(path, f"not a numeric matrix: {exc}") from exc
+def _matrix(obj, path):
+    """A dense matrix, given as its rows or as a shape and row-major data."""
+    if not isinstance(obj, dict):
+        mat = _array(obj, path, nested=True)
         if mat.ndim != 2:
             raise ProblemFileError(path, f"expected a matrix, got {mat.ndim} dimensions")
-    return mat
+        return mat
+    shape = _shape(obj.get("shape"), path)
+    data = _array(obj.get("data"), path)
+    if data.size != shape[0] * shape[1]:
+        raise ProblemFileError(path, f"data length {data.size} does not match shape {shape}")
+    return data.reshape(shape)
 
 
-def _vector_from_json(obj, path):
-    try:
-        vec = np.asarray(obj, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(path, f"not a numeric array: {exc}") from exc
-    if not np.all(np.isfinite(vec)):
-        raise ProblemFileError(path, "entries must be finite")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if not np.isfinite(norm):
-        raise ProblemFileError(path, "the 2-norm overflows")
-    return vec
+def _A(obj):
+    """The matrix A or, for the diagonal form, its diagonal."""
+    if not (isinstance(obj, dict) and "diagonal" in obj):
+        return _matrix(obj, "A")
+    if set(obj) != {"diagonal"}:
+        raise ProblemFileError(
+            "A", f"a diagonal matrix has only the field 'diagonal', got {sorted(obj)}"
+        )
+    diagonal = _array(obj["diagonal"], "A.diagonal")
+    if not diagonal.size:
+        raise ProblemFileError("A.diagonal", "must not be empty")
+    return diagonal
 
 
-def _point_from_json(obj, path, constraint):
+def _point(obj, path, constraint):
     """``x_star`` or ``x0`` as a vector of the constraint's dimension."""
-    if isinstance(obj, list) and any(isinstance(v, list) for v in obj):
-        try:
-            mat = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(path, f"not a numeric array: {exc}") from exc
-        if constraint.kind != "lowrank":
-            raise ProblemFileError(path, "expected a flat array, got a nested one")
-        if mat.shape != constraint.shape:
+    vec = _array(obj, path, nested=constraint.kind == "lowrank")
+    if vec.ndim > 1:
+        if vec.shape != constraint.shape:
             raise ProblemFileError(
                 path,
-                f"a nested array must be the {constraint.shape} matrix, got shape {mat.shape}",
+                f"a nested array must be the {constraint.shape} matrix, got shape {vec.shape}",
             )
-        obj = mat.reshape(-1, order="F")
-    vec = _vector_from_json(obj, path)
+        vec = vec.reshape(-1, order="F")
     if vec.size != constraint.n:
         raise ProblemFileError(path, f"length {vec.size} does not match dimension {constraint.n}")
     return vec
 
 
-def _diagonal_from_json(obj, path):
-    """The diagonal of a ``{"diagonal": [...]}`` matrix object."""
-    if set(obj) != {"diagonal"}:
-        raise ProblemFileError(
-            path, f"a diagonal matrix has only the field 'diagonal', got {sorted(obj)}"
-        )
-    path = f"{path}.diagonal"
-    entries = obj["diagonal"]
-    if not isinstance(entries, list) or any(isinstance(v, list) for v in entries):
-        raise ProblemFileError(path, "expected a flat array of numbers")
-    if not entries:
-        raise ProblemFileError(path, "must not be empty")
-    return _vector_from_json(entries, path)
-
+# The reader of each constraint field, which reads it wherever it is present.
+_FIELDS = {"C": _matrix, "d": _array, "s": _count, "r": _count, "shape": _shape}
 
 # Each constraint type's fields besides "type", which save_problem writes from
 # the constraint's attributes of the same names, and its constructor, which
@@ -138,31 +140,21 @@ _CONSTRAINTS = {
 
 
 def _constraint_from_json(doc, n):
-    """The ``constraint`` object as a constraint on R^n. Its ``s``, ``r`` and
-    ``shape``, which a constructor would truncate, must be whole numbers
-    whatever the type; an object-form ``C`` is read as a matrix."""
-    if isinstance(doc, dict):
-        for key in ("s", "r"):
-            if key in doc and _whole(doc[key]) is None:
-                raise ProblemFileError(
-                    "constraint", f"{key} must be a whole number, got {json.dumps(doc[key])}"
-                )
-        if "shape" in doc:
-            _shape_from_json(doc["shape"], "constraint")
-        if isinstance(doc.get("C"), dict):
-            C = _matrix_from_json(doc["C"], "constraint.C")
-            if not np.all(np.isfinite(C)):
-                raise ProblemFileError("constraint.C", "entries must be finite")
-            doc = {**doc, "C": C}
+    """The ``constraint`` object as a constraint on R^n. The constructor's
+    refusals are of conditions between fields, and name ``constraint``."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ProblemFileError("constraint", "constraint JSON must be an object with a 'type' field")
+    values = {key: read(doc[key], f"constraint.{key}") for key, read in _FIELDS.items()
+              if key in doc}
     kind = doc["type"]
     if not isinstance(kind, str) or kind not in _CONSTRAINTS:
         raise ProblemFileError("constraint", f"unknown constraint type {kind!r}")
     fields, build = _CONSTRAINTS[kind]
     try:
-        spec = build(*(doc[key] for key in fields), n)
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = build(*(values[key] for key in fields), n)
+    except KeyError as exc:
+        raise ProblemFileError(f"constraint.{exc.args[0]}", "missing required field") from None
+    except ValueError as exc:
         raise ProblemFileError("constraint", str(exc)) from exc
     if spec.n != n:
         raise ProblemFileError(
@@ -192,22 +184,16 @@ def load_problem(path):
         if key not in doc:
             raise ProblemFileError(key, "missing required field")
 
-    # A is the matrix or, for the diagonal form, its diagonal.
-    if isinstance(doc["A"], dict) and "diagonal" in doc["A"]:
-        A = _diagonal_from_json(doc["A"], "A")
-    else:
-        A = _matrix_from_json(doc["A"], "A")
-    b = _vector_from_json(doc["b"], "b")
+    A = _A(doc["A"])
+    b = _array(doc["b"], "b")
     constraint = _constraint_from_json(doc["constraint"], A.shape[-1])
     try:
-        problem = Problem(A, b, constraint)  # checks that a dense A is finite, naming path A
-    except ProblemFileError:
-        raise
+        problem = Problem(A, b, constraint)
     except ValueError as exc:
         raise ProblemFileError("$", str(exc)) from exc
 
     x_star, x0 = (
-        _point_from_json(doc[key], key, constraint) if key in doc else None
+        _point(doc[key], key, constraint) if key in doc else None
         for key in ("x_star", "x0")
     )
     return problem, x_star, x0

@@ -182,28 +182,28 @@ class TestProblemIo:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "constraint",
+        "constraint, field",
         [
-            {"type": "sparse", "s": 1.7},
-            {"type": "sparse", "s": True},
-            {"type": "sparse", "s": "1"},
-            {"type": "lowrank", "r": 1.5, "shape": [2, 1]},
-            {"type": "lowrank", "r": 1, "shape": [2.5, 1]},
-            {"type": "lowrank", "r": 1, "shape": [2, True]},
-            {"type": "lowrank", "r": 1, "shape": [2]},
-            {"type": "sphere", "s": 1.5},
+            ({"type": "sparse", "s": 1.7}, "s"),
+            ({"type": "sparse", "s": True}, "s"),
+            ({"type": "sparse", "s": "1"}, "s"),
+            ({"type": "lowrank", "r": 1.5, "shape": [2, 1]}, "r"),
+            ({"type": "lowrank", "r": 1, "shape": [2.5, 1]}, "shape"),
+            ({"type": "lowrank", "r": 1, "shape": [2, True]}, "shape"),
+            ({"type": "lowrank", "r": 1, "shape": [2]}, "shape"),
+            ({"type": "sphere", "s": 1.5}, "s"),
         ],
         ids=["s_fractional", "s_bool", "s_string", "r_fractional", "shape_fractional",
              "shape_bool", "shape_one_dim", "s_unread_by_sphere"],
     )
-    def test_bad_constraint_size_exit_one(self, tmp_path, capsys, constraint):
+    def test_bad_constraint_size_exit_one(self, tmp_path, capsys, constraint, field):
         doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0], "constraint": constraint}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code = main(["solve", str(path), "--eta", "0.1", "--max-iters", "3"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: constraint: ")
+        assert err.startswith(f"error: constraint.{field}: ")
         assert "whole number" in err
         assert "Traceback" not in err
 
@@ -234,7 +234,10 @@ class TestProblemIo:
     @pytest.mark.parametrize(
         "field, value",
         [("b", [1e200, 0.0]), ("x_star", [1e155, 1e155]), ("x0", [1e200, 0.0]),
-         ("A.diagonal", [1e200, 1e200])],
+         ("A.diagonal", [1e200, 1e200]),
+         # The dense forms of the same A were read unscanned: solve diverged (exit 2).
+         ("A", [[1e200, 0.0], [0.0, 1e200]]),
+         ("A", {"shape": [2, 2], "data": [1e200, 0.0, 0.0, 1e200]})],
     )
     def test_overflowing_norm_exit_one(self, tmp_path, capsys, command, field, value):
         doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0], "constraint": {"type": "sphere"},
@@ -252,6 +255,64 @@ class TestProblemIo:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {field}: the 2-norm overflows")
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("field", ["b", "constraint.d", "A.data", "constraint.C.data"])
+    def test_nested_flat_field_exit_one(self, tmp_path, capsys, field):
+        # Each was flattened and accepted.
+        doc = {"A": {"shape": [2, 3], "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]},
+               "b": [2.0, 0.0],
+               "constraint": {"type": "affine", "C": {"shape": [1, 3], "data": [1.0, 1.0, 1.0]},
+                              "d": [1.0]}}
+        if field == "b":
+            doc["b"] = [[2.0], [0.0]]
+        elif field == "constraint.d":
+            doc["constraint"]["d"] = [[1.0]]
+        else:
+            matrix = doc["A"] if field == "A.data" else doc["constraint"]["C"]
+            matrix["data"] = [matrix["data"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--eta", "0.1", "--max-iters", "3"]) == 1
+        path_text = field.removesuffix(".data")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path_text}: expected a flat array, got a nested one")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("C", [[1.0, float("inf"), 1.0]], "entries must be finite"),
+         ("d", [float("nan")], "entries must be finite"),
+         ("C", [[1e200, 1e200, 0.0]], "the 2-norm overflows")],
+        ids=["C_inf", "d_nan", "C_overflow"],
+    )
+    def test_bad_list_form_constraint_field_names_it(self, tmp_path, capsys, field, value,
+                                                     message):
+        # The first two read "constraint: C and d must be finite"; the third
+        # was accepted.
+        doc = {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "b": [2.0, 0.0],
+               "constraint": {"type": "affine", "C": [[1.0, 1.0, 1.0]], "d": [1.0]}}
+        doc["constraint"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: constraint.{field}: {message}")
+
+    @pytest.mark.parametrize("field", ["x_star", "A.diagonal"])
+    def test_ragged_array_exit_one_naming_it(self, tmp_path, capsys, field):
+        doc = {"A": {"diagonal": [1.0, 1.0]}, "b": [1.0, 0.0], "constraint": {"type": "sphere"},
+               "x_star": [1.0, 0.0]}
+        if field == "x_star":
+            doc["x_star"] = [[1.0, 0.0], [0.0]]
+        else:
+            doc["A"]["diagonal"] = [1.0, [1.0, 0.0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", str(path), "--eta", "0.1", "--max-iters", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err and "Warning" not in err
 
 

@@ -10,6 +10,7 @@ from pgdlab.constraints import (
     LowRankConstraint,
     SparsityConstraint,
     SphereConstraint,
+    coordinate_basis,
     finite_difference_check,
     quadratic_bound_margin,
     relative_residuals,
@@ -145,6 +146,28 @@ class TestLinearize:
         spec = SparsityConstraint(1, 2)
         with pytest.raises(ConstraintDomainError, match="sparse"):
             spec.linearize([2.0, -2.0])
+
+    @pytest.mark.parametrize("case", ["random", "tied", "s_equals_n"])
+    def test_sparse_basis_and_radius_from_one_sort(self, case):
+        rng = np.random.default_rng(3)
+        if case == "random":
+            spec, x = SparsityConstraint(4, 12), rng.standard_normal(12)
+        elif case == "tied":  # ties among the kept and among the dropped entries
+            spec = SparsityConstraint(3, 8)
+            x = np.array([2.0, -1.0, 3.0, 1.0, -3.0, 0.0, 3.0, -1.0])
+        else:
+            spec, x = SparsityConstraint(5, 5), rng.standard_normal(5)
+        lin = spec.linearize(x)
+        assert np.array_equal(lin.basis, coordinate_basis(spec.top_support(x), spec.n))
+        mags = np.sort(np.abs(x))[::-1]
+        dropped = mags[spec.s] if spec.s < spec.n else 0.0
+        assert lin.radius == (mags[spec.s - 1] - dropped) / SQRT2
+
+    def test_sparse_tie_refusal_text(self):
+        with pytest.raises(ConstraintDomainError) as info:
+            SparsityConstraint(2, 4).linearize([1.0, -3.0, 1.0, 0.5])
+        assert str(info.value) == ("sparse: derivative needs a strict magnitude gap at rank s "
+                                   "(|x|_[s]=1.000e+00, |x|_[s+1]=1.000e+00)")
 
     def test_affine_example(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
