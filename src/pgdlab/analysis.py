@@ -80,28 +80,42 @@ def _compressed_update(problem, lin_x, lin_z, eta):
     H = (B_z sM)(B_x^T) and C is the same product taken in the other order,
     so C has the nonzero eigenvalues of H (Horn & Johnson, Matrix Analysis,
     Thm 1.3.22), and H^j = B_z (sM) C^(j-1) B_x^T. B_z^T G B_x is
-    (B_x^T B_z)^T - eta (A B_z)^T (A B_x), with the cross Gram taken from the
-    bases' factors: no n x n array. A matrix A is applied to every row of
-    each basis; for a diagonal A = diag(d), (A B_z)^T (A B_x) = B_z^T diag(d^2)
-    B_x is the weighted cross Gram of the factors, with no array as tall as
-    a basis. A step at which C overflows has no certificate.
+    (B_x^T B_z)^T - eta W with W = (A B_z)^T (A B_x), the cross Gram taken
+    from the bases' factors: no n x n array. A matrix A is applied to every
+    row of each basis; for a diagonal A = diag(d), W = B_z^T diag(d^2) B_x is
+    the weighted cross Gram of the factors, with no array as tall as a basis.
+
+    Where ``lin_z`` is ``lin_x`` (z = x*, so dP(z) = dP(x*)), the
+    ``Linearization`` contract B^T B = I gives C = sM = s^2 (I - eta W): no
+    cross Gram and no k x k product, and W for a matrix A is the Gram of the
+    one block A B. The k x k arrays are updated in place. A step at which C
+    overflows has no certificate.
     """
     scale = lin_z.scale * lin_x.scale
+    same = lin_z is lin_x
     with np.errstate(over="ignore", invalid="ignore"):
         if problem.diagonal is None:
             # The two row blocks, the largest arrays here, are gone before the k x k products.
             AB_z = problem.apply(lin_z.rows())
-            M = AB_z.T @ problem.apply(lin_x.rows())
+            M = AB_z.T @ (AB_z if same else problem.apply(lin_x.rows()))
             del AB_z
         else:
             M = lin_z.cross_gram(lin_x, problem.diagonal**2)
-        cross = lin_x.cross_gram(lin_z)
-        M = cross.T - eta * M
-        C = scale * (cross @ M)
+        M *= -eta
+        if same:
+            M.flat[:: M.shape[0] + 1] += 1.0
+            M *= scale
+            C = M
+        else:
+            cross = lin_x.cross_gram(lin_z)
+            M += cross.T
+            C = cross @ M
+            C *= scale
+            M *= scale
         finite = np.isfinite(np.linalg.norm(C))
     if not finite:
         raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
-    return C, scale * M
+    return C, M
 
 
 @dataclass(frozen=True)
@@ -116,17 +130,24 @@ class EigenData:
 def eigendecompose(C, sM):
     """Rate bound r and constant kappa, ||H^j|| <= kappa r^j, from H's k x k
     compression C and the factor sM of its powers, H^j = B_z (sM) C^(j-1) B_x^T.
+    Neither array is modified; C and sM may be one array.
 
     A symmetric C gives its spectral radius and kappa = 1. Otherwise, with S
     and K the symmetric and skew parts of C, ||C|| <= rho(S) + ||K|| = r (Weyl)
     and kappa = max(1, ||sM|| / r): no eigenvector matrix, so no choice of
     basis for a repeated eigenvalue, enters.
     """
-    symmetric = np.linalg.norm(C - C.T) <= SYMMETRY_RTOL * (1.0 + np.linalg.norm(C))
-    rate = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (C + C.T)))))
+    skew = C - C.T
+    symmetric = np.linalg.norm(skew) <= SYMMETRY_RTOL * (1.0 + np.linalg.norm(C))
+    if not symmetric:
+        skew *= 0.5
+        skew_norm = float(np.linalg.norm(skew, 2))
+    S = np.add(C, C.T, out=skew)  # the skew part's array, read by now
+    S *= 0.5
+    rate = float(np.max(np.abs(np.linalg.eigvalsh(S))))
     if symmetric:
         return EigenData(spectral_radius=rate, eigvec_condition=1.0, symmetric=True)
-    rate += float(np.linalg.norm(0.5 * (C - C.T), 2))
+    rate += skew_norm
     condition = max(1.0, float(np.linalg.norm(sM, 2)) / rate)
     return EigenData(spectral_radius=rate, eigvec_condition=condition, symmetric=False)
 
@@ -353,6 +374,10 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
     which P(z) = x* fails by more than ``FIXED_POINT_RTOL`` has no
     certificate, and says so also where P has no derivative at z; nor has
     one at which the gradient step z overflows.
+
+    Where the gradient vanishes at x*, z is x* bit for bit: ``linearization``
+    is then also the linearization at z, and C is formed without a cross
+    Gram (``_compressed_update``). The fixed-point test still runs.
     """
     eta = float(require_steps(eta))
     contraction = contraction_factor(*problem.ata_extremes(), eta)
@@ -362,11 +387,14 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
         z = x_star - eta * problem.gradient(x_star)
     if not np.all(np.isfinite(z)):
         raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
-    try:
-        lin_z = problem.constraint.linearize(z)
-    except ConstraintDomainError:
-        _require_fixed_point(problem, x_star, z, eta)
-        raise
+    if np.array_equal(z, x_star):
+        lin_z = linearization
+    else:
+        try:
+            lin_z = problem.constraint.linearize(z)
+        except ConstraintDomainError:
+            _require_fixed_point(problem, x_star, z, eta)
+            raise
     eig = eigendecompose(*_compressed_update(problem, linearization, lin_z, eta))
     _require_fixed_point(problem, x_star, z, eta)
     rate, kappa = eig.spectral_radius, eig.eigvec_condition

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input or domain error, 2 divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,11 +39,18 @@ EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
 
 
-def _default_seed():
-    raw = os.environ.get("PGDLAB_SEED", "0")
-    if not raw.strip().isdecimal():
-        raise SystemExit(f"PGDLAB_SEED must be a non-negative integer, got {raw!r}")
-    return int(raw)
+class _EnvSeed(str):
+    """The default of ``--seed``. argparse converts a string default with the
+    argument's type, ``int``, only when the command is parsed without
+    ``--seed``; ``int`` then reads ``PGDLAB_SEED`` through ``__int__``. So the
+    parsed arguments carry the seed, and a parser holds no value of the
+    environment and can serve every call."""
+
+    def __int__(self):
+        raw = os.environ.get("PGDLAB_SEED", "0")
+        if not raw.strip().isdecimal():
+            raise SystemExit(f"PGDLAB_SEED must be a non-negative integer, got {raw!r}")
+        return int(raw)
 
 
 def _require_seed(seed):
@@ -230,7 +238,7 @@ def build_parser():
     p_solve.add_argument("--tol", type=float, default=None,
                          help="stop when the error to x_star falls below this")
     p_solve.add_argument("--out", default=None, help="trace CSV path")
-    p_solve.add_argument("--seed", type=int, default=_default_seed())
+    p_solve.add_argument("--seed", type=int, default=_EnvSeed())
     p_solve.set_defaults(func=cmd_solve, output="--out")
 
     p_an = sub.add_parser("analyze", help="convergence certificates for a problem file")
@@ -246,7 +254,7 @@ def build_parser():
         options = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
         p_ex.add_argument(f"--{key}", **options)
     p_ex.add_argument("--etas", type=float, nargs="*", default=None)
-    p_ex.add_argument("--seed", type=int, default=_default_seed())
+    p_ex.add_argument("--seed", type=int, default=_EnvSeed())
     p_ex.add_argument("--outdir", default=None)
     p_ex.add_argument("--max-iters", type=int, default=20_000, dest="max_iters")
     p_ex.set_defaults(func=cmd_experiment, output="--outdir")
@@ -254,14 +262,22 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run the property suites")
     p_ver.add_argument("--suite", choices=["projections", "rates", "bounds", "all"],
                        default="all")
-    p_ver.add_argument("--seed", type=int, default=_default_seed())
+    p_ver.add_argument("--seed", type=int, default=_EnvSeed())
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(kinds, parameters):
+    """The parser, built once for the ``experiment`` kinds and flags that
+    ``FAMILIES`` declares: a family added later gets a parser of its own.
+    This saves the build only where ``main`` is called more than once in a
+    process; a one-shot ``pgdlab`` command builds it once either way."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(FAMILIES), tuple(_parameter_types().items())).parse_args(argv)
     try:
         return args.func(args)
     except (GenerationError, ValueError) as exc:

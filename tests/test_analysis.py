@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -647,3 +648,102 @@ class TestCompressedCertificate:
             assert conv.region_radius == pytest.approx(reference.region_radius, rel=1e-12)
         rho = verify.spectral_radius(verify.iteration_matrix(diagonal, x_star, eta))
         assert abs(conv.rate - rho) <= 1e-12 * (1.0 + rho)
+
+
+def _snapshot(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def _linearization_arrays(lin):
+    return [lin.right, lin.left, lin.ia, lin.ib]
+
+
+class TestExactFixedPoint:
+    """Where the gradient vanishes at x*, z = x* bit for bit: the certificate
+    takes the linearization at x* as the one at z, and C = sM = s^2 (I - eta W)
+    needs no cross Gram and no k x k product."""
+
+    @pytest.mark.parametrize(
+        "kind, params, seed, fractions",
+        [("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, (0.5, 1.0)),
+         ("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7, (1.0,)),
+         ("iht", {"m": 50, "n": 100, "s": 5}, 0, (0.5, 1.0))],
+        ids=["mcp_12x10", "mcp_paper", "iht"],
+    )
+    def test_agrees_with_the_general_path_and_the_dense_radius(
+            self, monkeypatch, kind, params, seed, fractions):
+        prob, x_star = make_instance(kind, params, seed)
+        report = analyze_problem(prob, x_star)
+        problem, x_star, lin_x = report.problem, report.x_star, report.linearization
+        compressed = analysis._compressed_update
+        for eta in (f * report.eta_opt for f in fractions):
+            z = x_star - eta * problem.gradient(x_star)
+            assert np.array_equal(z, x_star)
+            shared = []
+            monkeypatch.setattr(analysis, "_compressed_update", lambda p, lx, lz, e: (
+                shared.append(lz is lx) or compressed(p, lx, lz, e)))
+            exact = analysis.analyze_fixed_point(problem, x_star, lin_x, eta)
+            # The general path: the same certificate with a separately built
+            # linearization at z, whose cross Gram with B_x is I to rounding.
+            lin_z = problem.constraint.linearize(z)
+            monkeypatch.setattr(analysis, "_compressed_update",
+                                lambda p, lx, lz, e: compressed(p, lx, lin_z, e))
+            general = analysis.analyze_fixed_point(problem, x_star, lin_x, eta)
+            assert shared == [True]
+            assert exact.certified and general.certified and exact.symmetric
+            assert abs(exact.rate - general.rate) <= 1e-14 * general.rate
+            # The region is (1 - rate) / quad here or does not depend on the
+            # rate: a rate within 1e-14 moves it by 1e-14 relative in 1 - rate.
+            if np.isinf(general.region_radius):
+                assert exact.region_radius == general.region_radius
+            else:
+                assert abs(exact.region_radius - general.region_radius) <= (
+                    1e-14 * general.region_radius / (1.0 - general.rate))
+            rho = verify.spectral_radius(verify.iteration_matrix(problem, x_star, eta))
+            for conv in (exact, general):
+                assert abs(conv.rate - rho) <= 1e-12
+
+    @pytest.mark.parametrize("kind, params", [("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}),
+                                              ("iht", {"m": 16, "n": 32, "s": 4})],
+                             ids=["diagonal_a", "matrix_a"])
+    def test_arguments_are_left_unchanged(self, kind, params):
+        prob, x_star = make_instance(kind, params, 3)
+        report = analyze_problem(prob, x_star)
+        problem, lin_x = report.problem, report.linearization
+        moved = report.x_star + 1e-3 * np.random.default_rng(0).standard_normal(problem.shape[1])
+        for lin_z in (lin_x, problem.constraint.linearize(problem.constraint.project(moved))):
+            before = _snapshot(*_linearization_arrays(lin_x), *_linearization_arrays(lin_z),
+                               problem.b)
+            C, sM = analysis._compressed_update(problem, lin_x, lin_z, 0.5 * report.eta_opt)
+            after = _snapshot(*_linearization_arrays(lin_x), *_linearization_arrays(lin_z),
+                              problem.b)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            assert (C is sM) == (lin_z is lin_x)
+            # The rotated C is not symmetric: the skew branch runs too.
+            for C, sM in ((C, sM), (C @ np.roll(np.eye(len(C)), 1, axis=0), sM)):
+                before = _snapshot(C, sM)
+                analysis.eigendecompose(C, sM)
+                analysis.eigendecompose(C, C)
+                assert all(np.array_equal(a, b) for a, b in zip(before, _snapshot(C, sM)))
+
+    # (moved, limit): the exact fixed point holds at most 2.5 k x k arrays at
+    # once; off it (observations moved by 1e-11) the cross Gram, M and C are
+    # three, and the certificate held four and more before its in-place forms.
+    @pytest.mark.parametrize("moved, limit", [(False, 2.5), (True, 3.5)],
+                             ids=["exact", "moved"])
+    def test_certificate_peak_in_kxk_arrays(self, moved, limit):
+        # 100 x 80, r = 4, s = 2000: k = 704 and one k x k array is 3.78 MiB.
+        prob, x_star = make_instance("mcp", {"m": 100, "n": 80, "r": 4, "s": 2000}, 0)
+        if moved:
+            prob = moved_observations(prob)
+        report = analyze_problem(prob, x_star)
+        k = report.linearization.dimension
+        tracemalloc.start()
+        try:
+            conv = analysis.analyze_fixed_point(
+                report.problem, report.x_star, report.linearization, report.eta_opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 704 and conv.certified and conv.symmetric != moved
+        assert peak < limit * 8 * k * k

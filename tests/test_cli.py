@@ -621,10 +621,9 @@ class TestAnalyzeCommand:
                       if r["eta"] == pytest.approx(app["eta_opt"]))
         assert at_opt["rate"] == pytest.approx(app["rho_opt"])
 
-    def test_completion_file_linearizes_x_star_once(self, tmp_path, capsys, monkeypatch):
-        # One linearization at x* for the whole command, then one at the
-        # gradient step of each eta.
-        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
+    @staticmethod
+    def _linearizations(tmp_path, capsys, monkeypatch, prob, x_star, etas):
+        """The points ``analyze --eta etas`` of a saved completion file linearizes."""
         path = tmp_path / "mcp.json"
         save_problem(path, prob, x_star=x_star)
         calls = []
@@ -635,10 +634,28 @@ class TestAnalyzeCommand:
             return linearize(self, x)
 
         monkeypatch.setattr(LowRankConstraint, "linearize", counting)
-        etas = ["0.5", "1.0", "1.5"]
         assert main(["analyze", str(path), "--eta", *etas]) == 0
         assert len(json.loads(capsys.readouterr().out)["etas"]) == len(etas)
+        return calls
+
+    def test_completion_file_linearizes_x_star_once(self, tmp_path, capsys, monkeypatch):
+        # One linearization at x* for the whole command. The file is noiseless,
+        # so the gradient step z is x* at every eta and needs no other.
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
+        etas = ["0.5", "1.0", "1.5"]
+        calls = self._linearizations(tmp_path, capsys, monkeypatch, prob, x_star, etas)
+        assert len(calls) == 1
+
+    def test_moved_completion_file_linearizes_z_at_each_eta(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # Observations moved by 1e-11: x* fits them only within the
+        # stationarity tolerance, z is not x*, and each eta linearizes its z.
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
+        prob = Problem(prob.diagonal, prob.b + 1e-11 * prob.diagonal, prob.constraint)
+        etas = ["0.5", "1.0", "1.5"]
+        calls = self._linearizations(tmp_path, capsys, monkeypatch, prob, x_star, etas)
         assert len(calls) == 1 + len(etas)
+        assert not any(np.array_equal(z, calls[0]) for z in calls[1:])
 
     def test_lcls_bounds_have_no_initial_error(self, lcls_file, capsys):
         path, _, _ = lcls_file
@@ -969,6 +986,15 @@ class TestExperimentCommand:
         assert main(["experiment", "sphere", "--m", "5", "--n", "4", "--t", "2.5"]) == 0
         assert seen == [{"m": 5, "n": 4, "t": 2.5}]
 
+    def test_a_family_added_after_a_command_is_a_kind(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda kind, *args, **kwargs: seen.append(kind) or {"runs": []})
+        assert main(["experiment", "sphere", "--m", "5", "--n", "4"]) == 0
+        monkeypatch.setitem(FAMILIES, "ball", FAMILIES["sphere"])
+        assert main(["experiment", "ball", "--m", "5", "--n", "4"]) == 0
+        assert seen == ["sphere", "ball"]
+
 
 class TestVerifyCommand:
     def test_projections_suite_passes(self, capsys):
@@ -1009,6 +1035,33 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "projections"])
         assert "PGDLAB_SEED" in str(info.value.code) and "non-negative" in str(info.value.code)
+
+    def test_bad_env_seed_is_read_only_for_a_default_seed(self, lcls_file, capsys,
+                                                          monkeypatch):
+        # analyze and --help take no seed, and an explicit --seed is not the
+        # default: none of them reads PGDLAB_SEED.
+        path, _, _ = lcls_file
+        monkeypatch.setenv("PGDLAB_SEED", "abc")
+        assert main(["analyze", str(path)]) == 0
+        assert main(["solve", str(path), "--eta", "0.02", "--max-iters", "5", "--seed", "3"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(path), "--eta", "0.02"])
+        assert "PGDLAB_SEED" in str(info.value.code)
+
+    def test_env_seed_is_read_at_each_call(self, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda kind, params, etas, seed, **kwargs: seeds.append(seed)
+                            or {"runs": []})
+        for raw in ("11", "12"):
+            monkeypatch.setenv("PGDLAB_SEED", raw)
+            assert main(["experiment", "sphere", "--m", "5", "--n", "4"]) == 0
+        monkeypatch.delenv("PGDLAB_SEED")
+        assert main(["experiment", "sphere", "--m", "5", "--n", "4"]) == 0
+        assert seeds == [11, 12, 0]
 
     def test_outputs_are_machine_readable(self, tmp_path):
         # Round-trip: analyze JSON and solve CSV parse back cleanly.
