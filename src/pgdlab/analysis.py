@@ -53,11 +53,13 @@ def gram_extremes(M):
 
 
 def require_steps(eta):
-    """``eta``, a step or one per row, as a float array; ValueError unless
-    every step is finite and positive."""
+    """``eta``, a step or a grid of them, as a float array; ValueError naming
+    the steps that are not finite and positive, if any."""
     steps = np.asarray(eta, dtype=float)
-    if not np.all((steps > 0) & (steps < np.inf)):  # also false for NaN
-        raise ValueError(f"eta must be finite and positive, got {eta!r}")
+    ok = (steps > 0) & (steps < np.inf)  # also false for NaN
+    if not np.all(ok):
+        bad = steps[~ok].tolist() if steps.ndim else float(steps)
+        raise ValueError(f"eta must be finite and positive, got {bad}")
     return steps
 
 

@@ -39,24 +39,18 @@ EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
 
 
-class _EnvSeed(str):
-    """The default of ``--seed``. argparse converts a string default with the
-    argument's type, ``int``, only when the command is parsed without
-    ``--seed``; ``int`` then reads ``PGDLAB_SEED`` through ``__int__``. So the
-    parsed arguments carry the seed, and a parser holds no value of the
-    environment and can serve every call."""
-
-    def __int__(self):
-        raw = os.environ.get("PGDLAB_SEED", "0")
-        if not raw.strip().isdecimal():
-            raise SystemExit(f"PGDLAB_SEED must be a non-negative integer, got {raw!r}")
-        return int(raw)
-
-
-def _require_seed(seed):
-    """numpy accepts only non-negative seeds; reject a negative one as an input error."""
-    if seed < 0:
-        raise ProblemFileError("--seed", f"must be a non-negative integer, got {seed}")
+def _seed(args):
+    """The seed of a command that draws: ``--seed`` if given, else
+    ``PGDLAB_SEED``, else 0. Read after parsing, so the parser holds no
+    value of the environment."""
+    if args.seed is not None:
+        if args.seed < 0:  # numpy accepts only non-negative seeds
+            raise ProblemFileError("--seed", f"must be a non-negative integer, got {args.seed}")
+        return args.seed
+    raw = os.environ.get("PGDLAB_SEED", "0")
+    if not raw.strip().isdecimal():
+        raise SystemExit(f"PGDLAB_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _require_positive(flag, *values):
@@ -81,14 +75,14 @@ def cmd_solve(args):
     _require_positive("--max-iters", args.max_iters)
     if args.tol is not None:
         _require_positive("--tol", args.tol)
-    _require_seed(args.seed)
+    seed = _seed(args)
     _require_writable(args.out)
     problem, x_star, x0 = load_problem(args.problem)
     if args.tol is not None and x_star is None:
         raise ProblemFileError("--tol", "the problem file has no x_star to measure the error to")
     if x0 is None:
         # Not default_rng(seed): the generators draw their x* from that stream.
-        x0 = problem.constraint.random_member(np.random.default_rng([args.seed, 1]))
+        x0 = problem.constraint.random_member(np.random.default_rng([seed, 1]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         trace = run_pgd(
@@ -170,13 +164,12 @@ def cmd_experiment(args):
     params = {key: given[key] for key in _parameter_types() if given[key] is not None}
     _require_positive("--etas", *(args.etas or ()))
     _require_positive("--max-iters", args.max_iters)
-    _require_seed(args.seed)
 
     bundle = run_experiment(
         args.kind,
         params,
         args.etas or default_etas,
-        args.seed,
+        _seed(args),
         outdir=args.outdir,
         max_iters=args.max_iters,
     )
@@ -204,9 +197,8 @@ def cmd_experiment(args):
 
 
 def cmd_verify(args):
-    _require_seed(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed)
+    results = run_suites(names, seed=_seed(args))
     failures = [r for r in results if not r.ok]
     for result in results:
         status = "PASS" if result.ok else "FAIL"
@@ -238,7 +230,7 @@ def build_parser():
     p_solve.add_argument("--tol", type=float, default=None,
                          help="stop when the error to x_star falls below this")
     p_solve.add_argument("--out", default=None, help="trace CSV path")
-    p_solve.add_argument("--seed", type=int, default=_EnvSeed())
+    p_solve.add_argument("--seed", type=int)
     p_solve.set_defaults(func=cmd_solve, output="--out")
 
     p_an = sub.add_parser("analyze", help="convergence certificates for a problem file")
@@ -254,7 +246,7 @@ def build_parser():
         options = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
         p_ex.add_argument(f"--{key}", **options)
     p_ex.add_argument("--etas", type=float, nargs="*", default=None)
-    p_ex.add_argument("--seed", type=int, default=_EnvSeed())
+    p_ex.add_argument("--seed", type=int)
     p_ex.add_argument("--outdir", default=None)
     p_ex.add_argument("--max-iters", type=int, default=20_000, dest="max_iters")
     p_ex.set_defaults(func=cmd_experiment, output="--outdir")
@@ -262,7 +254,7 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run the property suites")
     p_ver.add_argument("--suite", choices=["projections", "rates", "bounds", "all"],
                        default="all")
-    p_ver.add_argument("--seed", type=int, default=_EnvSeed())
+    p_ver.add_argument("--seed", type=int)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -274,17 +274,16 @@ def run_experiment(kind, params, etas, seed, outdir=None, max_iters=20_000):
     problem, x_star = report.problem, report.x_star
     if callable(etas):
         etas = etas(report)
-    bad = [eta for eta in etas if not 0 < eta < np.inf]  # also true for NaN
-    if bad:
-        raise ValueError(f"step sizes must be finite and positive, got {bad}")
+    # The rate table refuses a bad step (analysis.require_steps) before any
+    # output is written.
+    application = report.to_json(etas)
+    samples = application["rate_table"]
     rng = np.random.default_rng(seed + 1)
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
 
     # Every start is drawn first, in grid order, and the grid runs as one block.
-    application = report.to_json(etas)
-    samples = application["rate_table"]
     starts = [_start_point(problem, x_star, sample["region"], rng) for sample in samples]
     floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_star))
     floors = [

@@ -31,7 +31,7 @@ from .constraints import (
     row_norms,
     sample_blocks,
 )
-from .empirics import _instance_report, certified_etas, make_instance, run_experiment
+from .empirics import _instance_report, certified_etas, run_experiment
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -474,13 +474,10 @@ def check_corollary_consistency(seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(10):
-        problem, x_star = make_instance("lcls", {"m": 10, "n": 7, "p": 2}, seed + 900 + k)
-        basis = problem.constraint.null_basis
+        report = _instance_report("lcls", {"m": 10, "n": 7, "p": 2}, seed + 900 + k)
         eta = float(rng.uniform(0.05, 0.3))
-        rate = analysis.contraction_factor(*analysis.gram_extremes(problem.apply(basis)), eta)
-        H = iteration_matrix(problem, x_star, eta)
-        rho = spectral_radius(H)
-        worst = max(worst, abs(rate - rho))
+        rho = spectral_radius(iteration_matrix(report.problem, report.x_star, eta))
+        worst = max(worst, abs(report.rate(eta) - rho))
     return [_result("corollary_consistency.affine", worst <= 1e-10, f"max gap {worst:.3e}")]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from pgdlab.constraints import (
     SparsityConstraint,
     SphereConstraint,
 )
-from pgdlab.empirics import make_instance
+from pgdlab.empirics import make_instance, run_experiment
 from pgdlab.engine import Problem, run_pgd
 from pgdlab.errors import NoCertificateError, StationarityError
 
@@ -84,6 +85,15 @@ class TestStepRefused:
             analysis.analyze_fixed_point(report.problem, report.x_star, report.linearization, eta)
         with pytest.raises(ValueError, match=self.MESSAGE):
             analysis.gradient_contraction(report.problem.A, eta)
+
+    def test_run_experiment_refuses_it_before_writing(self, tmp_path, eta):
+        # A list grid and a grid function; the message names only the bad step.
+        shown = re.escape(repr(eta))
+        for grid in ([0.01, eta, 0.02], lambda report: [report.eta_opt, eta]):
+            outdir = tmp_path / "bundle"
+            with pytest.raises(ValueError, match=rf"{self.MESSAGE}, got \[{shown}\]$"):
+                run_experiment("lcls", {"m": 14, "n": 10, "p": 3}, grid, 0, outdir=str(outdir))
+            assert not outdir.exists()
 
 
 class TestIterationMatrix:

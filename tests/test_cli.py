@@ -315,6 +315,45 @@ class TestProblemIo:
         assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("field", ["A", "A.diagonal", "b", "constraint.C", "constraint.d",
+                                       "x_star", "x0"])
+    @pytest.mark.parametrize("entry", ["string", "lone_bool", "bool_among_floats",
+                                       "huge_integer"])
+    def test_non_number_entry_exit_one_naming_it(self, tmp_path, capsys, field, entry):
+        # Each was read as a number: "1e3" as 1000, true as 1 and false as 0;
+        # an integer past the float range left load_problem as an OverflowError.
+        doc = {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "b": [1.0, 0.0, 0.0],
+               "constraint": {"type": "affine", "C": [[1.0, 1.0, 0.0]], "d": [1.0]},
+               "x_star": [1.0, 0.0, 0.0], "x0": [0.0, 1.0, 0.0]}
+        if field == "A.diagonal":
+            doc["A"] = {"diagonal": [1.0, 1.0, 1.0]}
+        *parents, key = field.split(".")
+        holder = doc[parents[0]] if parents else doc
+        value = holder[key]
+        nested = isinstance(value[0], list)
+        if entry == "lone_bool":
+            holder[key] = [[True] * len(row) for row in value] if nested else [True] * len(value)
+        else:
+            bad = {"string": "1e3", "bool_among_floats": False, "huge_integer": 10**400}[entry]
+            (value[-1] if nested else value)[-1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path), "--eta", "0.1", "--max-iters", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
+    def test_literal_outside_the_arrays_read_is_accepted(self, tmp_path):
+        # A true in a field the format does not read sends load_problem down
+        # its walk of the document, which refuses only the arrays it reads.
+        doc = {"A": {"diagonal": [1.0, 2.0]}, "b": [1.0, 0.0], "constraint": {"type": "sphere"},
+               "note": [True, "x"], "x_star": [1.0, 0.0]}
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        problem, x_star, _ = load_problem(path)
+        assert np.array_equal(problem.diagonal, [1.0, 2.0]) and np.array_equal(x_star, [1.0, 0.0])
+
 
 @pytest.mark.parametrize(
     "argv, flag",
@@ -1023,11 +1062,13 @@ class TestVerifyCommand:
         assert "FAIL synthetic.fail: counterexample x=[1, 2]" in out
 
     def test_env_seed_is_default(self, monkeypatch):
+        # The command reads PGDLAB_SEED after parsing; the parser holds None.
         monkeypatch.setenv("PGDLAB_SEED", "123")
-        from pgdlab.cli import build_parser
-
-        args = build_parser().parse_args(["verify", "--suite", "projections"])
-        assert args.seed == 123
+        assert build_parser().parse_args(["verify", "--suite", "projections"]).seed is None
+        seeds = []
+        monkeypatch.setattr(cli, "run_suites", lambda names, seed: seeds.append(seed) or [])
+        assert main(["verify", "--suite", "projections"]) == 0
+        assert seeds == [123]
 
     @pytest.mark.parametrize("raw", ["-1", "seven"])
     def test_bad_env_seed_exit_one(self, monkeypatch, raw):

@@ -328,7 +328,7 @@ class TestRunExperiment:
                              ids=["nan", "inf", "negative"])
     def test_bad_step_rejected_before_writing(self, tmp_path, etas, shown):
         outdir = tmp_path / "bundle"
-        with pytest.raises(ValueError, match=rf"^step sizes must be finite and positive, "
+        with pytest.raises(ValueError, match=rf"^eta must be finite and positive, "
                                              rf"got \[{shown}\]$"):
             run_experiment("lcls", {"m": 12, "n": 8, "p": 3}, etas, 0, outdir=str(outdir))
         assert not outdir.exists()
