@@ -46,9 +46,15 @@ def ata_extremes(A):
     return hi, lo
 
 
-def gram_extremes(M):
-    """Largest and smallest eigenvalues of M^T M."""
-    lams = np.linalg.eigvalsh(M.T @ M)
+def gram_extremes(gram):
+    """Largest and smallest eigenvalues of a Gram matrix M^T M.
+
+    The caller forms ``M.T @ M`` from the one array M, which numpy computes
+    with ``syrk``, and drops M before this call: ``eigvalsh`` allocates its
+    LAPACK copy and workspace outside Python, on top of whatever the caller
+    still holds, and at completion scale M is the |Omega|-row block.
+    """
+    lams = np.linalg.eigvalsh(gram)
     return float(lams[-1]), float(lams[0])
 
 

@@ -189,10 +189,10 @@ def _analyze_lcls(problem):
     # A diagonal A scales the rows of the transposed null basis in F order;
     # in C order AB.T @ rhs rounds as with the dense product.
     AB = np.ascontiguousarray(problem.apply(basis))
-    lam_max, lam_min = gram_extremes(AB)
+    K = AB.T @ AB
+    lam_max, lam_min = gram_extremes(K)
     full_rank = _full_rank(lam_max, lam_min)
 
-    K = AB.T @ AB
     rhs = AB.T @ (problem.b - problem.apply(constraint.offset))
     if full_rank:
         y = np.linalg.solve(K, rhs)
@@ -225,7 +225,10 @@ def _analyze_iht(problem, x_star):
 
     # The nonzero support; linearize refuses fewer than s nonzeros.
     lin = problem.constraint.linearize(x_star)
-    lam_max, lam_min = gram_extremes(problem.apply(lin.basis))
+    AB = problem.apply(lin.basis)
+    gram = AB.T @ AB
+    del AB
+    lam_max, lam_min = gram_extremes(gram)
 
     smallest = float(np.min(np.abs(x_star[support])))
     off = np.ones(x_star.size, dtype=bool)
@@ -260,7 +263,10 @@ def _analyze_sphere(problem, x_star):
         )
 
     lin = problem.constraint.linearize(x_star)
-    lam_max, lam_min = gram_extremes(problem.apply(lin.basis))
+    AB = problem.apply(lin.basis)
+    gram = AB.T @ AB
+    del AB
+    lam_max, lam_min = gram_extremes(gram)
 
     local_min = gamma < lam_min
     # Curvature 2.0, not linearize's 2/||x*||^2, which rounds differently.
@@ -300,8 +306,14 @@ def _analyze_mcp(problem, x_star):
         )
 
     # The Gram on the sampled rows: B^T D B for the 0/1 mask D, without the
-    # zero rows, whose sums round differently. Only those rows are built.
-    lam_max, lam_min = gram_extremes(lin.rows(omega))
+    # zero rows, whose sums round differently. Only those rows are built, and
+    # the block is dropped before the eigensolve: it is the largest array of
+    # `analyze` (83 MB at 200 x 150, r = 5, s = 6000), and eigvalsh's buffers
+    # would otherwise stack on it.
+    rows = lin.rows(omega)
+    gram = rows.T @ rows
+    del rows
+    lam_max, lam_min = gram_extremes(gram)
     return ApplicationReport(
         "mcp", problem, lin, lam_max, lam_min, x_star,
         full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,

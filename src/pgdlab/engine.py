@@ -17,7 +17,7 @@ STAGNATION_RTOL = 1e-15
 STAGNATION_RUN = 10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Problem:
     """Least-squares objective 0.5 * ||A x - b||^2 over a constraint set.
 
@@ -25,14 +25,15 @@ class Problem:
     copies. A square matrix with no nonzero entry off its diagonal (a
     completion sampling mask, for one) is kept as its diagonal only and
     applied entrywise; ``A`` then builds the dense matrix on each read. Any
-    other matrix is kept as given, not copied.
+    other matrix is kept as given, not copied. Problems compare and hash by
+    identity: their fields are arrays.
     """
 
     b: np.ndarray
     constraint: Constraint
     diagonal: np.ndarray | None = field(repr=False)
     _matrix: np.ndarray | None = field(repr=False)
-    _ata_extremes: tuple | None = field(default=None, repr=False, compare=False)
+    _ata_extremes: tuple | None = field(default=None, repr=False)
 
     def __init__(self, A, b, constraint):
         A = np.asarray(A, dtype=float)
@@ -112,10 +113,11 @@ class Problem:
         return (A @ x[:, :, None])[:, :, 0]
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """Record of a PGD run: the error and objective of every iterate, the last
-    iterate and the stop. A run that diverged at iteration k stops at x_{k-1}."""
+    iterate and the stop. A run that diverged at iteration k stops at x_{k-1}.
+    Traces compare by identity: their fields are arrays."""
 
     final: np.ndarray
     objectives: np.ndarray

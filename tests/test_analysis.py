@@ -346,7 +346,8 @@ class TestIterationBound:
 
 class TestCompressedRateAndOptimalStep:
     def test_single_direction(self):
-        lam_max, lam_min = analysis.gram_extremes(np.eye(2) @ np.array([[1.0], [0.0]]))
+        M = np.eye(2) @ np.array([[1.0], [0.0]])
+        lam_max, lam_min = analysis.gram_extremes(M.T @ M)
         assert analysis.contraction_factor(lam_max, lam_min, 0.5) == pytest.approx(0.5)
         assert lam_max == lam_min == pytest.approx(1.0)
 
@@ -356,7 +357,8 @@ class TestCompressedRateAndOptimalStep:
             A = rng.standard_normal((9, 6))
             full = np.linalg.eigvalsh(A.T @ A)
             q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-            lam_max, lam_min = analysis.gram_extremes(A @ q)
+            M = A @ q
+            lam_max, lam_min = analysis.gram_extremes(M.T @ M)
             assert lam_max <= full[-1] + 1e-10
             assert lam_min >= full[0] - 1e-10
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -160,7 +161,8 @@ class TestSphere:
         report = analyze_problem(prob, x_star)
         assert report.gamma == pytest.approx(0.0, abs=1e-12)
         eta = 0.8 * report.eta_opt
-        lam_max, lam_min = analysis.gram_extremes(prob.apply(report.linearization.basis))
+        M = prob.apply(report.linearization.basis)
+        lam_max, lam_min = analysis.gram_extremes(M.T @ M)
         rate = analysis.contraction_factor(lam_max, lam_min, eta)
         assert report.rate(eta) == pytest.approx(rate, abs=1e-12)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
@@ -282,6 +284,55 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestBlockReleasedBeforeEigensolve:
+    """A family analysis drops its basis block before the Gram is eigensolved.
+
+    ``eigvalsh`` allocates its LAPACK copy and workspace outside ``tracemalloc``,
+    so this reads liveness through weak references instead: each 2-D block that
+    ``Linearization.rows`` or ``Problem.apply`` returns must be freed by the
+    time ``np.linalg.eigvalsh`` is called.
+    """
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        blocks, shapes = [], []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if np.ndim(out) == 2:
+                    blocks.append(weakref.ref(out))
+                return out
+            return wrapper
+
+        def checking(a, *args, **kwargs):
+            live = [ref().shape for ref in blocks if ref() is not None]
+            assert live == [], f"blocks {live} alive while a {a.shape} Gram is eigensolved"
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def install():
+            monkeypatch.setattr(constraints.Linearization, "rows",
+                                recording(constraints.Linearization.rows))
+            monkeypatch.setattr(Problem, "apply", recording(Problem.apply))
+            monkeypatch.setattr(np.linalg, "eigvalsh", checking)
+            return blocks, shapes
+
+        return install
+
+    @pytest.mark.parametrize("kind, params, seed", [
+        ("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7),
+        ("iht", {"m": 30, "n": 60, "s": 4}, 0),
+        ("sphere", {"m": 12, "n": 7, "gamma": -0.5}, 8),
+    ], ids=["mcp_paper_scale", "iht", "sphere"])
+    def test_block_is_dead_at_the_eigensolve(self, eigensolves, kind, params, seed):
+        prob, x_star = make_instance(kind, params, seed)
+        blocks, shapes = eigensolves()
+        k = analyze_problem(prob, x_star).linearization.dimension
+        assert len(blocks) == 1 and shapes == [(k, k)]
 
 
 def _weights(kind, rng, n):
@@ -710,9 +761,10 @@ class TestReadsAThroughProblem:
         A, basis = prob.A, report.linearization.basis
         if report.kind == "mcp":
             # The Gram of the sampled rows only: with the zero rows its sums round differently.
-            expected = analysis.gram_extremes(basis[np.flatnonzero(np.diagonal(A))])
+            M = basis[np.flatnonzero(np.diagonal(A))]
         else:
-            expected = analysis.gram_extremes(A @ basis)
+            M = A @ basis
+        expected = analysis.gram_extremes(M.T @ M)
         assert (report.lam_max, report.lam_min) == expected
         if report.kind == "lcls":
             spec = prob.constraint

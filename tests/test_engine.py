@@ -67,6 +67,16 @@ def test_dimension_mismatch_rejected():
         Problem(np.eye(3), np.zeros(2), SphereConstraint(3))
 
 
+def test_problems_and_traces_compare_by_identity():
+    # Equal-valued instances: a field-wise __eq__ would ask numpy for the
+    # truth value of an array comparison and raise.
+    problems = [Problem(np.eye(2), np.ones(2), SphereConstraint(2)) for _ in range(2)]
+    traces = [Trace(np.ones(2), np.zeros(3), np.zeros(3), "max_iters") for _ in range(2)]
+    for a, b in (problems, traces):
+        assert a == a and a != b and [a] != [b]
+    assert len({*problems}) == 2 and hash(problems[0]) == hash(problems[0])
+
+
 @pytest.mark.parametrize("field", ["A", "b"])
 def test_non_finite_data_rejected_naming_field(field):
     data = {"A": np.eye(2), "b": np.zeros(2)}
