@@ -46,15 +46,15 @@ def ata_extremes(A):
     return hi, lo
 
 
-def gram_extremes(gram):
-    """Largest and smallest eigenvalues of a Gram matrix M^T M.
+def extreme_eigenvalues(sym):
+    """Largest and smallest eigenvalues of a symmetric matrix.
 
-    The caller forms ``M.T @ M`` from the one array M, which numpy computes
-    with ``syrk``, and drops M before this call: ``eigvalsh`` allocates its
-    LAPACK copy and workspace outside Python, on top of whatever the caller
-    still holds, and at completion scale M is the |Omega|-row block.
+    A caller with a Gram M^T M forms ``M.T @ M`` from the one array M, which
+    numpy computes with ``syrk``, and drops M before this call: ``eigvalsh``
+    allocates its LAPACK copy and workspace outside Python, on top of whatever
+    the caller still holds, and at completion scale M is the |Omega|-row block.
     """
-    lams = np.linalg.eigvalsh(gram)
+    lams = np.linalg.eigvalsh(sym)
     return float(lams[-1]), float(lams[0])
 
 
@@ -82,44 +82,35 @@ def gradient_contraction(A, eta):
     return contraction_factor(*ata_extremes(A), float(require_steps(eta)))
 
 
+def _image_gram(problem, lin_z, lin_x):
+    """W = (A B_z)^T (A B_x), k x k, from the bases' factors: for a diagonal
+    A = diag(d) the weighted cross Gram B_z^T diag(d^2) B_x, with no array as
+    tall as a basis; a matrix A is applied to every row of each basis (one
+    block when ``lin_z`` is ``lin_x``), and the blocks are gone on return."""
+    if problem.diagonal is not None:
+        return lin_z.cross_gram(lin_x, problem.diagonal**2)
+    AB_z = problem.apply(lin_z.rows())
+    return AB_z.T @ (AB_z if lin_x is lin_z else problem.apply(lin_x.rows()))
+
+
 def _compressed_update(problem, lin_x, lin_z, eta):
     """C = (B_x^T B_z)(sM) and sM = s_z s_x B_z^T G B_x with G = I - eta A^T A, k x k.
 
     H = (B_z sM)(B_x^T) and C is the same product taken in the other order,
     so C has the nonzero eigenvalues of H (Horn & Johnson, Matrix Analysis,
     Thm 1.3.22), and H^j = B_z (sM) C^(j-1) B_x^T. B_z^T G B_x is
-    (B_x^T B_z)^T - eta W with W = (A B_z)^T (A B_x), the cross Gram taken
-    from the bases' factors: no n x n array. A matrix A is applied to every
-    row of each basis; for a diagonal A = diag(d), W = B_z^T diag(d^2) B_x is
-    the weighted cross Gram of the factors, with no array as tall as a basis.
-
-    Where ``lin_z`` is ``lin_x`` (z = x*, so dP(z) = dP(x*)), the
-    ``Linearization`` contract B^T B = I gives C = sM = s^2 (I - eta W): no
-    cross Gram and no k x k product, and W for a matrix A is the Gram of the
-    one block A B. The k x k arrays are updated in place. A step at which C
+    (B_x^T B_z)^T - eta W with W from ``_image_gram``. A step at which C
     overflows has no certificate.
     """
     scale = lin_z.scale * lin_x.scale
-    same = lin_z is lin_x
     with np.errstate(over="ignore", invalid="ignore"):
-        if problem.diagonal is None:
-            # The two row blocks, the largest arrays here, are gone before the k x k products.
-            AB_z = problem.apply(lin_z.rows())
-            M = AB_z.T @ (AB_z if same else problem.apply(lin_x.rows()))
-            del AB_z
-        else:
-            M = lin_z.cross_gram(lin_x, problem.diagonal**2)
+        M = _image_gram(problem, lin_z, lin_x)
         M *= -eta
-        if same:
-            M.flat[:: M.shape[0] + 1] += 1.0
-            M *= scale
-            C = M
-        else:
-            cross = lin_x.cross_gram(lin_z)
-            M += cross.T
-            C = cross @ M
-            C *= scale
-            M *= scale
+        cross = lin_x.cross_gram(lin_z)
+        M += cross.T
+        C = cross @ M
+        C *= scale
+        M *= scale
         finite = np.isfinite(np.linalg.norm(C))
     if not finite:
         raise NoCertificateError(f"the linearized update overflows at eta={eta:g}")
@@ -152,7 +143,8 @@ def eigendecompose(C, sM):
         skew_norm = float(np.linalg.norm(skew, 2))
     S = np.add(C, C.T, out=skew)  # the skew part's array, read by now
     S *= 0.5
-    rate = float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    lam_max, lam_min = extreme_eigenvalues(S)
+    rate = max(abs(lam_max), abs(lam_min))
     if symmetric:
         return EigenData(spectral_radius=rate, eigvec_condition=1.0, symmetric=True)
     rate += skew_norm
@@ -383,9 +375,9 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
     certificate, and says so also where P has no derivative at z; nor has
     one at which the gradient step z overflows.
 
-    Where the gradient vanishes at x*, z is x* bit for bit: ``linearization``
-    is then also the linearization at z, and C is formed without a cross
-    Gram (``_compressed_update``). The fixed-point test still runs.
+    Where the gradient vanishes at x*, z is x* bit for bit and B_z = B_x, so C
+    would be s^2 (I - eta W) with W = (A B)^T (A B): the rate is s^2 times the
+    ``contraction_factor`` of W's extremes, kappa = 1. The fixed-point test still runs.
     """
     eta = float(require_steps(eta))
     contraction = contraction_factor(*problem.ata_extremes(), eta)
@@ -397,13 +389,16 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
         raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
     if np.array_equal(z, x_star):
         lin_z = linearization
+        lams = extreme_eigenvalues(_image_gram(problem, lin_z, lin_z))
+        rate = lin_z.scale**2 * contraction_factor(*lams, eta)
+        eig = EigenData(spectral_radius=rate, eigvec_condition=1.0, symmetric=True)
     else:
         try:
             lin_z = problem.constraint.linearize(z)
         except ConstraintDomainError:
             _require_fixed_point(problem, x_star, z, eta)
             raise
-    eig = eigendecompose(*_compressed_update(problem, linearization, lin_z, eta))
+        eig = eigendecompose(*_compressed_update(problem, linearization, lin_z, eta))
     _require_fixed_point(problem, x_star, z, eta)
     rate, kappa = eig.spectral_radius, eig.eigvec_condition
     quad = quadratic_coefficient(

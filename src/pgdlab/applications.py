@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import contraction_factor, gram_extremes, json_float, optimal_step, require_steps
+from .analysis import contraction_factor, extreme_eigenvalues, json_float, optimal_step, require_steps
 from .constraints import RANK_CURVATURE, SQRT2, LowRankConstraint, relative_residuals
 from .constraints import rank_tangent_basis  # noqa: F401  (perfbench traces it here)
 from .engine import Problem
@@ -54,7 +54,7 @@ class ApplicationReport:
         self.eta_max = float(min(step_cap, self.fixed_point_eta_max))
         self.flags = {
             "K_full_rank": bool(full_rank),
-            "stationarity_ok": True,
+            "stationarity_ok": True,  # a stationarity failure raises before any report
             "fixed_point_ok": bool(fixed_point_ok),
         }
         self.x_star = x_star
@@ -75,7 +75,7 @@ class ApplicationReport:
 
     @property
     def certified(self):
-        return all(self.flags[key] for key in ("K_full_rank", "stationarity_ok", "fixed_point_ok"))
+        return self.flags["K_full_rank"] and self.flags["fixed_point_ok"]
 
     def admissible(self, eta):
         return self.certified and 0.0 < eta < self.eta_max
@@ -190,7 +190,7 @@ def _analyze_lcls(problem):
     # in C order AB.T @ rhs rounds as with the dense product.
     AB = np.ascontiguousarray(problem.apply(basis))
     K = AB.T @ AB
-    lam_max, lam_min = gram_extremes(K)
+    lam_max, lam_min = extreme_eigenvalues(K)
     full_rank = _full_rank(lam_max, lam_min)
 
     rhs = AB.T @ (problem.b - problem.apply(constraint.offset))
@@ -228,7 +228,7 @@ def _analyze_iht(problem, x_star):
     AB = problem.apply(lin.basis)
     gram = AB.T @ AB
     del AB
-    lam_max, lam_min = gram_extremes(gram)
+    lam_max, lam_min = extreme_eigenvalues(gram)
 
     smallest = float(np.min(np.abs(x_star[support])))
     off = np.ones(x_star.size, dtype=bool)
@@ -266,7 +266,7 @@ def _analyze_sphere(problem, x_star):
     AB = problem.apply(lin.basis)
     gram = AB.T @ AB
     del AB
-    lam_max, lam_min = gram_extremes(gram)
+    lam_max, lam_min = extreme_eigenvalues(gram)
 
     local_min = gamma < lam_min
     # Curvature 2.0, not linearize's 2/||x*||^2, which rounds differently.
@@ -313,7 +313,7 @@ def _analyze_mcp(problem, x_star):
     rows = lin.rows(omega)
     gram = rows.T @ rows
     del rows
-    lam_max, lam_min = gram_extremes(gram)
+    lam_max, lam_min = extreme_eigenvalues(gram)
     return ApplicationReport(
         "mcp", problem, lin, lam_max, lam_min, x_star,
         full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,

@@ -396,7 +396,7 @@ def check_interlacing(seed=0):
         full = np.linalg.eigvalsh(A.T @ A)
         q, _ = np.linalg.qr(rng.standard_normal((7, 4)))
         aq = A @ q
-        lam_max, lam_min = analysis.gram_extremes(aq.T @ aq)
+        lam_max, lam_min = analysis.extreme_eigenvalues(aq.T @ aq)
         worst_eig = max(worst_eig, lam_max - full[-1], full[0] - lam_min)
 
         for report in _rate_instances(seed + 300 + k):

@@ -347,7 +347,7 @@ class TestIterationBound:
 class TestCompressedRateAndOptimalStep:
     def test_single_direction(self):
         M = np.eye(2) @ np.array([[1.0], [0.0]])
-        lam_max, lam_min = analysis.gram_extremes(M.T @ M)
+        lam_max, lam_min = analysis.extreme_eigenvalues(M.T @ M)
         assert analysis.contraction_factor(lam_max, lam_min, 0.5) == pytest.approx(0.5)
         assert lam_max == lam_min == pytest.approx(1.0)
 
@@ -358,7 +358,7 @@ class TestCompressedRateAndOptimalStep:
             full = np.linalg.eigvalsh(A.T @ A)
             q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
             M = A @ q
-            lam_max, lam_min = analysis.gram_extremes(M.T @ M)
+            lam_max, lam_min = analysis.extreme_eigenvalues(M.T @ M)
             assert lam_max <= full[-1] + 1e-10
             assert lam_min >= full[0] - 1e-10
 
@@ -548,13 +548,14 @@ class TestCompressedCertificate:
                     if r.name.startswith("compressed_agreement.")}
 
         assert list(compressed_ok().values()) == [True] * 4
-        exact = analysis.eigendecompose
+        exact = analysis.extreme_eigenvalues
 
-        def shifted(C, sM):
-            eig = exact(C, sM)
-            return dataclasses.replace(eig, spectral_radius=eig.spectral_radius + 1e-9)
+        # The one eigenvalue helper of the certificate, on both of its paths.
+        def shifted(sym):
+            lam_max, lam_min = exact(sym)
+            return lam_max + 1e-9, lam_min + 1e-9
 
-        monkeypatch.setattr(analysis, "eigendecompose", shifted)
+        monkeypatch.setattr(analysis, "extreme_eigenvalues", shifted)
         assert list(compressed_ok().values()) == [False] * 4
 
     def test_non_stationary_sphere_point_is_refused(self):
@@ -672,48 +673,66 @@ def _linearization_arrays(lin):
 
 class TestExactFixedPoint:
     """Where the gradient vanishes at x*, z = x* bit for bit: the certificate
-    takes the linearization at x* as the one at z, and C = sM = s^2 (I - eta W)
-    needs no cross Gram and no k x k product."""
+    takes the linearization at x* as the one at z, and its rate is
+    s^2 max |1 - eta lambda| over the extremes of W = (A B)^T (A B), with no
+    compressed update and no ``eigendecompose``."""
 
     @pytest.mark.parametrize(
-        "kind, params, seed, fractions",
-        [("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, (0.5, 1.0)),
-         ("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7, (1.0,)),
-         ("iht", {"m": 50, "n": 100, "s": 5}, 0, (0.5, 1.0))],
-        ids=["mcp_12x10", "mcp_paper", "iht"],
+        "kind, params, seed, fractions, scale",
+        [("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0, (0.5, 1.0), None),
+         ("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}, 7, (1.0,), None),
+         ("iht", {"m": 50, "n": 100, "s": 5}, 0, (0.5, 1.0), None),
+         ("iht", {"m": 50, "n": 100, "s": 5}, 0, (0.5, 1.0), 0.5)]
+        + [("sphere", {"m": 12, "n": 6, "gamma": 0.0}, seed, (0.5, 1.0), None)
+           for seed in range(3)],
+        ids=["mcp_12x10", "mcp_paper", "iht", "iht_scaled", "sphere_0", "sphere_1",
+             "sphere_2"],
     )
     def test_agrees_with_the_general_path_and_the_dense_radius(
-            self, monkeypatch, kind, params, seed, fractions):
+            self, monkeypatch, kind, params, seed, fractions, scale):
         prob, x_star = make_instance(kind, params, seed)
         report = analyze_problem(prob, x_star)
         problem, x_star, lin_x = report.problem, report.x_star, report.linearization
-        compressed = analysis._compressed_update
+        s2 = 1.0
+        if scale is not None:
+            # A derivative s B B^T with s != 1: H and its rate scale by s^2.
+            lin_x = Linearization(lin_x.basis, lin_x.radius, lin_x.curvature, scale=scale)
+            s2 = scale**2
+        compressed, decompose = analysis._compressed_update, analysis.eigendecompose
+
+        def refused(*args):
+            raise AssertionError("the exact fixed point took the general path")
+
         for eta in (f * report.eta_opt for f in fractions):
             z = x_star - eta * problem.gradient(x_star)
             assert np.array_equal(z, x_star)
-            shared = []
-            monkeypatch.setattr(analysis, "_compressed_update", lambda p, lx, lz, e: (
-                shared.append(lz is lx) or compressed(p, lx, lz, e)))
+            monkeypatch.setattr(analysis, "_compressed_update", refused)
+            monkeypatch.setattr(analysis, "eigendecompose", refused)
             exact = analysis.analyze_fixed_point(problem, x_star, lin_x, eta)
-            # The general path: the same certificate with a separately built
+            # The general path: the compressed update with a separately built
             # linearization at z, whose cross Gram with B_x is I to rounding.
             lin_z = problem.constraint.linearize(z)
-            monkeypatch.setattr(analysis, "_compressed_update",
-                                lambda p, lx, lz, e: compressed(p, lx, lin_z, e))
-            general = analysis.analyze_fixed_point(problem, x_star, lin_x, eta)
-            assert shared == [True]
-            assert exact.certified and general.certified and exact.symmetric
-            assert abs(exact.rate - general.rate) <= 1e-14 * general.rate
+            if scale is not None:
+                lin_z = Linearization(lin_z.basis, lin_z.radius, lin_z.curvature, scale=scale)
+            general = decompose(*compressed(problem, lin_x, lin_z, eta))
+            assert exact.certified and exact.symmetric and exact.eigvec_condition == 1.0
+            assert abs(exact.rate - general.spectral_radius) <= 1e-14 * general.spectral_radius
             # The region is (1 - rate) / quad here or does not depend on the
             # rate: a rate within 1e-14 moves it by 1e-14 relative in 1 - rate.
-            if np.isinf(general.region_radius):
-                assert exact.region_radius == general.region_radius
+            quad = analysis.quadratic_coefficient(
+                general.eigvec_condition, exact.contraction, lin_z.curvature,
+                lin_z.operator_norm(), lin_x.curvature)
+            region = analysis.convergence_radius(
+                lin_x.radius, lin_z.radius, general.eigvec_condition, exact.contraction,
+                general.spectral_radius, quad)
+            if np.isinf(region):
+                assert exact.region_radius == region
             else:
-                assert abs(exact.region_radius - general.region_radius) <= (
-                    1e-14 * general.region_radius / (1.0 - general.rate))
-            rho = verify.spectral_radius(verify.iteration_matrix(problem, x_star, eta))
-            for conv in (exact, general):
-                assert abs(conv.rate - rho) <= 1e-12
+                assert abs(exact.region_radius - region) <= (
+                    1e-14 * region / (1.0 - general.spectral_radius))
+            rho = s2 * verify.spectral_radius(verify.iteration_matrix(problem, x_star, eta))
+            for rate in (exact.rate, general.spectral_radius):
+                assert abs(rate - rho) <= 1e-12
 
     @pytest.mark.parametrize("kind, params", [("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}),
                                               ("iht", {"m": 16, "n": 32, "s": 4})],
@@ -730,7 +749,6 @@ class TestExactFixedPoint:
             after = _snapshot(*_linearization_arrays(lin_x), *_linearization_arrays(lin_z),
                               problem.b)
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
-            assert (C is sM) == (lin_z is lin_x)
             # The rotated C is not symmetric: the skew branch runs too.
             for C, sM in ((C, sM), (C @ np.roll(np.eye(len(C)), 1, axis=0), sM)):
                 before = _snapshot(C, sM)

@@ -162,7 +162,7 @@ class TestSphere:
         assert report.gamma == pytest.approx(0.0, abs=1e-12)
         eta = 0.8 * report.eta_opt
         M = prob.apply(report.linearization.basis)
-        lam_max, lam_min = analysis.gram_extremes(M.T @ M)
+        lam_max, lam_min = analysis.extreme_eigenvalues(M.T @ M)
         rate = analysis.contraction_factor(lam_max, lam_min, eta)
         assert report.rate(eta) == pytest.approx(rate, abs=1e-12)
         assert np.linalg.norm(prob.gradient(x_star)) <= 1e-10
@@ -764,7 +764,7 @@ class TestReadsAThroughProblem:
             M = basis[np.flatnonzero(np.diagonal(A))]
         else:
             M = A @ basis
-        expected = analysis.gram_extremes(M.T @ M)
+        expected = analysis.extreme_eigenvalues(M.T @ M)
         assert (report.lam_max, report.lam_min) == expected
         if report.kind == "lcls":
             spec = prob.constraint
