@@ -83,14 +83,13 @@ def gradient_contraction(A, eta):
 
 
 def _image_gram(problem, lin_z, lin_x):
-    """W = (A B_z)^T (A B_x), k x k, from the bases' factors: for a diagonal
-    A = diag(d) the weighted cross Gram B_z^T diag(d^2) B_x, with no array as
-    tall as a basis; a matrix A is applied to every row of each basis (one
-    block when ``lin_z`` is ``lin_x``), and the blocks are gone on return."""
+    """(A B_z)^T (A B_x), k x k, for two different linearizations, from the
+    bases' factors: for a diagonal A = diag(d) the weighted cross Gram
+    B_z^T diag(d^2) B_x, with no array as tall as a basis; a matrix A is
+    applied to every row of each basis, and the blocks are gone on return."""
     if problem.diagonal is not None:
         return lin_z.cross_gram(lin_x, problem.diagonal**2)
-    AB_z = problem.apply(lin_z.rows())
-    return AB_z.T @ (AB_z if lin_x is lin_z else problem.apply(lin_x.rows()))
+    return problem.apply(lin_z.rows()).T @ problem.apply(lin_x.rows())
 
 
 def _compressed_update(problem, lin_x, lin_z, eta):
@@ -377,7 +376,10 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
 
     Where the gradient vanishes at x*, z is x* bit for bit and B_z = B_x, so C
     would be s^2 (I - eta W) with W = (A B)^T (A B): the rate is s^2 times the
-    ``contraction_factor`` of W's extremes, kappa = 1. The fixed-point test still runs.
+    ``contraction_factor`` of W's extremes, kappa = 1. Those are
+    ``problem.tangent_extremes(linearization)``, the family analysis's own
+    eigenvalues when given its linearization: no eigensolve at any step. The
+    fixed-point test still runs.
     """
     eta = float(require_steps(eta))
     contraction = contraction_factor(*problem.ata_extremes(), eta)
@@ -389,7 +391,7 @@ def analyze_fixed_point(problem, x_star, linearization, eta):
         raise NoCertificateError(f"the gradient step overflows at eta={eta:g}")
     if np.array_equal(z, x_star):
         lin_z = linearization
-        lams = extreme_eigenvalues(_image_gram(problem, lin_z, lin_z))
+        lams = problem.tangent_extremes(lin_z)
         rate = lin_z.scale**2 * contraction_factor(*lams, eta)
         eig = EigenData(spectral_radius=rate, eigvec_condition=1.0, symmetric=True)
     else:

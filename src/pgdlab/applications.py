@@ -225,10 +225,7 @@ def _analyze_iht(problem, x_star):
 
     # The nonzero support; linearize refuses fewer than s nonzeros.
     lin = problem.constraint.linearize(x_star)
-    AB = problem.apply(lin.basis)
-    gram = AB.T @ AB
-    del AB
-    lam_max, lam_min = extreme_eigenvalues(gram)
+    lam_max, lam_min = problem.tangent_extremes(lin)
 
     smallest = float(np.min(np.abs(x_star[support])))
     off = np.ones(x_star.size, dtype=bool)
@@ -263,10 +260,7 @@ def _analyze_sphere(problem, x_star):
         )
 
     lin = problem.constraint.linearize(x_star)
-    AB = problem.apply(lin.basis)
-    gram = AB.T @ AB
-    del AB
-    lam_max, lam_min = extreme_eigenvalues(gram)
+    lam_max, lam_min = problem.tangent_extremes(lin)
 
     local_min = gamma < lam_min
     # Curvature 2.0, not linearize's 2/||x*||^2, which rounds differently.
@@ -305,15 +299,7 @@ def _analyze_mcp(problem, x_star):
             f"X_star does not reproduce the observations (residual {fit:.3e})"
         )
 
-    # The Gram on the sampled rows: B^T D B for the 0/1 mask D, without the
-    # zero rows, whose sums round differently. Only those rows are built, and
-    # the block is dropped before the eigensolve: it is the largest array of
-    # `analyze` (83 MB at 200 x 150, r = 5, s = 6000), and eigvalsh's buffers
-    # would otherwise stack on it.
-    rows = lin.rows(omega)
-    gram = rows.T @ rows
-    del rows
-    lam_max, lam_min = extreme_eigenvalues(gram)
+    lam_max, lam_min = problem.tangent_extremes(lin)
     return ApplicationReport(
         "mcp", problem, lin, lam_max, lam_min, x_star,
         full_rank=_full_rank(lam_max, lam_min), curvature=RANK_CURVATURE,

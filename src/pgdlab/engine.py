@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ class Problem:
     diagonal: np.ndarray | None = field(repr=False)
     _matrix: np.ndarray | None = field(repr=False)
     _ata_extremes: tuple | None = field(default=None, repr=False)
+    _tangent_extremes: tuple | None = field(default=None, repr=False)
 
     def __init__(self, A, b, constraint):
         A = np.asarray(A, dtype=float)
@@ -96,6 +98,32 @@ class Problem:
                 pair = float(squares.max()), float(squares.min())
             object.__setattr__(self, "_ata_extremes", pair)
         return self._ata_extremes
+
+    def tangent_extremes(self, linearization):
+        """Largest and smallest eigenvalues of W = (A B)^T (A B) for the basis B
+        of ``linearization``, computed on the first call for that object: the
+        last pair is kept with a weak reference to it, so the memo keeps no
+        linearization alive, and any other linearization recomputes.
+
+        For a diagonal A = diag(d) only the rows with d != 0 are built, since
+        zero rows change how the sums round, and scaled by d (an exact x 1.0
+        for a 0/1 mask). The block is dropped before the eigensolve (see
+        analysis.extreme_eigenvalues): at completion scale it is the largest
+        array of ``analyze`` (83 MB at 200 x 150, r = 5, s = 6000).
+        """
+        memo = self._tangent_extremes
+        if memo is None or memo[0]() is not linearization:
+            if self.diagonal is None:
+                AB = self.apply(linearization.basis)
+            else:
+                kept = np.flatnonzero(self.diagonal)
+                AB = linearization.rows(kept)
+                AB *= self.diagonal[kept, None]
+            gram = AB.T @ AB
+            del AB
+            memo = weakref.ref(linearization), analysis.extreme_eigenvalues(gram)
+            object.__setattr__(self, "_tangent_extremes", memo)
+        return memo[1]
 
     def objective(self, x):
         r = self.apply(x) - self.b

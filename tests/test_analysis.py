@@ -540,7 +540,11 @@ class TestCompressedCertificate:
                 report.problem, report.x_star, report.linearization, eta)
             assert conv.symmetric and conv.eigvec_condition == 1.0
             assert abs(conv.rate - rho) <= 1e-12 * (1.0 + rho)
-        assert [width for width, _ in calls] == [report.linearization.basis.shape[1]] * 2
+        # At an exact fixed point (iht without residual, noiseless completion)
+        # the certificate reads the spectrum the family analysis computed.
+        exact = kind in ("iht", "mcp")
+        widths = [] if exact else [report.linearization.basis.shape[1]] * 2
+        assert [width for width, _ in calls] == widths
 
     def test_dense_reference_shares_no_code_with_the_certificate(self, monkeypatch):
         def compressed_ok():
@@ -557,6 +561,24 @@ class TestCompressedCertificate:
 
         monkeypatch.setattr(analysis, "extreme_eigenvalues", shifted)
         assert list(compressed_ok().values()) == [False] * 4
+
+    def test_dense_reference_guards_the_shared_tangent_spectrum(self, monkeypatch):
+        # The exact-fixed-point certificates of iht and completion read the
+        # family analysis's spectrum: shifting it must show against the dense H,
+        # while lcls and the sphere (general path) stay as they were.
+        exact = Problem.tangent_extremes
+
+        def shifted(problem, linearization):
+            lam_max, lam_min = exact(problem, linearization)
+            return lam_max + 1e-9, lam_min + 1e-9
+
+        monkeypatch.setattr(Problem, "tangent_extremes", shifted)
+        compressed_ok = {r.name: r.ok for r in verify.check_rate_agreement(0)
+                         if r.name.startswith("compressed_agreement.")}
+        assert compressed_ok == {"compressed_agreement.lcls": True,
+                                 "compressed_agreement.iht": False,
+                                 "compressed_agreement.sphere": True,
+                                 "compressed_agreement.mcp": False}
 
     def test_non_stationary_sphere_point_is_refused(self):
         # Off a fixed point span B_z != span B_x, and H's eigenbasis is not

@@ -335,6 +335,115 @@ class TestBlockReleasedBeforeEigensolve:
         assert len(blocks) == 1 and shapes == [(k, k)]
 
 
+@pytest.fixture
+def eigvalsh_widths(monkeypatch):
+    """The width of every ``np.linalg.eigvalsh`` call from now on."""
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return widths
+
+
+def _assert_extremes_close(got, expected, rtol=1e-14):
+    """Both eigenvalues within ``rtol`` of the larger magnitude (W's scale)."""
+    scale = max(abs(v) for v in expected)
+    assert max(abs(g - e) for g, e in zip(got, expected)) <= rtol * scale
+
+
+SHARED_SPECTRUM_INSTANCES = [
+    ("iht", {"m": 16, "n": 32, "s": 4}),
+    ("sphere", {"m": 12, "n": 6, "gamma": -0.5}),
+    ("sphere", {"m": 12, "n": 6, "gamma": 0.3}),
+    ("sphere", {"m": 12, "n": 6, "gamma": 0.0}),
+    ("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}),
+    ("mcp", {"m": 50, "n": 40, "r": 3, "s": 800}),
+]
+
+
+class TestSharedTangentSpectrum:
+    """``Problem.tangent_extremes`` is the one spectrum of W = (A B)^T (A B):
+    the family analyses of iht, sphere and completion read their eigenvalues
+    from it, and the certificate at an exact fixed point reads the same pair."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "kind, params", SHARED_SPECTRUM_INSTANCES,
+        ids=["iht", "sphere_neg", "sphere_pos", "sphere_zero", "mcp_6x5", "mcp_50x40"],
+    )
+    def test_family_eigenvalues_are_the_tangent_extremes(self, kind, params, seed):
+        prob, x_star = make_instance(kind, params, seed)
+        report = analyze_problem(prob, x_star)
+        assert prob.tangent_extremes(report.linearization) == (report.lam_max, report.lam_min)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("params", [{"m": 6, "n": 5, "r": 2, "s": 24},
+                                        {"m": 50, "n": 40, "r": 3, "s": 800}],
+                             ids=["6x5", "50x40"])
+    def test_completion_agrees_with_the_weighted_cross_gram(self, params, seed):
+        prob, x_star = make_instance("mcp", params, seed)
+        lin = analyze_problem(prob, x_star).linearization
+        expected = analysis.extreme_eigenvalues(lin.cross_gram(lin, prob.diagonal**2))
+        _assert_extremes_close(prob.tangent_extremes(lin), expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_signed_diagonal_sphere_agrees_with_the_weighted_cross_gram(self, seed):
+        # Entries of both signs, off 0 and 1, and one zero: the rows kept are
+        # scaled by d, and the zero row is not built.
+        rng = np.random.default_rng(seed)
+        n = 9
+        d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        d[4] = 0.0
+        prob = Problem(d, np.zeros(n), SphereConstraint(n))
+        lin = prob.constraint.linearize(prob.constraint.random_member(rng))
+        expected = analysis.extreme_eigenvalues(lin.cross_gram(lin, d**2))
+        _assert_extremes_close(prob.tangent_extremes(lin), expected)
+
+    @pytest.mark.parametrize("kind, params", [("iht", {"m": 16, "n": 32, "s": 4}),
+                                              ("mcp", {"m": 50, "n": 40, "r": 3, "s": 800})],
+                             ids=["iht", "mcp_50x40"])
+    def test_computed_once_per_linearization(self, eigvalsh_widths, kind, params):
+        prob, x_star = make_instance(kind, params, 7)
+        eigvalsh_widths.clear()
+        report = analyze_problem(prob, x_star)
+        k = report.linearization.dimension
+        assert eigvalsh_widths == [k]
+        assert prob.tangent_extremes(report.linearization) == (report.lam_max, report.lam_min)
+        assert eigvalsh_widths == [k]
+
+        # A fresh linearization of x* is another object: it recomputes.
+        fresh = prob.constraint.linearize(report.x_star)
+        prob.tangent_extremes(fresh)
+        assert eigvalsh_widths == [k, k]
+        for eta in (0.5 * report.eta_opt, report.eta_opt):
+            shared, own = (analysis.analyze_fixed_point(prob, report.x_star, lin, eta).rate
+                           for lin in (report.linearization, fresh))
+            assert abs(shared - own) <= 1e-14 * (1.0 + shared)
+
+    def test_memo_keeps_no_linearization_alive(self):
+        prob, x_star = make_instance("iht", {"m": 16, "n": 32, "s": 4}, 7)
+        lin = prob.constraint.linearize(x_star)
+        prob.tangent_extremes(lin)
+        ref = weakref.ref(lin)
+        del lin
+        assert ref() is None
+
+    @pytest.mark.parametrize("etas", [[], ["--eta", "0.5", "1.0", "1.5"]],
+                             ids=["default_grid", "three_steps"])
+    def test_analyze_command_eigensolves_once(self, tmp_path, capsys, eigvalsh_widths, etas):
+        prob, x_star = make_instance("mcp", {"m": 12, "n": 10, "r": 2, "s": 80}, 0)
+        path = tmp_path / "problem.json"
+        save_problem(path, prob, x_star=x_star)
+        eigvalsh_widths.clear()
+        assert main(["analyze", str(path), *etas]) == 0
+        capsys.readouterr()
+        assert eigvalsh_widths == [2 * (12 + 10 - 2)]
+
+
 def _weights(kind, rng, n):
     """Row weights: a 0/1 mask, or values in +-[0.5, 1.5] with a quarter zero."""
     if kind == "mask":
