@@ -114,7 +114,7 @@ def cmd_analyze(args):
     _require_writable(args.out)
     problem, x_star, _ = load_problem(args.problem)
     report = analyze_problem(problem, x_star)
-    etas = list(args.eta) if args.eta else certified_etas(report)
+    etas = args.eta or certified_etas(report)
 
     out = {
         "application": report.to_json(etas),
@@ -235,7 +235,7 @@ def build_parser():
 
     p_an = sub.add_parser("analyze", help="convergence certificates for a problem file")
     p_an.add_argument("problem", help="problem JSON file")
-    p_an.add_argument("--eta", type=float, nargs="*", default=None)
+    p_an.add_argument("--eta", type=float, nargs="+", default=None)
     p_an.add_argument("--eps", type=float, nargs="*", default=BOUND_ACCURACIES)
     p_an.add_argument("--out", default=None, help="report JSON path")
     p_an.set_defaults(func=cmd_analyze, output="--out")
@@ -245,7 +245,7 @@ def build_parser():
     for key, kind in _parameter_types().items():  # a bool is a switch
         options = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
         p_ex.add_argument(f"--{key}", **options)
-    p_ex.add_argument("--etas", type=float, nargs="*", default=None)
+    p_ex.add_argument("--etas", type=float, nargs="+", default=None)
     p_ex.add_argument("--seed", type=int)
     p_ex.add_argument("--outdir", default=None)
     p_ex.add_argument("--max-iters", type=int, default=20_000, dest="max_iters")

@@ -73,16 +73,17 @@ class Problem:
         return self._matrix.shape if self.diagonal is None else (self.diagonal.size,) * 2
 
     # On a finite x the dense product with a diagonal A adds exact zeros to
-    # d_i * x_i, so the entrywise product gives the same bits. A block of
-    # columns has its rows scaled.
+    # d_i * x_i, so the entrywise product gives the same bits, column by column.
     def apply(self, x):
-        """A @ x for a vector or a block of columns."""
+        """A @ x for a vector, a block of columns or a stack of such blocks.
+        Each block has the bits of its product alone; a one-column block, or
+        any column for a diagonal A, those of the vector product."""
         if self.diagonal is None:
             return self._matrix @ x
         return self.diagonal * x if np.ndim(x) < 2 else self.diagonal[:, None] * x
 
     def apply_t(self, r):
-        """A^T @ r for a vector or a block of columns."""
+        """A^T @ r for the shapes of ``apply``, with its bits per block and column."""
         if self.diagonal is None:
             return self._matrix.T @ r
         return self.diagonal * r if np.ndim(r) < 2 else self.diagonal[:, None] * r
@@ -131,14 +132,6 @@ class Problem:
 
     def gradient(self, x):
         return self.apply_t(self.apply(x) - self.b)
-
-    def apply_rows(self, x, transpose=False):
-        """A @ x_i (A^T @ x_i with ``transpose``) for each row x_i of a block,
-        as rows: each has the bits of ``apply`` (``apply_t``) of x_i."""
-        if self.diagonal is not None:
-            return self.diagonal * x
-        A = self._matrix.T if transpose else self._matrix
-        return (A @ x[:, :, None])[:, :, 0]
 
 
 @dataclass(eq=False)
@@ -195,12 +188,20 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     a ``TraceBlock`` of one ``Trace`` per row. Each row has the bits of its
     run alone. A row that diverges at iteration k stops as "diverged" at
     x_{k-1}; the run of one start raises DivergenceError(k, ||x_{k-1}||).
-    A step not finite and positive, an ``error_floor`` without ``x_ref`` or a
-    ``max_iters`` not a whole number >= 0 raises ValueError.
+    ``x_ref`` is read as a column-major vector, as ``analyze_problem`` reads
+    x*, so ``constraint.to_matrix(x*)`` measures the errors of x*.
+
+    ValueError, before any iteration, for: a step not finite and positive;
+    an ``eta`` or ``error_floor`` with neither 1 value nor k; an
+    ``error_floor`` that is NaN or negative, or given without ``x_ref``; an
+    ``x_ref`` not of length n or not finite; a ``max_iters`` not a whole
+    number >= 0.
 
     Stops are decided at every iteration, the bookkeeping once per window.
     An iteration computes only what can stop a row there: the step, its
     finiteness, the projection, the residual and, with ``x_ref``, the error.
+    A and A^T are applied by ``Problem.apply`` and ``apply_t`` to the rows
+    held as a stack of (n, 1) columns, and the residual is kept as one.
     The objectives and the step and iterate norms of the stall test are
     computed once per window of at most ``STAGNATION_RUN`` iterations. A
     window is no longer than the fewest iterations a row needs to stagnate,
@@ -215,12 +216,30 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
         rows = "rows of " if block else ""
         raise ValueError(f"x0 has {rows}length {x.shape[1]}, expected {spec.n}")
     k = len(x)
-    rates = np.broadcast_to(analysis.require_steps(eta), (k,))[:, None]
+    steps = analysis.require_steps(eta)
     if not (max_iters >= 0 and float(max_iters).is_integer()):  # also refuses NaN
         raise ValueError(f"max_iters must be a whole number >= 0, got {max_iters!r}")
     max_iters = int(max_iters)
     if error_floor is not None and x_ref is None:
         raise ValueError("error_floor needs x_ref, the point the error is measured to")
+    for name, value in (("eta", steps), ("error_floor", error_floor)):
+        if np.ndim(value) > 1 or np.size(value) not in (1, k):
+            raise ValueError(f"{name} needs 1 value or 1 per start, {k}; got {np.size(value)}")
+    rates = np.broadcast_to(steps, (k,))[:, None]
+    if x_ref is not None:
+        x_ref = np.asarray(x_ref, dtype=float).reshape(-1, order="F")
+        if x_ref.size != spec.n:
+            raise ValueError(f"x_ref has length {x_ref.size}, expected {spec.n}")
+        if not _finite(x_ref):
+            raise ValueError("x_ref entries must be finite")
+        if error_floor is None:
+            error_floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_ref))
+    floors = None
+    if error_floor is not None:
+        floors = np.asarray(error_floor, dtype=float)
+        if not np.all(floors >= 0):  # also refuses NaN
+            raise ValueError(f"error_floor must be >= 0, got {floors[~(floors >= 0)].tolist()}")
+        floors = np.broadcast_to(floors, (k,))
 
     # The checks of project, but the frames of the loop's _project calls, so
     # that a warning names the caller; not <=, so a NaN residual is projected.
@@ -234,13 +253,6 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             stacklevel=2,
         )
 
-    if x_ref is not None:
-        x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-        if error_floor is None:
-            error_floor = ERROR_FLOOR_SCALE * (1.0 + np.linalg.norm(x_ref))
-    floors = None if error_floor is None else np.broadcast_to(
-        np.asarray(error_floor, dtype=float), (k,))
-
     # The rows of x are the runs still going, ``runs`` their indices, and each
     # has a column in the buffers of objectives and errors. A run that stops
     # leaves the block, so its iterations never depend on the other rows.
@@ -250,7 +262,7 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     runs = np.arange(k)
     floor = floors
     stagnant = np.zeros(k, dtype=int)
-    b = problem.b
+    b = problem.b[:, None]
 
     def finish(row, stop_reason, iterations):
         run = runs[row]
@@ -265,8 +277,8 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
     # Overflow on a diverging run is expected; it is caught by the finiteness
     # checks rather than surfacing as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = problem.apply_rows(x) - b
-        objectives[0] = 0.5 * row_dots(residual)
+        residual = problem.apply(x[:, :, None]) - b
+        objectives[0] = 0.5 * row_dots(residual[:, :, 0])
         if errors is not None:
             errors[0] = np.sqrt(row_dots(x - x_ref))
         it = 0
@@ -283,12 +295,12 @@ def run_pgd(problem, eta, x0, max_iters=10_000, error_floor=None, x_ref=None):
             residuals = np.empty((window, *residual.shape))
             diverged = reached = None
             for j in range(1, window + 1):
-                descent = x - rates * problem.apply_rows(residual, transpose=True)
+                descent = x - rates * problem.apply_t(residual)[:, :, 0]
                 x_next = spec._project(descent) if _finite(descent) else None
                 if x_next is None or not _finite(x_next):
                     x_next, diverged = _diverging(spec, x, descent)
                 x = iterates[j] = x_next
-                residual = residuals[j - 1] = problem.apply_rows(x) - b
+                residual = residuals[j - 1] = problem.apply(x[:, :, None]) - b
                 if errors is not None:
                     error = errors[it + j] = np.sqrt(row_dots(x - x_ref))
                     reached = error < floor

@@ -1141,8 +1141,13 @@ def test_negative_seed_exit_one(lcls_file, capsys, argv):
 @pytest.mark.parametrize(
     "argv, code",
     [(["verify", "--seed", "abc"], 1), (["verify", "--suite", "bogus"], 1),
-     (["verify", "--bogus"], 1), (["analyze"], 1), (["verify", "--help"], 0)],
-    ids=["seed_not_int", "unknown_suite", "unknown_flag", "analyze_without_file", "help"],
+     (["verify", "--bogus"], 1), (["analyze"], 1), (["verify", "--help"], 0),
+     # An empty step list, not the default grid that leaving the flag out asks for.
+     (["analyze", "problem.json", "--eta"], 1),
+     (["analyze", "problem.json", "--eta", "--eps", "0.1"], 1),
+     (["experiment", "lcls", "--m", "12", "--n", "8", "--p", "3", "--etas", "--seed", "1"], 1)],
+    ids=["seed_not_int", "unknown_suite", "unknown_flag", "analyze_without_file", "help",
+         "analyze_empty_eta", "analyze_empty_eta_before_flag", "experiment_empty_etas"],
 )
 def test_usage_error_exit_one(capsys, argv, code):
     # argparse's own exit code for a usage error is 2, the divergence code.
@@ -1152,3 +1157,11 @@ def test_usage_error_exit_one(capsys, argv, code):
     if code:
         err = capsys.readouterr().err
         assert err.startswith("usage: pgdlab") and "error:" in err
+
+
+def test_empty_eps_asks_for_no_bounds(lcls_file, capsys):
+    path, _, _ = lcls_file
+    assert main(["analyze", str(path), "--eps"]) == 0
+    etas = json.loads(capsys.readouterr().out)["etas"]
+    assert etas and all("convergence" in entry and "iteration_bounds" not in entry
+                        for entry in etas)

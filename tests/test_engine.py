@@ -163,6 +163,50 @@ class TestDiagonal:
         assert np.array_equal(trace.final, x)
 
 
+def _stack_problems():
+    """A rectangular dense A, a 0/1 diagonal and a signed diagonal with
+    entries off 0 and 1 and one zero."""
+    rng = np.random.default_rng(5)
+    signed = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+    signed[2] = 0.0
+    yield "dense", Problem(rng.standard_normal((9, 6)), rng.standard_normal(9), SphereConstraint(6))
+    yield "mask", Problem(rng.choice([0.0, 1.0], 6), rng.standard_normal(6), SphereConstraint(6))
+    yield "signed", Problem(signed, rng.standard_normal(6), SphereConstraint(6))
+
+
+class TestStack:
+    """``apply`` and ``apply_t`` on a stack of column blocks, the layout of
+    ``run_pgd``'s rows and residuals."""
+
+    @pytest.mark.parametrize("case", list(_stack_problems()), ids=lambda case: case[0])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_each_column_has_the_bits_of_its_product_alone(self, case, columns):
+        _, prob = case
+        m, n = prob.shape
+        rng = np.random.default_rng(columns)
+        for product, width, height in ((prob.apply, n, m), (prob.apply_t, m, n)):
+            X = rng.standard_normal((3, width, columns))
+            Y = product(X)
+            assert Y.shape == (3, height, columns)
+            for i in range(3):
+                # A dense A multiplies a block of several columns as one
+                # matrix product, whose sums BLAS may round otherwise than
+                # those of each column.
+                assert np.array_equal(Y[i], product(X[i]))
+                if columns == 1 or prob.diagonal is not None:
+                    for j in range(columns):
+                        assert np.array_equal(Y[i, :, j], product(X[i, :, j]))
+
+    @pytest.mark.parametrize("case", list(_stack_problems()), ids=lambda case: case[0])
+    def test_a_vector_as_a_stack_of_one_column(self, case):
+        _, prob = case
+        m, n = prob.shape
+        rng = np.random.default_rng(0)
+        x, r = rng.standard_normal(n), rng.standard_normal(m)
+        assert np.array_equal(prob.apply(x)[None, :, None], prob.apply(x[None, :, None]))
+        assert np.array_equal(prob.apply_t(r)[None, :, None], prob.apply_t(r[None, :, None]))
+
+
 class TestRunPgd:
     def test_sphere_converges_to_normalized_target(self):
         prob = Problem(np.eye(2), np.array([2.0, 0.0]), SphereConstraint(2))
@@ -234,6 +278,50 @@ class TestRunPgd:
         prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
         with pytest.raises(ValueError, match="^error_floor needs x_ref"):
             run_pgd(prob, 0.5, [1.0, 0.0, 0.0], max_iters=50, error_floor=1e-3)
+
+    def test_matrix_reference_is_read_column_major(self):
+        # As analyze_problem reads x*: a completion x* given as its matrix
+        # measures the errors of the vector, not those of a transposed read.
+        prob, x_star = make_instance("mcp", {"m": 6, "n": 5, "r": 2, "s": 24}, 0)
+        eta = 0.5 * analyze_problem(prob, x_star).eta_opt
+        rng = np.random.default_rng(0)
+        x0 = prob.constraint.project(x_star + 1e-3 * rng.standard_normal(x_star.size))
+        vector = run_pgd(prob, eta, x0, max_iters=50, x_ref=x_star)
+        matrix = run_pgd(prob, eta, x0, max_iters=50, x_ref=prob.constraint.to_matrix(x_star))
+        _assert_same_run(matrix, vector)
+        assert vector.errors[-1] < 1e-2 * vector.errors[0]
+
+    def test_reference_of_the_wrong_length_refused(self):
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        with pytest.raises(ValueError, match="^x_ref has length 4, expected 3$"):
+            run_pgd(prob, 0.5, [1.0, 0.0, 0.0], max_iters=5, x_ref=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_refused(self, bad, record_projections):
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        recorded = record_projections(prob.constraint)
+        with pytest.raises(ValueError, match="^x_ref entries must be finite$"):
+            run_pgd(prob, 0.5, [1.0, 0.0, 0.0], max_iters=5, x_ref=[1.0, bad, 0.0])
+        assert not recorded
+
+    @pytest.mark.parametrize("name", ["eta", "error_floor"])
+    @pytest.mark.parametrize("starts", [1, 3])
+    def test_one_value_or_one_per_start(self, name, starts):
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        x0 = np.eye(3)[:starts] if starts > 1 else np.eye(3)[0]
+        settings = {"eta": 0.5, "error_floor": 1e-6, name: [0.5, 1e-6]}
+        with pytest.raises(ValueError, match=rf"^{name} needs 1 value or 1 per start, {starts}; got 2$"):
+            run_pgd(prob, settings["eta"], x0, max_iters=5, error_floor=settings["error_floor"],
+                    x_ref=np.eye(3)[0])
+
+    @pytest.mark.parametrize("floor", [np.nan, -1e-3, [1e-6, np.nan]], ids=["nan", "negative", "row"])
+    def test_floor_nan_or_negative_refused(self, floor):
+        prob = Problem(np.eye(3), np.zeros(3), SphereConstraint(3))
+        with pytest.raises(ValueError, match=r"^error_floor must be >= 0, got \[(nan|-0\.001)\]$"):
+            run_pgd(prob, 0.5, np.eye(3)[:2], max_iters=5, error_floor=floor, x_ref=np.eye(3)[0])
+        # A zero floor stops only on an exact hit.
+        trace = run_pgd(prob, 0.5, np.eye(3)[0], max_iters=5, error_floor=0.0, x_ref=np.eye(3)[0])
+        assert trace.error_floor == 0.0
 
     def test_divergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(2)
