@@ -155,7 +155,7 @@ def quadratic_coefficient(eigvec_condition, contraction, curvature_z, proj_norm_
     """Coefficient of the squared-error term in the one-step error recursion."""
     if min(contraction, curvature_z, proj_norm_z, curvature_x) < 0:
         raise ValueError("inputs must be nonnegative")
-    if eigvec_condition < 1.0:
+    if not eigvec_condition >= 1.0:
         raise ValueError("eigenvector condition number is at least one")
     return float(
         eigvec_condition**2
@@ -283,6 +283,8 @@ def iterations_to_accuracy(accuracy, rate, eigvec_condition=1.0, offset=1.0):
         raise ValueError("accuracy must lie in (0, 1)")
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must lie in [0, 1)")
+    if not eigvec_condition >= 1.0:
+        raise ValueError("eigenvector condition number is at least one")
     if rate == 0.0:
         return float(offset)
     return float(

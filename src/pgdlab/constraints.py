@@ -16,6 +16,7 @@ sphere, and the matrices of rank at most r (flattened column-major).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 
 import numpy as np
@@ -494,21 +495,18 @@ class LowRankConstraint(Constraint):
         return self.to_vector(F @ G.T)
 
 
-def sample_blocks(count):
-    """Sizes of the successive blocks of at most SAMPLE_BLOCK rows that cover ``count`` samples."""
-    count = int(count)
-    return [min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)]
-
-
-def draw_directions(rng, rows, n):
-    """``rows`` samples of n standard normals and then one uniform each, drawn
-    in the order that a loop drawing one sample at a time would draw them."""
-    normals = np.empty((rows, n))
-    uniforms = []
-    for row in normals:
-        rng.standard_normal(out=row)
-        uniforms.append(rng.random())
-    return normals, uniforms
+def sample_blocks(trials):
+    """Sizes of the successive blocks of at most SAMPLE_BLOCK rows that cover
+    ``trials`` samples. A probe that samples nothing must not report that its
+    bound held, so ``trials`` must be a whole number >= 1."""
+    if (
+        isinstance(trials, bool)
+        or not isinstance(trials, numbers.Real)
+        or not (trials >= 1 and float(trials).is_integer())
+    ):
+        raise ValueError(f"trials must be a whole number >= 1, got {trials!r}")
+    trials = int(trials)
+    return [min(SAMPLE_BLOCK, trials - start) for start in range(0, trials, SAMPLE_BLOCK)]
 
 
 def finite_difference_check(constraint, x, step=1e-6, trials=100, seed=0):
@@ -519,11 +517,12 @@ def finite_difference_check(constraint, x, step=1e-6, trials=100, seed=0):
     """
     if not 1e-8 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-8, 1e-4]")
+    blocks = sample_blocks(trials)
     x = _as_vector(x, constraint.n)
     lin = constraint.linearize(x)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for rows in sample_blocks(trials):
+    for rows in blocks:
         u = rng.standard_normal((rows, constraint.n))
         u /= row_norms(u)
         forward = constraint.project(x + step * u)
@@ -538,10 +537,14 @@ def finite_difference_check(constraint, x, step=1e-6, trials=100, seed=0):
 def quadratic_bound_margin(constraint, x, radius, trials=1000, seed=0):
     """Worst-case slack of the quadratic remainder bound over random steps.
 
-    Samples steps uniformly in the ball of the given radius and returns the
-    minimum of ``curvature * ||step||^2 - ||P(x+step) - P(x) - dP(x) step||``;
-    a nonnegative value means the bound held on every sample.
+    Samples steps uniformly in the ball of the given radius, each block as its
+    normals and then its uniforms, and returns the minimum of
+    ``curvature * ||step||^2 - ||P(x+step) - P(x) - dP(x) step||``; a
+    nonnegative value means the bound held on every sample.
     """
+    blocks = sample_blocks(trials)
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     x = _as_vector(x, constraint.n)
     lin = constraint.linearize(x)
     if not radius < lin.radius:
@@ -549,15 +552,11 @@ def quadratic_bound_margin(constraint, x, radius, trials=1000, seed=0):
     rng = np.random.default_rng(seed)
     base = constraint.project(x)
     worst = np.inf
-    for rows in sample_blocks(trials):
-        direction, uniforms = draw_directions(rng, rows, constraint.n)
+    for rows in blocks:
+        direction = rng.standard_normal((rows, constraint.n))
         direction /= row_norms(direction)
-        # Python's float power (libm pow), not numpy's, whose vector loops may
-        # round differently: the lengths one sample at a time gave, bit for bit.
-        lengths = [radius * u ** (1.0 / constraint.n) for u in uniforms]
-        delta = np.array(lengths)[:, None] * direction
-        actual = constraint.project(x + delta)
-        residual = row_norms(actual - base - lin.apply(delta))[:, 0]
-        margin = lin.curvature * np.array([float(v) ** 2 for v in lengths]) - residual
-        worst = min(worst, float(margin.min()))
+        lengths = radius * rng.random(rows) ** (1.0 / constraint.n)
+        delta = lengths[:, None] * direction
+        residual = row_norms(constraint.project(x + delta) - base - lin.apply(delta))[:, 0]
+        worst = min(worst, float((lin.curvature * lengths**2 - residual).min()))
     return worst

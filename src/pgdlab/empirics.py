@@ -181,7 +181,10 @@ def _draw_sphere(seed, m, n, gamma):
         A = rng.standard_normal((m, n))
         x_star = rng.standard_normal(n)
         x_star /= np.linalg.norm(x_star)
-        b = A @ x_star - gamma * (A @ np.linalg.solve(A.T @ A, x_star))
+        with np.errstate(over="ignore"):
+            b = A @ x_star - gamma * (A @ np.linalg.solve(A.T @ A, x_star))
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"sphere: |gamma| is too large, b overflows (gamma={gamma})")
         report = _analyze_draw(Problem(A, b, spec), x_star)
         # The sphere analysis certifies exactly a multiplier below lam_min.
         if report.certified:

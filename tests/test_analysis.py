@@ -217,6 +217,11 @@ class TestQuadraticCoefficient:
         q = analysis.quadratic_coefficient(1.0, 0.5, c, 1.0, c)
         assert q == pytest.approx(3.0 * (1.0 + SQRT2))
 
+    @pytest.mark.parametrize("kappa", [0.5, float("nan")])
+    def test_condition_below_one_refused(self, kappa):
+        with pytest.raises(ValueError, match="condition number is at least one"):
+            analysis.quadratic_coefficient(kappa, 0.5, 1.0, 1.0, 1.0)
+
     def test_sphere_combination(self):
         # kappa=1: u*(2u/(1-eta*g)^2 + 2/(1-eta*g)) = 2(t^2+t)
         u, scale = 0.8, 1.3
@@ -342,6 +347,15 @@ class TestIterationBound:
             analysis.iterations_to_accuracy(1e-3, 1.2)
         with pytest.raises(ValueError):
             analysis.iterations_to_accuracy(2.0, 0.5)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.0, -1.0, float("nan")])
+    def test_condition_below_one_refused(self, kappa):
+        # ||H^j|| <= kappa r^j holds only for kappa >= 1: a smaller kappa would
+        # certify fewer iterations than the kappa = 1 bound.
+        with pytest.raises(ValueError, match="condition number is at least one"):
+            analysis.iterations_to_accuracy(1e-6, 0.5, eigvec_condition=kappa)
+        with pytest.raises(ValueError, match="condition number is at least one"):
+            analysis.iteration_bound(1e-6, 0.5, 0.0, 1.0, eigvec_condition=kappa)
 
 
 class TestCompressedRateAndOptimalStep:

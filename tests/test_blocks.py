@@ -2,7 +2,11 @@
 
 Each row of a block result must equal the one-point result bit for bit, and
 the blockwise Monte-Carlo probes must return exactly what the per-sample
-loops below (the probes as first written, one point at a time) return.
+loops below return: each projects, linearizes, measures and compares one
+point at a time, from the same draws. ``finite_difference_check`` draws its
+directions in sample order; ``quadratic_bound_margin`` draws each block of at
+most SAMPLE_BLOCK samples as its normals and then its uniforms, and its
+reference takes the lengths from the same numpy power.
 """
 
 import warnings
@@ -143,21 +147,24 @@ def reference_finite_difference_check(constraint, x, step=1e-6, trials=100, seed
 
 
 def reference_quadratic_bound_margin(constraint, x, radius, trials=1000, seed=0):
-    """``quadratic_bound_margin`` one sample at a time."""
+    """``quadratic_bound_margin`` one sample at a time, each block of samples
+    drawn as its normals and then its uniforms."""
     x = np.asarray(x, dtype=float)
     lin = constraint.linearize(x)
     rng = np.random.default_rng(seed)
     base = constraint.project(x)
     worst = np.inf
-    for _ in range(int(trials)):
-        direction = rng.standard_normal(constraint.n)
-        direction /= np.linalg.norm(direction)
-        length = radius * rng.random() ** (1.0 / constraint.n)
-        delta = length * direction
-        actual = constraint.project(x + delta)
-        residual = np.linalg.norm(actual - base - lin.apply(delta))
-        margin = lin.curvature * float(length) ** 2 - float(residual)
-        worst = min(worst, margin)
+    for start in range(0, trials, SAMPLE_BLOCK):
+        rows = min(SAMPLE_BLOCK, trials - start)
+        directions = rng.standard_normal((rows, constraint.n))
+        lengths = radius * rng.random(rows) ** (1.0 / constraint.n)
+        for direction, length in zip(directions, lengths):
+            direction /= np.linalg.norm(direction)
+            delta = length * direction
+            actual = constraint.project(x + delta)
+            residual = np.linalg.norm(actual - base - lin.apply(delta))
+            margin = lin.curvature * length**2 - residual
+            worst = min(worst, float(margin))
     return worst
 
 

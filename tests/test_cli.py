@@ -963,9 +963,11 @@ class TestExperimentCommand:
          (["mcp", "--m", "5", "--n", "4", "--r", "0", "--s", "10"], "r=0"),
          (["sphere", "--m", "5", "--n", "4", "--gamma", "nan"], "gamma=nan"),
          (["sphere", "--m", "3", "--n", "1"], "n=1"),
-         (["sphere", "--m", "15", "--n", "10", "--gamma", "1e200"], "multiplier 1e+200")],
+         (["sphere", "--m", "15", "--n", "10", "--gamma", "1e200"], "multiplier 1e+200"),
+         (["sphere", "--m", "3", "--n", "2", "--gamma", "1e308"], "gamma=1e+308"),
+         (["sphere", "--m", "3", "--n", "2", "--gamma=-1e308"], "gamma=-1e+308")],
         ids=["lcls_m_zero", "iht_m_zero", "mcp_r_zero", "sphere_gamma_nan", "sphere_n_one",
-             "sphere_gamma_1e200"],
+             "sphere_gamma_1e200", "sphere_b_overflows", "sphere_b_overflows_negative"],
     )
     def test_bad_generator_input_exit_one_quietly(self, capsys, argv, name):
         with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pgdlab import verify
 from pgdlab.constraints import (
     AffineConstraint,
     Linearization,
@@ -331,6 +332,62 @@ class TestQuadraticBound:
         sig = np.linalg.svd(spec.to_matrix(x), compute_uv=False)
         margin = quadratic_bound_margin(spec, x, radius=0.1 * sig[1], trials=10_000, seed=6)
         assert margin >= 0.0
+
+
+class TestProbesRefuseEmptySampling:
+    """A probe that samples nothing must not report that its bound held."""
+
+    X = [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, float("nan"), float("inf"), True, "5"])
+    def test_trials_not_a_whole_number_from_one(self, trials):
+        spec = SphereConstraint(3)
+        with pytest.raises(ValueError, match="trials must be a whole number >= 1"):
+            quadratic_bound_margin(spec, self.X, radius=0.3, trials=trials)
+        with pytest.raises(ValueError, match="trials must be a whole number >= 1"):
+            finite_difference_check(spec, self.X, step=1e-6, trials=trials)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.3, float("inf"), float("nan")])
+    def test_radius_not_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            quadratic_bound_margin(SphereConstraint(3), self.X, radius=radius, trials=10)
+
+    @pytest.mark.parametrize("trials", [7.0, np.int64(7)])
+    def test_whole_trials_of_any_number_type(self, trials):
+        spec = SphereConstraint(3)
+        assert quadratic_bound_margin(spec, self.X, 0.3, trials, seed=1) == (
+            quadratic_bound_margin(spec, self.X, 0.3, 7, seed=1)
+        )
+        assert finite_difference_check(spec, self.X, 1e-6, trials, seed=1) == (
+            finite_difference_check(spec, self.X, 1e-6, 7, seed=1)
+        )
+
+
+class TestCellLinearityCheck:
+    """``cell_linearity.{affine,sparse}`` read minus ``quadratic_bound_margin``
+    at curvature 0: a small nonlinear term in the projection must fail them."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_projections_pass(self, seed):
+        results = {r.name: r.ok for r in verify.check_quadratic_bounds(seed)}
+        assert results["cell_linearity.affine"] and results["cell_linearity.sparse"]
+
+    @pytest.mark.parametrize(
+        "cls, kind, other",
+        [(AffineConstraint, "affine", "sparse"), (SparsityConstraint, "sparse", "affine")],
+    )
+    def test_nonlinear_projection_fails(self, monkeypatch, cls, kind, other):
+        project = cls._project
+
+        def bent(self, x):
+            out = project(self, x)
+            out[..., 0] += 1e-9 * np.sum(x * x, axis=-1)
+            return out
+
+        monkeypatch.setattr(cls, "_project", bent)
+        results = {r.name: r.ok for r in verify.check_quadratic_bounds(0)}
+        assert not results[f"cell_linearity.{kind}"]
+        assert results[f"cell_linearity.{other}"]
 
 
 class TestInvariantsAndJson:
